@@ -25,38 +25,35 @@ exactly.
 
 from __future__ import annotations
 
-import enum
 import json
-import re
 from dataclasses import dataclass
 from typing import IO, Iterable
 
 from .model import (
+    EMPTY_LABELS,
     Annotation,
     DemandLabel,
     DocumentLabels,
     DocumentRecord,
+    EventRefError,
     InvariantError,
+    LabelError,
+    ParseErrorKind,
     ProtestLabel,
     SentenceLabel,
     SentenceRecord,
+    SpanError,
     TokenSpan,
     UnknownTagError,
     ViolenceLabel,
     annotation_sort_key,
+    format_event_refs,
+    parse_event_refs,
     resolve_tag,
+    span_error,
 )
 
 CORPUS_EXTENSION = ".glocon.jsonl"
-
-
-class ParseErrorKind(str, enum.Enum):
-    MALFORMED_RECORD = "malformed_record"
-    UNKNOWN_TAG = "unknown_tag"
-    BAD_SPAN = "bad_span"
-    BAD_LABEL = "bad_label"
-    BAD_EVENT_REF = "bad_event_ref"
-    DUPLICATE_ID = "duplicate_id"
 
 
 @dataclass(frozen=True)
@@ -81,300 +78,168 @@ class CorpusDecodeError(Exception):
         self.line = line
 
 
-class EventRefError(ValueError):
-    """A FLAT comment string does not follow the ``Event <n>`` grammar."""
+# The parser checks only the JSON shape of a record (key sets, value types,
+# label vocabularies) and that its strings encode as UTF-8.  Value invariants
+# (non-empty ids and tokens, span bounds, event numbers, unique annotation
+# ids) are the model constructors' to check.  Every rejection is an
+# InvariantError that carries its kind.
+
+_DOC_KEYS = frozenset({"doc_id", "labels", "sentences", "annotations"})
+_LABEL_KEYS = frozenset({"protest", "violent", "demand"})
+_SENTENCE_KEYS = frozenset({"index", "tokens", "label"})
+_ANNOTATION_KEYS = frozenset(
+    {"id", "tag", "sentence", "start", "end", "events", "confidence", "comment"}
+)
+_PROTEST = {label.value: label for label in ProtestLabel}
+_VIOLENCE = {label.value: label for label in ViolenceLabel}
+_DEMAND = {label.value: label for label in DemandLabel}
+_SENTENCE_LABELS = {label.value: label for label in SentenceLabel}
+_EVENT_ONE = frozenset({1})
 
 
-_EVENT_REF = re.compile(r"Event\s*([0-9]+)\Z")
-
-# Keyword is case-sensitive: "event 2" is not an event reference.
-def parse_event_refs(raw: str | None) -> frozenset[int]:
-    """Parse a FLAT-style event comment into a set of event numbers.
-
-    Absent or empty input means event 1 (unnumbered tags belong to the
-    first event).  Otherwise the string must be a comma-separated list
-    of ``Event <positive integer>`` items, whitespace-insensitive.
-    """
-    if raw is None:
-        return frozenset({1})
-    text = raw.strip()
-    if not text:
-        return frozenset({1})
-    numbers: set[int] = set()
-    for part in text.split(","):
-        m = _EVENT_REF.fullmatch(part.strip())
-        if m is None:
-            raise EventRefError(f"not an event reference: {part.strip()!r}")
-        n = int(m.group(1))
-        if n < 1:
-            raise EventRefError(f"event numbers start at 1, got {n}")
-        numbers.add(n)
-    return frozenset(numbers)
-
-
-def format_event_refs(events: Iterable[int]) -> str:
-    """Canonical comment form of an event-number set: ``Event 1, Event 3``."""
-    return ", ".join(f"Event {n}" for n in sorted(events))
-
-
-class _LineError(Exception):
-    """Internal: aborts parsing of one line with a single ParseError."""
-
-    def __init__(self, kind: ParseErrorKind, message: str):
-        self.kind = kind
-        self.message = message
-
-
-_DOC_KEYS = {"doc_id", "labels", "sentences", "annotations"}
-_LABEL_KEYS = {"protest", "violent", "demand"}
-_SENTENCE_KEYS = {"index", "tokens", "label"}
-_ANNOTATION_KEYS = {
-    "id",
-    "tag",
-    "sentence",
-    "start",
-    "end",
-    "events",
-    "confidence",
-    "comment",
-}
-
-
-def _require_int(value: object, what: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise _LineError(ParseErrorKind.MALFORMED_RECORD, f"{what} must be an integer")
-    return value
+def _label(obj: dict, key: str, vocab: dict):
+    value = obj.get(key)
+    if value is None:
+        return None
+    label = vocab.get(value) if type(value) is str else None
+    if label is None:
+        raise LabelError(f"bad {key} label: {value!r}")
+    return label
 
 
 def _parse_labels(obj: object) -> DocumentLabels:
     if obj is None:
-        return DocumentLabels()
-    if not isinstance(obj, dict):
-        raise _LineError(ParseErrorKind.MALFORMED_RECORD, "labels must be an object")
-    unknown = set(obj) - _LABEL_KEYS
-    if unknown:
-        raise _LineError(
-            ParseErrorKind.MALFORMED_RECORD, f"unknown label keys: {sorted(unknown)}"
-        )
-
-    def pick(key: str, vocab):
-        value = obj.get(key)
-        if value is None:
-            return None
-        try:
-            return vocab(value)
-        except ValueError:
-            raise _LineError(
-                ParseErrorKind.BAD_LABEL, f"bad {key} label: {value!r}"
-            ) from None
-
-    try:
-        return DocumentLabels(
-            protest=pick("protest", ProtestLabel),
-            violent=pick("violent", ViolenceLabel),
-            demand=pick("demand", DemandLabel),
-        )
-    except InvariantError as exc:
-        raise _LineError(ParseErrorKind.BAD_LABEL, str(exc)) from None
+        return EMPTY_LABELS
+    if type(obj) is not dict:
+        raise InvariantError("labels must be an object")
+    if not obj.keys() <= _LABEL_KEYS:
+        raise InvariantError(f"unknown label keys: {sorted(obj.keys() - _LABEL_KEYS)}")
+    return DocumentLabels(
+        _label(obj, "protest", _PROTEST),
+        _label(obj, "violent", _VIOLENCE),
+        _label(obj, "demand", _DEMAND),
+    )
 
 
 def _parse_sentence(obj: object, position: int) -> SentenceRecord:
-    if not isinstance(obj, dict):
-        raise _LineError(ParseErrorKind.MALFORMED_RECORD, "sentence must be an object")
-    unknown = set(obj) - _SENTENCE_KEYS
-    if unknown:
-        raise _LineError(
-            ParseErrorKind.MALFORMED_RECORD,
-            f"sentence {position}: unknown keys {sorted(unknown)}",
+    if type(obj) is not dict:
+        raise InvariantError("sentence must be an object")
+    if not obj.keys() <= _SENTENCE_KEYS:
+        raise InvariantError(
+            f"sentence {position}: unknown keys {sorted(obj.keys() - _SENTENCE_KEYS)}"
         )
-    index = _require_int(obj.get("index"), f"sentence {position}: index")
-    if index != position:
-        raise _LineError(
-            ParseErrorKind.MALFORMED_RECORD,
-            f"sentence index {index} at position {position}",
-        )
+    index = obj.get("index")
+    if type(index) is not int:
+        raise InvariantError(f"sentence {position}: index must be an integer")
     tokens = obj.get("tokens")
-    if (
-        not isinstance(tokens, list)
-        or not tokens
-        or any(not isinstance(t, str) or t == "" for t in tokens)
-    ):
-        raise _LineError(
-            ParseErrorKind.MALFORMED_RECORD,
-            f"sentence {position}: tokens must be a non-empty list of non-empty strings",
+    if type(tokens) is not list:
+        raise InvariantError(
+            f"sentence {position}: tokens must be a non-empty list of non-empty strings"
         )
-    label_raw = obj.get("label")
-    label = None
-    if label_raw is not None:
-        if not isinstance(label_raw, int) or isinstance(label_raw, bool):
-            raise _LineError(
-                ParseErrorKind.BAD_LABEL,
-                f"sentence {position}: label must be 0, 1 or 2",
-            )
-        try:
-            label = SentenceLabel(label_raw)
-        except ValueError:
-            raise _LineError(
-                ParseErrorKind.BAD_LABEL,
-                f"sentence {position}: label must be 0, 1 or 2, got {label_raw}",
-            ) from None
-    return SentenceRecord(index=index, tokens=tuple(tokens), label=label)
+    label = obj.get("label")
+    if label is not None:
+        if type(label) is not int:
+            raise LabelError(f"sentence {position}: label must be 0, 1 or 2")
+        if label not in _SENTENCE_LABELS:
+            raise LabelError(f"sentence {position}: label must be 0, 1 or 2, got {label}")
+        label = _SENTENCE_LABELS[label]
+    return SentenceRecord(index, tuple(tokens), label)
 
 
 def _parse_annotation(obj: object, sentences: tuple[SentenceRecord, ...]) -> Annotation:
-    if not isinstance(obj, dict):
-        raise _LineError(ParseErrorKind.MALFORMED_RECORD, "annotation must be an object")
-    unknown = set(obj) - _ANNOTATION_KEYS
-    if unknown:
-        raise _LineError(
-            ParseErrorKind.MALFORMED_RECORD,
-            f"annotation: unknown keys {sorted(unknown)}",
+    if type(obj) is not dict:
+        raise InvariantError("annotation must be an object")
+    if not obj.keys() <= _ANNOTATION_KEYS:
+        raise InvariantError(
+            f"annotation: unknown keys {sorted(obj.keys() - _ANNOTATION_KEYS)}"
         )
     ann_id = obj.get("id")
-    if not isinstance(ann_id, str) or not ann_id:
-        raise _LineError(
-            ParseErrorKind.MALFORMED_RECORD, "annotation id must be a non-empty string"
-        )
-    tag_raw = obj.get("tag")
-    if not isinstance(tag_raw, str):
-        raise _LineError(
-            ParseErrorKind.MALFORMED_RECORD, f"annotation {ann_id}: tag must be a string"
-        )
+    if type(ann_id) is not str:
+        raise InvariantError("annotation id must be a non-empty string")
+    tag = obj.get("tag")
+    if type(tag) is not str:
+        raise InvariantError(f"annotation {ann_id}: tag must be a string")
     try:
-        tag = resolve_tag(tag_raw)
+        tag = resolve_tag(tag)
     except UnknownTagError as exc:
-        raise _LineError(ParseErrorKind.UNKNOWN_TAG, f"annotation {ann_id}: {exc}") from None
+        raise UnknownTagError(f"annotation {ann_id}: {exc}") from None
 
-    sentence = _require_int(obj.get("sentence"), f"annotation {ann_id}: sentence")
-    start = _require_int(obj.get("start"), f"annotation {ann_id}: start")
-    end = _require_int(obj.get("end"), f"annotation {ann_id}: end")
-    if not 0 <= sentence < len(sentences):
-        raise _LineError(
-            ParseErrorKind.BAD_SPAN,
-            f"annotation {ann_id}: sentence {sentence} of {len(sentences)}",
-        )
-    n_tokens = len(sentences[sentence].tokens)
-    if not 0 <= start < end <= n_tokens:
-        raise _LineError(
-            ParseErrorKind.BAD_SPAN,
-            f"annotation {ann_id}: span [{start}, {end}) in a {n_tokens}-token sentence",
-        )
+    sentence, start, end = obj.get("sentence"), obj.get("start"), obj.get("end")
+    if not type(sentence) is type(start) is type(end) is int:
+        for key in ("sentence", "start", "end"):
+            if type(obj.get(key)) is not int:
+                raise InvariantError(f"annotation {ann_id}: {key} must be an integer")
+    try:
+        span = TokenSpan(sentence, start, end)
+    except SpanError:
+        raise span_error(ann_id, sentence, start, end, sentences) from None
 
-    events_raw = obj.get("events")
-    from_comment = False
-    if events_raw is None:
-        events = frozenset({1})
-    elif isinstance(events_raw, str):
+    events = obj.get("events")
+    from_comment = type(events) is str
+    if events is None:
+        events = _EVENT_ONE
+    elif from_comment:
         try:
-            events = parse_event_refs(events_raw)
+            events = parse_event_refs(events)
         except EventRefError as exc:
-            raise _LineError(
-                ParseErrorKind.BAD_EVENT_REF, f"annotation {ann_id}: {exc}"
-            ) from None
-        from_comment = True
-    elif isinstance(events_raw, list):
-        if not events_raw or any(
-            not isinstance(n, int) or isinstance(n, bool) or n < 1 for n in events_raw
-        ):
-            raise _LineError(
-                ParseErrorKind.BAD_EVENT_REF,
-                f"annotation {ann_id}: events must be a non-empty list of positive integers",
-            )
-        events = frozenset(events_raw)
-    else:
-        raise _LineError(
-            ParseErrorKind.BAD_EVENT_REF,
-            f"annotation {ann_id}: events must be an integer array or an 'Event N' string",
+            raise EventRefError(f"annotation {ann_id}: {exc}") from None
+    elif type(events) is not list:
+        raise EventRefError(
+            f"annotation {ann_id}: events must be an integer array or an 'Event N' string"
         )
 
     confidence = obj.get("confidence")
-    if confidence is not None:
-        if isinstance(confidence, bool) or not isinstance(confidence, (int, float)):
-            raise _LineError(
-                ParseErrorKind.MALFORMED_RECORD,
-                f"annotation {ann_id}: confidence must be a number",
-            )
-        confidence = float(confidence)
+    if confidence is not None and type(confidence) is not float and type(confidence) is not int:
+        raise InvariantError(f"annotation {ann_id}: confidence must be a number")
     comment = obj.get("comment")
-    if comment is not None and not isinstance(comment, str):
-        raise _LineError(
-            ParseErrorKind.MALFORMED_RECORD,
-            f"annotation {ann_id}: comment must be a string",
-        )
-
-    try:
-        return Annotation(
-            id=ann_id,
-            tag=tag,
-            span=TokenSpan(sentence=sentence, start=start, end=end),
-            events=events,
-            confidence=confidence,
-            comment=comment,
-            events_from_comment=from_comment,
-        )
-    except InvariantError as exc:
-        raise _LineError(ParseErrorKind.MALFORMED_RECORD, str(exc)) from None
+    if comment is not None and type(comment) is not str:
+        raise InvariantError(f"annotation {ann_id}: comment must be a string")
+    return Annotation(ann_id, tag, span, events, confidence, comment, from_comment)
 
 
-def _parse_line(text: str) -> DocumentRecord:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise _LineError(ParseErrorKind.MALFORMED_RECORD, f"invalid JSON: {exc.msg}") from None
-    if not isinstance(obj, dict):
-        raise _LineError(ParseErrorKind.MALFORMED_RECORD, "record must be a JSON object")
-    unknown = set(obj) - _DOC_KEYS
-    if unknown:
-        raise _LineError(
-            ParseErrorKind.MALFORMED_RECORD, f"unknown record keys: {sorted(unknown)}"
-        )
+def _parse_document(obj: object) -> DocumentRecord:
+    if type(obj) is not dict:
+        raise InvariantError("record must be a JSON object")
+    if not obj.keys() <= _DOC_KEYS:
+        raise InvariantError(f"unknown record keys: {sorted(obj.keys() - _DOC_KEYS)}")
     doc_id = obj.get("doc_id")
-    if not isinstance(doc_id, str) or not doc_id:
-        raise _LineError(
-            ParseErrorKind.MALFORMED_RECORD, "doc_id must be a non-empty string"
-        )
+    if type(doc_id) is not str:
+        raise InvariantError("doc_id must be a non-empty string")
     labels = _parse_labels(obj.get("labels"))
-
     sentences_raw = obj.get("sentences", [])
-    if not isinstance(sentences_raw, list):
-        raise _LineError(ParseErrorKind.MALFORMED_RECORD, "sentences must be an array")
-    sentences = tuple(
-        _parse_sentence(sent, pos) for pos, sent in enumerate(sentences_raw)
-    )
-
+    if type(sentences_raw) is not list:
+        raise InvariantError("sentences must be an array")
+    sentences = tuple([_parse_sentence(s, pos) for pos, s in enumerate(sentences_raw)])
     annotations_raw = obj.get("annotations", [])
-    if not isinstance(annotations_raw, list):
-        raise _LineError(ParseErrorKind.MALFORMED_RECORD, "annotations must be an array")
-    annotations = []
-    seen_ids: set[str] = set()
-    for ann_raw in annotations_raw:
-        ann = _parse_annotation(ann_raw, sentences)
-        if ann.id in seen_ids:
-            raise _LineError(
-                ParseErrorKind.DUPLICATE_ID, f"duplicate annotation id {ann.id!r}"
-            )
-        seen_ids.add(ann.id)
-        annotations.append(ann)
+    if type(annotations_raw) is not list:
+        raise InvariantError("annotations must be an array")
+    annotations = tuple([_parse_annotation(a, sentences) for a in annotations_raw])
+    return DocumentRecord(doc_id, labels, sentences, annotations)
 
+
+def _decode(line: str, check_encodable: bool) -> object:
+    """The JSON value of one line; a string that UTF-8 cannot encode (a lone
+    surrogate) rejects the line, since the document could not be written back."""
     try:
-        return DocumentRecord(
-            doc_id=doc_id,
-            labels=labels,
-            sentences=sentences,
-            annotations=tuple(annotations),
-        )
-    except InvariantError as exc:
-        raise _LineError(ParseErrorKind.MALFORMED_RECORD, str(exc)) from None
+        obj = json.loads(line)
+        if check_encodable:
+            json.dumps(obj, ensure_ascii=False).encode("utf-8")
+    except json.JSONDecodeError as exc:
+        raise InvariantError(f"invalid JSON: {exc.msg}") from None
+    except UnicodeEncodeError:
+        raise InvariantError("string with a lone surrogate, not encodable as UTF-8") from None
+    except ValueError:  # an integer literal past the interpreter's digit limit
+        raise InvariantError("invalid JSON: integer literal too long") from None
+    return obj
 
 
-def _extract_doc_id(text: str) -> str | None:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError:
-        return None
-    if isinstance(obj, dict) and isinstance(obj.get("doc_id"), str):
-        return obj["doc_id"]
-    return None
+def _rejection(lineno: int, obj: object, exc: Exception) -> ParseError:
+    doc_id = obj.get("doc_id") if type(obj) is dict else None
+    if isinstance(exc, InvariantError):
+        kind, message = exc.kind, str(exc)
+    else:  # RecursionError: nested deeper than the interpreter's limit
+        kind, message = ParseErrorKind.MALFORMED_RECORD, "invalid JSON: nesting too deep"
+    return ParseError(lineno, doc_id if type(doc_id) is str else None, kind, message)
 
 
 def parse_corpus(
@@ -388,14 +253,16 @@ def parse_corpus(
     """
     if hasattr(data, "read"):
         data = data.read()
-    if isinstance(data, bytes):
-        raw_lines: list[str] = []
+    # UTF-8 bytes decode to text without surrogates, so only a \u escape
+    # can put one into a line; text input may hold them anywhere
+    from_bytes = isinstance(data, bytes)
+    if from_bytes:
+        lines: list[str] = []
         for lineno, raw in enumerate(data.split(b"\n"), start=1):
             try:
-                raw_lines.append(raw.decode("utf-8"))
+                lines.append(raw.decode("utf-8"))
             except UnicodeDecodeError as exc:
                 raise CorpusDecodeError(lineno, exc) from None
-        lines = raw_lines
     else:
         lines = data.split("\n")
 
@@ -405,17 +272,12 @@ def parse_corpus(
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
+        obj = None
         try:
-            doc = _parse_line(line)
-        except _LineError as err:
-            errors.append(
-                ParseError(
-                    line=lineno,
-                    doc_id=_extract_doc_id(line),
-                    kind=err.kind,
-                    message=err.message,
-                )
-            )
+            obj = _decode(line, not from_bytes or "\\u" in line)
+            doc = _parse_document(obj)
+        except (InvariantError, RecursionError) as exc:
+            errors.append(_rejection(lineno, obj, exc))
             continue
         if doc.doc_id in seen_doc_ids:
             errors.append(

@@ -13,15 +13,61 @@ than being repaired.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
+from itertools import repeat
+from typing import Iterable
+
+
+class ParseErrorKind(str, enum.Enum):
+    """Why a corpus line was rejected."""
+
+    MALFORMED_RECORD = "malformed_record"
+    UNKNOWN_TAG = "unknown_tag"
+    BAD_SPAN = "bad_span"
+    BAD_LABEL = "bad_label"
+    BAD_EVENT_REF = "bad_event_ref"
+    DUPLICATE_ID = "duplicate_id"
 
 
 class InvariantError(ValueError):
-    """A structural invariant of the data model was violated."""
+    """A structural invariant of the data model was violated.
+
+    ``kind`` is the parse error kind of a corpus line that breaks it.
+    """
+
+    kind = ParseErrorKind.MALFORMED_RECORD
 
 
 class UnknownTagError(InvariantError):
     """A tag name that is not part of the closed tagset (or its aliases)."""
+
+    kind = ParseErrorKind.UNKNOWN_TAG
+
+
+class LabelError(InvariantError):
+    """A document or sentence label outside its vocabulary or dependencies."""
+
+    kind = ParseErrorKind.BAD_LABEL
+
+
+class SpanError(InvariantError):
+    """A token span that is empty, reversed or outside its sentence."""
+
+    kind = ParseErrorKind.BAD_SPAN
+
+
+class EventRefError(InvariantError):
+    """Event numbers that are not positive integers, or a FLAT comment string
+    off the ``Event <n>`` grammar."""
+
+    kind = ParseErrorKind.BAD_EVENT_REF
+
+
+class DuplicateIdError(InvariantError):
+    """Two annotations of one document share an id."""
+
+    kind = ParseErrorKind.DUPLICATE_ID
 
 
 class Focus(str, enum.Enum):
@@ -181,6 +227,9 @@ TAG_ALIASES: dict[str, TagId] = {
     "org_name": TagId.ORGANIZER_NAME,
 }
 
+# Every accepted tag name, canonical or aliased.
+TAG_BY_NAME: dict[str, TagId] = {tag.value: tag for tag in TagId} | TAG_ALIASES
+
 TRIGGER_TAGS = frozenset({TagId.EVENT_TYPE, TagId.EVENT_MENTION})
 FACILITY_TAGS = frozenset({TagId.FACILITY_TYPE, TagId.FACILITY_NAME})
 TARGET_TAGS = frozenset({TagId.TARGET_TYPE, TagId.TARGET_NAME})
@@ -222,13 +271,44 @@ def resolve_tag(name: str) -> TagId:
     Raises UnknownTagError for names outside the closed tagset.
     """
     try:
-        return TagId(name)
-    except ValueError:
-        pass
-    try:
-        return TAG_ALIASES[name]
+        return TAG_BY_NAME[name]
     except KeyError:
         raise UnknownTagError(f"unknown tag name: {name!r}") from None
+
+
+_EVENT_REF = re.compile(r"Event\s*([0-9]+)\Z")
+
+# Keyword is case-sensitive: "event 2" is not an event reference.
+def parse_event_refs(raw: str | None) -> frozenset[int]:
+    """Parse a FLAT-style event comment into a set of event numbers.
+
+    Absent or empty input means event 1 (unnumbered tags belong to the
+    first event).  Otherwise the string must be a comma-separated list
+    of ``Event <positive integer>`` items, whitespace-insensitive.
+    """
+    if raw is None:
+        return frozenset({1})
+    text = raw.strip()
+    if not text:
+        return frozenset({1})
+    numbers: set[int] = set()
+    for part in text.split(","):
+        m = _EVENT_REF.fullmatch(part.strip())
+        if m is None:
+            raise EventRefError(f"not an event reference: {part.strip()!r}")
+        try:
+            n = int(m.group(1))
+        except ValueError:  # more digits than int() converts
+            raise EventRefError(f"event number of {len(m.group(1))} digits") from None
+        if n < 1:
+            raise EventRefError(f"event numbers start at 1, got {n}")
+        numbers.add(n)
+    return frozenset(numbers)
+
+
+def format_event_refs(events: Iterable[int]) -> str:
+    """Canonical comment form of an event-number set: ``Event 1, Event 3``."""
+    return ", ".join(f"Event {n}" for n in sorted(events))
 
 
 class SentenceLabel(enum.IntEnum):
@@ -270,11 +350,27 @@ class TokenSpan:
 
     def __post_init__(self) -> None:
         if self.sentence < 0:
-            raise InvariantError(f"negative sentence index: {self.sentence}")
+            raise SpanError(f"negative sentence index: {self.sentence}")
         if not 0 <= self.start < self.end:
-            raise InvariantError(
+            raise SpanError(
                 f"degenerate span [{self.start}, {self.end}) in sentence {self.sentence}"
             )
+
+
+def span_error(
+    ann_id: str, sentence: int, start: int, end: int, sentences: tuple[SentenceRecord, ...]
+) -> SpanError:
+    """The error for an annotation whose span does not fit ``sentences``.
+
+    It names the missing sentence if there is one, else the span and the
+    sentence's length.
+    """
+    if not 0 <= sentence < len(sentences):
+        return SpanError(f"annotation {ann_id}: sentence {sentence} of {len(sentences)}")
+    n_tokens = len(sentences[sentence].tokens)
+    return SpanError(
+        f"annotation {ann_id}: span [{start}, {end}) in a {n_tokens}-token sentence"
+    )
 
 
 def overlaps(a: TokenSpan, b: TokenSpan) -> bool:
@@ -317,20 +413,24 @@ class Annotation:
 
     def __post_init__(self) -> None:
         if not self.id:
-            raise InvariantError("annotation id must be non-empty")
+            raise InvariantError("annotation id must be a non-empty string")
         if not isinstance(self.tag, TagId):
             raise InvariantError(f"tag must be a TagId, got {self.tag!r}")
-        if not isinstance(self.events, frozenset):
-            object.__setattr__(self, "events", frozenset(self.events))
-        if not self.events:
-            raise InvariantError(f"annotation {self.id}: events set must be non-empty")
-        for n in self.events:
-            if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-                raise InvariantError(
-                    f"annotation {self.id}: event numbers must be positive integers, got {n!r}"
-                )
+        events = self.events
+        if type(events) is not frozenset:
+            # validate before hashing: a list may hold unhashable values
+            events = tuple(events)
+        if not events or not all(type(n) is int and n > 0 for n in events):
+            raise EventRefError(
+                f"annotation {self.id}: events must be a non-empty list of positive integers"
+            )
+        if type(events) is tuple:
+            object.__setattr__(self, "events", frozenset(events))
         if self.confidence is not None:
-            c = float(self.confidence)
+            try:
+                c = float(self.confidence)
+            except OverflowError:  # an integer past the float range
+                raise InvariantError(f"annotation {self.id}: confidence outside [0, 1]") from None
             if not 0.0 <= c <= 1.0:
                 raise InvariantError(
                     f"annotation {self.id}: confidence {c} outside [0, 1]"
@@ -349,24 +449,25 @@ class Annotation:
 
 @dataclass(frozen=True)
 class SentenceRecord:
-    """One pre-tokenized sentence with an optional event label."""
+    """One pre-tokenized sentence with an optional event label.
+
+    ``index`` must equal the sentence's position; the DocumentRecord that
+    holds it checks that.
+    """
 
     index: int
     tokens: tuple[str, ...]
     label: SentenceLabel | None = None
 
     def __post_init__(self) -> None:
-        if self.index < 0:
-            raise InvariantError(f"negative sentence index: {self.index}")
-        if not isinstance(self.tokens, tuple):
-            object.__setattr__(self, "tokens", tuple(self.tokens))
-        if not self.tokens:
-            raise InvariantError(f"sentence {self.index} has no tokens")
-        for tok in self.tokens:
-            if not isinstance(tok, str) or tok == "":
-                raise InvariantError(
-                    f"sentence {self.index}: tokens must be non-empty strings, got {tok!r}"
-                )
+        tokens = self.tokens
+        if type(tokens) is not tuple:
+            tokens = tuple(tokens)
+            object.__setattr__(self, "tokens", tokens)
+        if not tokens or "" in tokens or not all(map(isinstance, tokens, repeat(str))):
+            raise InvariantError(
+                f"sentence {self.index}: tokens must be a non-empty list of non-empty strings"
+            )
         if self.label is not None and not isinstance(self.label, SentenceLabel):
             object.__setattr__(self, "label", SentenceLabel(self.label))
 
@@ -386,9 +487,9 @@ class DocumentLabels:
 
     def __post_init__(self) -> None:
         if self.violent is not None and self.protest is not ProtestLabel.PROTEST:
-            raise InvariantError("violence label requires protest = protest")
+            raise LabelError("violence label requires protest = protest")
         if self.demand is not None and self.protest is not ProtestLabel.PROTEST:
-            raise InvariantError("demand label requires protest = protest")
+            raise LabelError("demand label requires protest = protest")
 
 
 EMPTY_LABELS = DocumentLabels()
@@ -405,36 +506,29 @@ class DocumentRecord:
 
     def __post_init__(self) -> None:
         if not self.doc_id:
-            raise InvariantError("doc_id must be non-empty")
-        if not isinstance(self.sentences, tuple):
-            object.__setattr__(self, "sentences", tuple(self.sentences))
+            raise InvariantError("doc_id must be a non-empty string")
+        sentences = self.sentences
+        if type(sentences) is not tuple:
+            sentences = tuple(sentences)
+            object.__setattr__(self, "sentences", sentences)
+        for pos, sent in enumerate(sentences):
+            if sent.index != pos:
+                raise InvariantError(f"sentence index {sent.index} at position {pos}")
+        # checked in input order, so the first offending annotation is reported
+        n_sentences = len(sentences)
+        seen: set[str] = set()
+        for ann in self.annotations:
+            span = ann.span
+            if span.sentence >= n_sentences or span.end > len(sentences[span.sentence].tokens):
+                raise span_error(ann.id, span.sentence, span.start, span.end, sentences)
+            if ann.id in seen:
+                raise DuplicateIdError(f"duplicate annotation id {ann.id!r}")
+            seen.add(ann.id)
         # annotations are kept in canonical order so that documents have a
         # single representation and serialization round-trips exactly
         object.__setattr__(
             self, "annotations", tuple(sorted(self.annotations, key=annotation_sort_key))
         )
-        for pos, sent in enumerate(self.sentences):
-            if sent.index != pos:
-                raise InvariantError(
-                    f"doc {self.doc_id}: sentence index {sent.index} at position {pos}"
-                )
-        seen: set[str] = set()
-        for ann in self.annotations:
-            if ann.id in seen:
-                raise InvariantError(f"doc {self.doc_id}: duplicate annotation id {ann.id!r}")
-            seen.add(ann.id)
-            span = ann.span
-            if span.sentence >= len(self.sentences):
-                raise InvariantError(
-                    f"doc {self.doc_id}: annotation {ann.id} references sentence "
-                    f"{span.sentence} of {len(self.sentences)}"
-                )
-            n_tokens = len(self.sentences[span.sentence].tokens)
-            if span.end > n_tokens:
-                raise InvariantError(
-                    f"doc {self.doc_id}: annotation {ann.id} span [{span.start}, {span.end}) "
-                    f"exceeds the {n_tokens} tokens of sentence {span.sentence}"
-                )
 
     def span_text(self, span: TokenSpan) -> str:
         """Surface text of a span, tokens joined with single spaces."""
@@ -447,7 +541,7 @@ def annotation_sort_key(ann: Annotation) -> tuple:
         ann.span.sentence,
         ann.span.start,
         ann.span.end,
-        ann.tag.value,
+        ann.tag,
         tuple(sorted(ann.events)),
         ann.id,
     )

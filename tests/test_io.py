@@ -166,6 +166,7 @@ def test_duplicate_doc_id_across_lines():
     assert len(docs) == 1
     assert errors[0].kind is ParseErrorKind.DUPLICATE_ID
     assert errors[0].line == 2
+    assert errors[0].message == "duplicate doc_id 'd1'"
 
 
 def test_malformed_json_line_is_skipped_others_kept():
@@ -245,3 +246,303 @@ def test_round_trip_random_corpora(seed):
     assert errors == []
     assert parsed == docs
     assert serialize_corpus(parsed) == data
+
+
+# --------------------------------------------------------------------------
+# rejection messages: one single-defect line per rejection site
+
+_DROP = object()
+_ANN = {"id": "a1", "tag": "event_type", "sentence": 0, "start": 0, "end": 1}
+
+
+def _drop(obj):
+    return {k: v for k, v in obj.items() if v is not _DROP}
+
+
+def _doc(**overrides):
+    return _drop(_doc_obj(**overrides))
+
+
+def _sent(**fields):
+    return _doc(sentences=[_drop({"index": 0, "tokens": ["Workers", "marched", "."], **fields})])
+
+
+def _ann(**fields):
+    return _doc(annotations=[_drop({**_ANN, **fields})])
+
+
+MALFORMED = "malformed_record"
+TOKENS = "sentence 0: tokens must be a non-empty list of non-empty strings"
+EVENTS = "annotation a1: events must be a non-empty list of positive integers"
+EVENTS_TYPE = "annotation a1: events must be an integer array or an 'Event N' string"
+
+# (case, line, doc_id, kind, message): what a user sees for each rejection
+# site, whichever layer (parser or model constructor) does the check.
+SINGLE_DEFECT_LINES = [
+    ("invalid_json", b"not json", None, MALFORMED, "invalid JSON: Expecting value"),
+    ("truncated_json", b'{"doc_id": "d1", "sent', None, MALFORMED,
+     "invalid JSON: Unterminated string starting at"),
+    ("record_not_object", [1, 2], None, MALFORMED, "record must be a JSON object"),
+    ("record_unknown_key", _doc(extra=1), "d1", MALFORMED, "unknown record keys: ['extra']"),
+    ("doc_id_missing", _doc(doc_id=_DROP), None, MALFORMED, "doc_id must be a non-empty string"),
+    ("doc_id_empty", _doc(doc_id=""), "", MALFORMED, "doc_id must be a non-empty string"),
+    ("doc_id_not_string", _doc(doc_id=7), None, MALFORMED, "doc_id must be a non-empty string"),
+    ("labels_not_object", _doc(labels=["protest"]), "d1", MALFORMED, "labels must be an object"),
+    ("labels_unknown_key", _doc(labels={"mood": "calm"}), "d1", MALFORMED,
+     "unknown label keys: ['mood']"),
+    ("protest_label_unknown", _doc(labels={"protest": "maybe"}), "d1", "bad_label",
+     "bad protest label: 'maybe'"),
+    ("violent_label_not_string", _doc(labels={"protest": "protest", "violent": 1}), "d1",
+     "bad_label", "bad violent label: 1"),
+    ("demand_label_unknown", _doc(labels={"protest": "protest", "demand": "welfare"}), "d1",
+     "bad_label", "bad demand label: 'welfare'"),
+    ("violent_without_protest", _doc(labels={"violent": "violent"}), "d1", "bad_label",
+     "violence label requires protest = protest"),
+    ("demand_with_no_protest",
+     _doc(labels={"protest": "no_protest", "demand": "economic_welfare"}), "d1", "bad_label",
+     "demand label requires protest = protest"),
+    ("sentences_not_array", _doc(sentences={"index": 0}), "d1", MALFORMED,
+     "sentences must be an array"),
+    ("sentence_not_object", _doc(sentences=["Workers marched ."]), "d1", MALFORMED,
+     "sentence must be an object"),
+    ("sentence_unknown_key", _sent(text="x"), "d1", MALFORMED,
+     "sentence 0: unknown keys ['text']"),
+    ("sentence_index_missing", _sent(index=_DROP), "d1", MALFORMED,
+     "sentence 0: index must be an integer"),
+    ("sentence_index_bool", _sent(index=False), "d1", MALFORMED,
+     "sentence 0: index must be an integer"),
+    ("sentence_index_mismatch", _sent(index=1), "d1", MALFORMED,
+     "sentence index 1 at position 0"),
+    ("sentence_index_negative", _sent(index=-1), "d1", MALFORMED,
+     "sentence index -1 at position 0"),
+    ("tokens_missing", _sent(tokens=_DROP), "d1", MALFORMED, TOKENS),
+    ("tokens_string", _sent(tokens="Workers marched"), "d1", MALFORMED, TOKENS),
+    ("tokens_empty", _sent(tokens=[]), "d1", MALFORMED, TOKENS),
+    ("token_empty_string", _sent(tokens=["Workers", ""]), "d1", MALFORMED, TOKENS),
+    ("token_not_string", _sent(tokens=["Workers", 3]), "d1", MALFORMED, TOKENS),
+    ("sentence_label_string", _sent(label="1"), "d1", "bad_label",
+     "sentence 0: label must be 0, 1 or 2"),
+    ("sentence_label_bool", _sent(label=True), "d1", "bad_label",
+     "sentence 0: label must be 0, 1 or 2"),
+    ("sentence_label_out_of_range", _sent(label=3), "d1", "bad_label",
+     "sentence 0: label must be 0, 1 or 2, got 3"),
+    ("annotations_not_array", _doc(annotations={"id": "a1"}), "d1", MALFORMED,
+     "annotations must be an array"),
+    ("annotation_not_object", _doc(annotations=["a1"]), "d1", MALFORMED,
+     "annotation must be an object"),
+    ("annotation_unknown_key", _ann(note="x"), "d1", MALFORMED,
+     "annotation: unknown keys ['note']"),
+    ("annotation_id_missing", _ann(id=_DROP), "d1", MALFORMED,
+     "annotation id must be a non-empty string"),
+    ("annotation_id_empty", _ann(id=""), "d1", MALFORMED,
+     "annotation id must be a non-empty string"),
+    ("annotation_id_not_string", _ann(id=1), "d1", MALFORMED,
+     "annotation id must be a non-empty string"),
+    ("tag_not_string", _ann(tag=["event_type"]), "d1", MALFORMED,
+     "annotation a1: tag must be a string"),
+    ("tag_unknown", _ann(tag="mood"), "d1", "unknown_tag",
+     "annotation a1: unknown tag name: 'mood'"),
+    ("tag_wrong_case", _ann(tag="EVENT_TYPE"), "d1", "unknown_tag",
+     "annotation a1: unknown tag name: 'EVENT_TYPE'"),
+    ("sentence_ref_missing", _ann(sentence=_DROP), "d1", MALFORMED,
+     "annotation a1: sentence must be an integer"),
+    ("start_not_int", _ann(start=0.0), "d1", MALFORMED, "annotation a1: start must be an integer"),
+    ("end_bool", _ann(end=True), "d1", MALFORMED, "annotation a1: end must be an integer"),
+    ("sentence_ref_out_of_range", _ann(sentence=1), "d1", "bad_span",
+     "annotation a1: sentence 1 of 1"),
+    ("sentence_ref_negative", _ann(sentence=-1), "d1", "bad_span",
+     "annotation a1: sentence -1 of 1"),
+    ("span_past_end", _ann(start=3, end=5), "d1", "bad_span",
+     "annotation a1: span [3, 5) in a 3-token sentence"),
+    ("span_empty", _ann(start=1, end=1), "d1", "bad_span",
+     "annotation a1: span [1, 1) in a 3-token sentence"),
+    ("span_reversed", _ann(start=2, end=1), "d1", "bad_span",
+     "annotation a1: span [2, 1) in a 3-token sentence"),
+    ("span_negative_start", _ann(start=-1, end=1), "d1", "bad_span",
+     "annotation a1: span [-1, 1) in a 3-token sentence"),
+    ("events_bad_comment", _ann(events="event two"), "d1", "bad_event_ref",
+     "annotation a1: not an event reference: 'event two'"),
+    ("events_comment_zero", _ann(events="Event 0"), "d1", "bad_event_ref",
+     "annotation a1: event numbers start at 1, got 0"),
+    ("events_empty_list", _ann(events=[]), "d1", "bad_event_ref", EVENTS),
+    ("events_zero", _ann(events=[0]), "d1", "bad_event_ref", EVENTS),
+    ("events_bool", _ann(events=[True]), "d1", "bad_event_ref", EVENTS),
+    ("events_float", _ann(events=[1.0]), "d1", "bad_event_ref", EVENTS),
+    ("events_nested", _ann(events=[[1]]), "d1", "bad_event_ref", EVENTS),
+    ("events_object", _ann(events={"1": 1}), "d1", "bad_event_ref", EVENTS_TYPE),
+    ("events_number", _ann(events=1), "d1", "bad_event_ref", EVENTS_TYPE),
+    ("confidence_string", _ann(confidence="0.5"), "d1", MALFORMED,
+     "annotation a1: confidence must be a number"),
+    ("confidence_bool", _ann(confidence=True), "d1", MALFORMED,
+     "annotation a1: confidence must be a number"),
+    ("confidence_above_one", _ann(confidence=1.5), "d1", MALFORMED,
+     "annotation a1: confidence 1.5 outside [0, 1]"),
+    ("confidence_int_above_one", _ann(confidence=2), "d1", MALFORMED,
+     "annotation a1: confidence 2.0 outside [0, 1]"),
+    ("confidence_negative", _ann(confidence=-0.25), "d1", MALFORMED,
+     "annotation a1: confidence -0.25 outside [0, 1]"),
+    ("confidence_seven_digits", _ann(confidence=0.1234567), "d1", MALFORMED,
+     "annotation a1: confidence 0.1234567 has more than 6 fractional digits"),
+    ("comment_not_string", _ann(comment=5), "d1", MALFORMED,
+     "annotation a1: comment must be a string"),
+    ("duplicate_annotation_id",
+     _doc(annotations=[_ANN, {**_ANN, "tag": "event_mention", "start": 1, "end": 2}]), "d1",
+     "duplicate_id", "duplicate annotation id 'a1'"),
+]
+
+
+@pytest.mark.parametrize(
+    "line,doc_id,kind,message",
+    [case[1:] for case in SINGLE_DEFECT_LINES],
+    ids=[case[0] for case in SINGLE_DEFECT_LINES],
+)
+def test_single_defect_line_rejection(line, doc_id, kind, message):
+    data = line if isinstance(line, bytes) else json.dumps(line).encode()
+    docs, errors = parse_corpus(data + b"\n")
+    assert docs == []
+    assert [(e.line, e.doc_id, e.kind.value, e.message) for e in errors] == [
+        (1, doc_id, kind, message)
+    ]
+
+
+# --------------------------------------------------------------------------
+# inputs at the interpreter's limits, and strings UTF-8 cannot encode
+
+
+def _only_error(data: bytes):
+    docs, errors = parse_corpus(data)
+    assert docs == [] and len(errors) == 1
+    return errors[0]
+
+
+def test_huge_integer_confidence_is_malformed():
+    line = _line(_ann()).replace(b'"end": 1', b'"end": 1, "confidence": 1' + b"0" * 400)
+    error = _only_error(line)
+    assert (error.kind, error.message) == (
+        ParseErrorKind.MALFORMED_RECORD, "annotation a1: confidence outside [0, 1]"
+    )
+
+
+def test_deep_nesting_is_malformed():
+    good = _line(_doc_obj(doc_id="ok"))
+    docs, errors = parse_corpus(good + b"[" * 100_000 + b"]" * 100_000 + b"\n" + good)
+    assert [d.doc_id for d in docs] == ["ok"]
+    assert [(e.line, e.kind, e.message) for e in errors] == [
+        (2, ParseErrorKind.MALFORMED_RECORD, "invalid JSON: nesting too deep"),
+        (3, ParseErrorKind.DUPLICATE_ID, "duplicate doc_id 'ok'"),
+    ]
+
+
+def test_integer_past_digit_limit_is_malformed():
+    error = _only_error(b'{"doc_id": "d1", "x": 1' + b"0" * 5000 + b"}")
+    assert (error.kind, error.message) == (
+        ParseErrorKind.MALFORMED_RECORD, "invalid JSON: integer literal too long"
+    )
+    error = _only_error(_line(_ann(events="Event 1" + "0" * 5000)))
+    assert (error.kind, error.message) == (
+        ParseErrorKind.BAD_EVENT_REF, "annotation a1: event number of 5001 digits"
+    )
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        _doc(doc_id="\ud800"),
+        _sent(tokens=["Workers", "\udfff"]),
+        _ann(id="a\ud800"),
+        _ann(comment="\udbff!"),
+    ],
+    ids=["doc_id", "token", "annotation_id", "comment"],
+)
+def test_lone_surrogate_is_malformed(obj):
+    line = _line(obj)  # json.dumps writes the surrogate as a \u escape
+    assert b"\\ud" in line
+    error = _only_error(line)
+    assert (error.doc_id, error.kind, error.message) == (
+        None,
+        ParseErrorKind.MALFORMED_RECORD,
+        "string with a lone surrogate, not encodable as UTF-8",
+    )
+    # text input carries the surrogate itself rather than an escape
+    assert parse_corpus(json.dumps(obj, ensure_ascii=False))[1][0].kind is error.kind
+
+
+def test_surrogate_pair_escape_is_accepted():
+    docs, errors = parse_corpus(_line(_sent(tokens=["\U0001F600"])))
+    assert errors == []
+    assert docs[0].sentences[0].tokens == ("\U0001F600",)
+    assert parse_corpus(serialize_corpus(docs)) == (docs, [])
+
+
+# --------------------------------------------------------------------------
+# fuzz: whatever the input, only ParseErrors or CorpusDecodeError come out
+
+_text = st.text(max_size=6) | st.text(max_size=3).map(lambda s: s + "\ud800")
+_json_leaf = (
+    st.none() | st.booleans() | st.integers() | st.just(10**400) | st.floats() | _text
+    | st.sampled_from(["event_type", "e_type", "protest", "Event 2, Event 3", "", 0, 1, 2, 3])
+)
+_json_value = st.recursive(
+    _json_leaf,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_text, inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def _maybe(valid):
+    """Mostly a valid field value, sometimes any JSON value."""
+    return st.one_of(valid, valid, valid, _json_value)
+
+
+_annotation_obj = st.fixed_dictionaries(
+    {
+        "id": _maybe(st.sampled_from(["a1", "a2", "a3"])),
+        "tag": _maybe(st.sampled_from(["event_type", "e_place", "peasant", "mood"])),
+        "sentence": _maybe(st.integers(-1, 2)),
+        "start": _maybe(st.integers(-1, 4)),
+        "end": _maybe(st.integers(0, 5)),
+    },
+    optional={
+        "events": _maybe(st.lists(st.integers(0, 3), max_size=3) | st.just("Event 2")),
+        "confidence": _maybe(st.floats(0, 1) | st.integers(0, 2)),
+        "comment": _maybe(_text),
+    },
+)
+_sentence_obj = st.fixed_dictionaries(
+    {"index": _maybe(st.integers(0, 2)), "tokens": _maybe(st.lists(_text, max_size=5))},
+    optional={"label": _maybe(st.integers(0, 3))},
+)
+_document_obj = st.fixed_dictionaries(
+    {"doc_id": _maybe(st.sampled_from(["d1", "d2", ""]))},
+    optional={
+        "labels": _maybe(
+            st.fixed_dictionaries(
+                {}, optional={"protest": st.sampled_from(["protest", "no_protest", "maybe"]),
+                              "violent": st.just("violent")}
+            )
+        ),
+        "sentences": _maybe(st.lists(_sentence_obj, max_size=3)),
+        "annotations": _maybe(st.lists(_annotation_obj, max_size=4)),
+    },
+)
+_lines = st.one_of(
+    _document_obj.map(lambda obj: json.dumps(obj).encode()),
+    _json_value.map(lambda obj: json.dumps(obj).encode()),
+    st.integers(1, 3000).map(lambda depth: b"[" * depth + b"]" * depth),
+    st.binary(max_size=40),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_lines, min_size=1, max_size=4))
+def test_fuzz_parse_corpus_raises_only_documented_errors(lines):
+    data = b"\n".join(lines)
+    try:
+        docs, errors = parse_corpus(data)
+    except CorpusDecodeError:
+        return
+    for error in errors:
+        assert isinstance(error.kind, ParseErrorKind)
+        str(error).encode("utf-8")  # printable: no lone surrogate escapes into a message
+    for doc in docs:
+        assert parse_corpus(serialize_corpus([doc])) == ([doc], [])

@@ -7,9 +7,14 @@ from glocon.model import (
     DocumentLabels,
     DocumentRecord,
     Focus,
+    DuplicateIdError,
+    EventRefError,
     InvariantError,
+    LabelError,
+    ParseErrorKind,
     ProtestLabel,
     SentenceRecord,
+    SpanError,
     TagId,
     TokenSpan,
     UnknownTagError,
@@ -128,6 +133,8 @@ def test_annotation_rejects_bad_events():
         Annotation(
             id="x", tag=TagId.EVENT_TYPE, span=TokenSpan(0, 0, 1), events=frozenset({0})
         )
+    with pytest.raises(InvariantError):  # checked before hashing
+        Annotation(id="x", tag=TagId.EVENT_TYPE, span=TokenSpan(0, 0, 1), events=[[1]])
 
 
 def test_annotation_confidence_bounds():
@@ -142,6 +149,9 @@ def test_annotation_confidence_bounds():
         Annotation(
             id="x", tag=TagId.EVENT_TYPE, span=TokenSpan(0, 0, 1), confidence=0.1234567
         )
+    with pytest.raises(InvariantError):
+        # past the float range
+        Annotation(id="x", tag=TagId.EVENT_TYPE, span=TokenSpan(0, 0, 1), confidence=10**400)
 
 
 def test_document_labels_dependency():
@@ -200,3 +210,49 @@ def test_span_text(bjp_doc):
     assert bjp_doc.span_text(spans["t1"]) == "At noon"
     assert bjp_doc.span_text(spans["f2"]) == "at the train station"
     assert bjp_doc.span_text(spans["t2"]) == "last year's"
+
+
+@pytest.mark.parametrize(
+    "build,error,kind",
+    [
+        (lambda: TokenSpan(0, 2, 2), SpanError, ParseErrorKind.BAD_SPAN),
+        (
+            lambda: _one_sentence_doc(
+                (Annotation(id="x", tag=TagId.EVENT_TYPE, span=TokenSpan(0, 2, 4)),)
+            ),
+            SpanError,
+            ParseErrorKind.BAD_SPAN,
+        ),
+        (
+            lambda: Annotation(id="x", tag=TagId.EVENT_TYPE, span=TokenSpan(0, 0, 1), events=[0]),
+            EventRefError,
+            ParseErrorKind.BAD_EVENT_REF,
+        ),
+        (
+            lambda: _one_sentence_doc(
+                (
+                    Annotation(id="x", tag=TagId.EVENT_TYPE, span=TokenSpan(0, 0, 1)),
+                    Annotation(id="x", tag=TagId.EVENT_MENTION, span=TokenSpan(0, 1, 2)),
+                )
+            ),
+            DuplicateIdError,
+            ParseErrorKind.DUPLICATE_ID,
+        ),
+        (
+            lambda: DocumentLabels(violent=ViolenceLabel.VIOLENT),
+            LabelError,
+            ParseErrorKind.BAD_LABEL,
+        ),
+        (lambda: resolve_tag("mood"), UnknownTagError, ParseErrorKind.UNKNOWN_TAG),
+        (
+            lambda: SentenceRecord(index=0, tokens=("",)),
+            InvariantError,
+            ParseErrorKind.MALFORMED_RECORD,
+        ),
+    ],
+    ids=["span", "span_in_document", "events", "duplicate_id", "labels", "tag", "tokens"],
+)
+def test_invariant_errors_carry_their_parse_error_kind(build, error, kind):
+    with pytest.raises(error) as raised:
+        build()
+    assert raised.value.kind is kind
