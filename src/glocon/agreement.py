@@ -25,7 +25,6 @@ from .model import (
     ProtestLabel,
     SentenceLabel,
     ViolenceLabel,
-    annotation_sort_key,
     coterminous,
     overlaps,
 )
@@ -264,8 +263,8 @@ def _match_document(
     fp: dict,
     fn: dict,
 ) -> None:
-    hyp = sorted(hyp, key=annotation_sort_key)
-    ref = sorted(ref, key=annotation_sort_key)
+    """Greedy one-to-one matching of two documents' annotations, each in
+    canonical order (as ``DocumentRecord`` keeps them)."""
     matched_ref: set[int] = set()
     matched_hyp: set[int] = set()
 

@@ -20,7 +20,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .lint import CATALOG, Diagnostic
+from .lint import Diagnostic, diagnostic
 from .model import (
     Annotation,
     DocumentLabels,
@@ -59,7 +59,8 @@ class TriggerRef:
 
 @dataclass(frozen=True)
 class ParticipantRecord:
-    """A participant head (type or name) with its semantic class and attributes."""
+    """A participant or organizer head (type or name) with its semantic
+    class and attributes."""
 
     tag: TagId
     span: TokenSpan
@@ -68,13 +69,7 @@ class ParticipantRecord:
     attributes: tuple[ArgumentRef, ...] = ()
 
 
-@dataclass(frozen=True)
-class OrganizerRecord:
-    tag: TagId
-    span: TokenSpan
-    text: str
-    semantic: str | None = None
-    attributes: tuple[ArgumentRef, ...] = ()
+OrganizerRecord = ParticipantRecord
 
 
 @dataclass(frozen=True)
@@ -136,8 +131,7 @@ def assemble_events(doc: DocumentRecord) -> list[EventRecord]:
         Focus.PARTICIPANT_SEMANTIC: defaultdict(list),
         Focus.ORGANIZER_SEMANTIC: defaultdict(list),
     }
-    content: list[Annotation] = []
-    numbers: set[int] = set()
+    content_by_number: dict[int, list[Annotation]] = defaultdict(list)
     for ann in anns:
         focus = focus_of(ann.tag)
         if focus is Focus.DOC_INFO:
@@ -145,14 +139,14 @@ def assemble_events(doc: DocumentRecord) -> list[EventRecord]:
         if focus in sem_by_span:
             sem_by_span[focus][ann.span].append(ann)
             continue
-        content.append(ann)
-        numbers |= ann.events
+        for number in ann.events:
+            content_by_number[number].append(ann)
 
     def text_of(ann: Annotation) -> str:
         return doc.span_text(ann.span)
 
     records: list[EventRecord] = []
-    for number in sorted(numbers):
+    for number in sorted(content_by_number):
         triggers: list[TriggerRef] = []
         trigger_anns: list[Annotation] = []
         times: list[ArgumentRef] = []
@@ -165,9 +159,7 @@ def assemble_events(doc: DocumentRecord) -> list[EventRecord]:
         o_heads: list[Annotation] = []
         o_attrs: list[Annotation] = []
 
-        for ann in content:
-            if number not in ann.events:
-                continue
+        for ann in content_by_number[number]:
             tag = ann.tag
             if tag in TRIGGER_TAGS:
                 trigger_anns.append(ann)
@@ -218,7 +210,7 @@ def assemble_events(doc: DocumentRecord) -> list[EventRecord]:
             for head in p_heads
         )
         organizers = tuple(
-            OrganizerRecord(
+            ParticipantRecord(
                 tag=head.tag,
                 span=head.span,
                 text=text_of(head),
@@ -298,49 +290,25 @@ def check_separation(records: Sequence[EventRecord]) -> list[Diagnostic]:
     and E020 + W141 for events realized without any trigger.
     """
     diagnostics: list[Diagnostic] = []
-    for record in records:
-        if record.triggers:
-            continue
+
+    def emit(rule_id: str, record: EventRecord, message: str) -> None:
         sentence, span = _first_location(record)
-        for rule, message in (
-            (
-                "E020",
-                f"event {record.event_number} has arguments but no trigger annotation",
-            ),
-            (
-                "W141",
-                f"event {record.event_number} was assembled without any trigger",
-            ),
-        ):
-            diagnostics.append(
-                Diagnostic(
-                    rule=rule,
-                    severity=CATALOG[rule].severity,
-                    doc_id=record.doc_id,
-                    sentence=sentence,
-                    span=span,
-                    annotation_ids=(),
-                    message=message,
-                )
-            )
+        diagnostics.append(diagnostic(rule_id, record.doc_id, (sentence, span, (), message)))
+
+    for record in records:
+        if not record.triggers:
+            number = record.event_number
+            emit("E020", record, f"event {number} has arguments but no trigger annotation")
+            emit("W141", record, f"event {number} was assembled without any trigger")
+    axes = [_axes(record) for record in records]
     for i, first in enumerate(records):
-        axes_first = _axes(first)
-        for second in records[i + 1 :]:
-            if _axes(second) == axes_first:
-                sentence, span = _first_location(second)
-                diagnostics.append(
-                    Diagnostic(
-                        rule="W140",
-                        severity=CATALOG["W140"].severity,
-                        doc_id=second.doc_id,
-                        sentence=sentence,
-                        span=span,
-                        annotation_ids=(),
-                        message=(
-                            f"events {first.event_number} and {second.event_number} are "
-                            "identical on time, place, facility, actors and semantic category"
-                        ),
-                    )
+        for j in range(i + 1, len(records)):
+            if axes[j] == axes[i]:
+                emit(
+                    "W140",
+                    records[j],
+                    f"events {first.event_number} and {records[j].event_number} are "
+                    "identical on time, place, facility, actors and semantic category",
                 )
     diagnostics.sort(key=Diagnostic.sort_key)
     return diagnostics

@@ -1,10 +1,12 @@
 """Rule engine that checks documents against the annotation manual's
 machine-checkable rules.
 
-Each rule has a stable id, a default severity and a short description
-(see CATALOG).  ``validate_document`` is a pure function of the document
-and the configuration; diagnostics come back in canonical order
-(sentence, span start, rule id).
+Each rule is a function registered with ``@rule(id, severity, title)``;
+the registry fills CATALOG (stable id, default severity, short
+description).  A rule yields findings over a shared per-document index,
+and ``validate_document`` turns them into diagnostics in one loop.  It
+is a pure function of the document and the configuration; diagnostics
+come back in canonical order (sentence, span start, rule id).
 
 Severities can be overridden and rules disabled per run through
 :class:`LintConfig`.  The lexicons (articles, estimation qualifiers,
@@ -18,9 +20,9 @@ import enum
 import json
 import unicodedata
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .model import (
     Annotation,
@@ -61,39 +63,29 @@ class Rule:
     title: str
 
 
-# str-keyed so config files and diagnostics stay plain text.
-CATALOG: dict[str, Rule] = {
-    r.id: r
-    for r in [
-        Rule("E010", Severity.ERROR, "argument in a sentence without a trigger of a shared event"),
-        Rule("E020", Severity.ERROR, "event number referenced by arguments but has no trigger"),
-        Rule("E021", Severity.ERROR, "event trigger discipline violated"),
-        Rule("E022", Severity.ERROR, "participant_type and participant semantic tag not paired"),
-        Rule("E023", Severity.ERROR, "organizer type/name and organizer semantic tag not paired"),
-        Rule("E030", Severity.ERROR, "overlapping annotations not licensed by the overlap rules"),
-        Rule("E050", Severity.ERROR, "event-level content in a document labeled no_protest"),
-        Rule("W101", Severity.WARNING, "span starts or ends with a punctuation-only token"),
-        Rule("W102", Severity.WARNING, "span begins with an indefinite article"),
-        Rule("W103", Severity.WARNING, "span begins with lowercase definite article"),
-        Rule("W110", Severity.WARNING, "sentence labeled 1 contains no trigger annotation"),
-        Rule("W111", Severity.WARNING, "trigger annotation in a sentence labeled 0 or 2"),
-        Rule("W112", Severity.WARNING, "token event word tagged event_type despite a descriptive trigger"),
-        Rule("W120", Severity.WARNING, "location identifier overlaps a facility annotation"),
-        Rule("W121", Severity.WARNING, "event numbers not contiguous from 1"),
-        Rule("W122", Severity.WARNING, "explicit 'Event 1' comment on a tag"),
-        Rule("W130", Severity.WARNING, "country name tagged as event place"),
-        Rule("W131", Severity.WARNING, "participant_count span begins with an estimation qualifier"),
-        Rule("W140", Severity.WARNING, "two events indistinguishable on every separation axis"),
-        Rule("W141", Severity.INFO, "event assembled without any trigger annotation"),
-        Rule("W142", Severity.WARNING, "triggers of one event carry differing semantic categories"),
-        Rule("I150", Severity.INFO, "same participant surface form with differing semantic tags"),
-    ]
-}
+# What a rule yields: (sentence, span or None, annotation ids, message).
+Finding = tuple[int, "TokenSpan | None", tuple[str, ...], str]
+Check = Callable[["_DocIndex"], Iterable[Finding]]
 
-# W140/W141 are emitted by the event assembler's separation check, not by
-# validate_document; they live in the catalog so ids and severities are
-# defined in one place.
-ASSEMBLY_RULES = frozenset({"W140", "W141"})
+# Filled by @rule in registration order; str-keyed so config files and
+# diagnostics stay plain text.
+CATALOG: dict[str, Rule] = {}
+# (rule id, check) of every rule validate_document runs, in catalog order.
+_CHECKS: list[tuple[str, Check]] = []
+
+
+def rule(rule_id: str, severity: Severity, title: str) -> Callable[[Check], Check]:
+    """Add a rule to CATALOG; the returned decorator registers its document check.
+
+    Called bare, it adds a catalog entry that validate_document does not run.
+    """
+    CATALOG[rule_id] = Rule(rule_id, severity, title)
+
+    def register(check: Check) -> Check:
+        _CHECKS.append((rule_id, check))
+        return check
+
+    return register
 
 
 @dataclass(frozen=True)
@@ -177,7 +169,26 @@ class Lexicons:
 
 
 class ConfigError(ValueError):
-    """A lint configuration references unknown rules or keys."""
+    """A lint configuration references unknown rules or keys, or has ill-typed values."""
+
+
+_LEXICON_KEYS = frozenset(f.name for f in fields(Lexicons))
+
+
+def _config_value(obj: dict, key: str, kind: type):
+    """``obj[key]`` checked to be a ``kind``; an empty ``kind`` when missing or null."""
+    value = obj.get(key)
+    if value is None:
+        return kind()
+    if type(value) is not kind:
+        raise ConfigError(f"{key} must be a JSON {'object' if kind is dict else 'list'}")
+    return value
+
+
+def _word_list(key: str, value) -> list[str]:
+    if type(value) is not list or not all(type(w) is str and w.strip() for w in value):
+        raise ConfigError(f"lexicon {key} must be a list of non-blank strings")
+    return value
 
 
 @dataclass(frozen=True)
@@ -209,42 +220,22 @@ class LintConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         overrides = {}
-        for rule_id, sev in (obj.get("severity_overrides") or {}).items():
+        for rule_id, sev in _config_value(obj, "severity_overrides", dict).items():
             try:
                 overrides[rule_id] = Severity(sev)
             except ValueError:
                 raise ConfigError(f"bad severity {sev!r} for rule {rule_id!r}") from None
-        lex_obj = obj.get("lexicons") or {}
-        lex_keys = {
-            "articles_indefinite",
-            "articles_definite",
-            "estimation_qualifiers",
-            "token_event_words",
-            "countries",
-        }
-        unknown = set(lex_obj) - lex_keys
+        disabled = _config_value(obj, "disabled_rules", list)
+        if not all(type(rule_id) is str for rule_id in disabled):
+            raise ConfigError("disabled_rules must be a list of rule ids")
+        lex_obj = _config_value(obj, "lexicons", dict)
+        unknown = set(lex_obj) - _LEXICON_KEYS
         if unknown:
             raise ConfigError(f"unknown lexicon keys: {sorted(unknown)}")
-        defaults = Lexicons()
-        lexicons = Lexicons(
-            articles_indefinite=frozenset(
-                lex_obj.get("articles_indefinite", defaults.articles_indefinite)
-            ),
-            articles_definite=frozenset(
-                lex_obj.get("articles_definite", defaults.articles_definite)
-            ),
-            estimation_qualifiers=tuple(
-                lex_obj.get("estimation_qualifiers", defaults.estimation_qualifiers)
-            ),
-            token_event_words=frozenset(
-                lex_obj.get("token_event_words", defaults.token_event_words)
-            ),
-            countries=frozenset(lex_obj.get("countries", defaults.countries)),
-        )
         return cls(
             severity_overrides=overrides,
-            disabled_rules=frozenset(obj.get("disabled_rules") or []),
-            lexicons=lexicons,
+            disabled_rules=frozenset(disabled),
+            lexicons=Lexicons(**{key: _word_list(key, v) for key, v in lex_obj.items()}),
         )
 
 
@@ -253,7 +244,28 @@ DEFAULT_CONFIG = LintConfig()
 
 def load_config(path: str) -> LintConfig:
     with open(path, "r", encoding="utf-8") as handle:
-        return LintConfig.from_obj(json.load(handle))
+        try:
+            obj = json.load(handle)
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"not UTF-8: {exc}") from None
+    return LintConfig.from_obj(obj)
+
+
+def diagnostic(
+    rule_id: str, doc_id: str, finding: Finding, cfg: LintConfig = DEFAULT_CONFIG
+) -> Diagnostic:
+    """The one place diagnostics are built: a finding of ``rule_id`` in
+    document ``doc_id``, at the severity ``cfg`` gives the rule."""
+    sentence, span, annotation_ids, message = finding
+    return Diagnostic(
+        rule=rule_id,
+        severity=cfg.severity_of(rule_id),
+        doc_id=doc_id,
+        sentence=sentence,
+        span=span,
+        annotation_ids=annotation_ids,
+        message=message,
+    )
 
 
 @lru_cache(maxsize=65536)
@@ -279,7 +291,7 @@ _SEMANTIC_HOSTS: dict[Focus, frozenset[TagId]] = {
 }
 
 
-def allowed_overlap(a: Annotation, b: Annotation, doc: DocumentRecord) -> bool:
+def allowed_overlap(a: Annotation, b: Annotation) -> bool:
     """Is an overlap of these two annotations licensed?
 
     Licensing clauses (any one suffices):
@@ -293,7 +305,6 @@ def allowed_overlap(a: Annotation, b: Annotation, doc: DocumentRecord) -> bool:
     Named-entity exclusivity overrides everything: a *_type tag may never
     overlap the *_name tag of the same focus.
     """
-    del doc  # licensing depends only on the two annotations
     ta, tb = a.tag, b.tag
     if frozenset({ta, tb}) in _NAME_EXCLUSIVE_PAIRS:
         return False
@@ -330,11 +341,27 @@ def allowed_overlap(a: Annotation, b: Annotation, doc: DocumentRecord) -> bool:
     return False
 
 
+def _semantic_partners(
+    hosts: Iterable[Annotation], semantics: Sequence[Annotation]
+) -> dict[str, list[Annotation]]:
+    """For each host annotation id, the coterminous semantic tags sharing an event."""
+    by_pos: dict[TokenSpan, list[Annotation]] = defaultdict(list)
+    for sem in semantics:
+        by_pos[sem.span].append(sem)
+    out: dict[str, list[Annotation]] = {}
+    for host in hosts:
+        out[host.id] = [
+            sem for sem in by_pos.get(host.span, ()) if not sem.events.isdisjoint(host.events)
+        ]
+    return out
+
+
 class _DocIndex:
     """Per-document lookups shared by the rules."""
 
-    def __init__(self, doc: DocumentRecord):
+    def __init__(self, doc: DocumentRecord, lexicons: Lexicons):
         self.doc = doc
+        self.lexicons = lexicons
         self.anns = doc.annotations  # already in canonical order
         self.by_sentence: dict[int, list[Annotation]] = defaultdict(list)
         self.triggers: list[Annotation] = []
@@ -345,26 +372,46 @@ class _DocIndex:
         self.event_semantic: list[Annotation] = []
         self.participant_semantic: list[Annotation] = []
         self.organizer_semantic: list[Annotation] = []
+        self.participant_types: list[Annotation] = []
+        self.organizer_heads: list[Annotation] = []
+        # (annotation, first token, last token), for the span-shape rules
+        self.edge_tokens: list[tuple[Annotation, str, str]] = []
+        sentences = doc.sentences
         for ann in self.anns:
-            self.by_sentence[ann.span.sentence].append(ann)
+            span = ann.span
+            self.by_sentence[span.sentence].append(ann)
+            toks = sentences[span.sentence].tokens
+            self.edge_tokens.append((ann, toks[span.start], toks[span.end - 1]))
             tag = ann.tag
             if tag in TRIGGER_TAGS:
                 self.triggers.append(ann)
-                self.trigger_events_by_sentence[ann.span.sentence] |= ann.events
+                self.trigger_events_by_sentence[span.sentence] |= ann.events
                 self.trigger_events |= ann.events
             else:
                 focus = focus_of(tag)
                 if focus is Focus.DOC_INFO:
                     if tag is TagId.DOCUMENT_TITLE:
-                        self.title_spans.append(ann.span)
+                        self.title_spans.append(span)
                     continue
                 self.argument_events |= ann.events
-                if focus is Focus.EVENT_SEMANTIC:
+                if tag is TagId.PARTICIPANT_TYPE:
+                    self.participant_types.append(ann)
+                elif tag in ORGANIZER_HEAD_TAGS:
+                    self.organizer_heads.append(ann)
+                elif focus is Focus.EVENT_SEMANTIC:
                     self.event_semantic.append(ann)
                 elif focus is Focus.PARTICIPANT_SEMANTIC:
                     self.participant_semantic.append(ann)
                 elif focus is Focus.ORGANIZER_SEMANTIC:
                     self.organizer_semantic.append(ann)
+        # host annotation id -> its coterminous semantic tags sharing an event
+        self.trigger_partners = _semantic_partners(self.triggers, self.event_semantic)
+        self.participant_partners = _semantic_partners(
+            self.participant_types, self.participant_semantic
+        )
+        self.organizer_partners = _semantic_partners(
+            self.organizer_heads, self.organizer_semantic
+        )
         self._text_cache: dict[str, str] = {}
 
     def text(self, ann: Annotation) -> str:
@@ -385,19 +432,340 @@ class _DocIndex:
         return self.doc.sentences[span.sentence].tokens[span.start : span.end]
 
 
-def _semantic_partners(
-    hosts: Iterable[Annotation], semantics: Sequence[Annotation]
-) -> dict[str, list[Annotation]]:
-    """For each host annotation id, the coterminous semantic tags sharing an event."""
-    by_pos: dict[TokenSpan, list[Annotation]] = defaultdict(list)
-    for sem in semantics:
-        by_pos[sem.span].append(sem)
-    out: dict[str, list[Annotation]] = {}
+def _at(ann: Annotation, message: str, ids: tuple[str, ...] | None = None) -> Finding:
+    """A finding at ``ann``'s span naming ``ids`` (by default ``ann`` alone)."""
+    return (ann.span.sentence, ann.span, (ann.id,) if ids is None else ids, message)
+
+
+def _unpaired(
+    hosts: Iterable[Annotation],
+    partners: Mapping[str, list[Annotation]],
+    semantics: Iterable[Annotation],
+    no_semantic: str,
+    no_host: str,
+) -> Iterator[Finding]:
+    """Hosts without a coterminous semantic tag, then semantic tags without a host.
+
+    ``no_semantic`` and ``no_host`` are messages; ``{tag}`` in them names
+    the unpaired annotation's tag.
+    """
+    hosted: set[str] = set()
     for host in hosts:
-        out[host.id] = [
-            sem for sem in by_pos.get(host.span, ()) if not sem.events.isdisjoint(host.events)
-        ]
-    return out
+        sems = partners[host.id]
+        hosted.update(sem.id for sem in sems)
+        if not sems:
+            yield _at(host, no_semantic.format(tag=host.tag.value))
+    for sem in semantics:
+        if sem.id not in hosted:
+            yield _at(sem, no_host.format(tag=sem.tag.value))
+
+
+@rule("E010", Severity.ERROR, "argument in a sentence without a trigger of a shared event")
+def _argument_without_trigger(idx: _DocIndex) -> Iterator[Finding]:
+    trig_by_sent = idx.trigger_events_by_sentence
+    for ann in idx.anns:
+        tag = ann.tag
+        if tag in TRIGGER_TAGS or focus_of(tag) is Focus.DOC_INFO:
+            continue
+        if ann.events.isdisjoint(trig_by_sent.get(ann.span.sentence, ())):
+            if idx.in_title(ann):
+                continue  # title content is annotated without trigger discipline
+            yield _at(
+                ann,
+                f"{tag.value} argument in a sentence with no trigger of "
+                f"event(s) {sorted(ann.events)}",
+            )
+
+
+@rule("E020", Severity.ERROR, "event number referenced by arguments but has no trigger")
+def _event_without_trigger(idx: _DocIndex) -> Iterator[Finding]:
+    for number in sorted(idx.argument_events - idx.trigger_events):
+        first = next(
+            ann
+            for ann in idx.anns
+            if number in ann.events
+            and ann.tag not in TRIGGER_TAGS
+            and focus_of(ann.tag) is not Focus.DOC_INFO
+        )
+        yield _at(first, f"event {number} is referenced by arguments but has no trigger annotation")
+
+
+@rule("E021", Severity.ERROR, "event trigger discipline violated")
+def _trigger_discipline(idx: _DocIndex) -> Iterator[Finding]:
+    # at most one event_type inside and one outside the title, per event
+    typed_by_event: dict[int, list[Annotation]] = defaultdict(list)
+    for trig in idx.triggers:
+        if trig.tag is TagId.EVENT_TYPE:
+            for n in trig.events:
+                typed_by_event[n].append(trig)
+    for number in sorted(typed_by_event):
+        in_title = [t for t in typed_by_event[number] if idx.in_title(t)]
+        in_body = [t for t in typed_by_event[number] if not idx.in_title(t)]
+        for group, where in ((in_body, "outside the title"), (in_title, "in the title")):
+            if len(group) > 1:
+                yield _at(
+                    group[1],
+                    f"event {number} has {len(group)} event_type tags {where}",
+                    tuple(t.id for t in group),
+                )
+    # semantic tags and triggers pair up coterminously, one tag per trigger
+    partners = idx.trigger_partners
+    for trig in idx.triggers:
+        sems = partners[trig.id]
+        if len(sems) > 1:
+            yield _at(
+                trig,
+                f"trigger {trig.tag.value} has {len(sems)} semantic category tags",
+                (trig.id, *(sem.id for sem in sems)),
+            )
+    yield from _unpaired(
+        idx.triggers,
+        partners,
+        idx.event_semantic,
+        "trigger {tag} has no coterminous semantic category tag",
+        "semantic tag {tag} is not coterminous with a trigger of its event",
+    )
+
+
+@rule("E022", Severity.ERROR, "participant_type and participant semantic tag not paired")
+def _participant_pairing(idx: _DocIndex) -> Iterator[Finding]:
+    return _unpaired(
+        idx.participant_types,
+        idx.participant_partners,
+        idx.participant_semantic,
+        "participant_type without a coterminous participant semantic tag",
+        "participant semantic tag {tag} without a coterminous participant_type",
+    )
+
+
+@rule("E023", Severity.ERROR, "organizer type/name and organizer semantic tag not paired")
+def _organizer_pairing(idx: _DocIndex) -> Iterator[Finding]:
+    return _unpaired(
+        idx.organizer_heads,
+        idx.organizer_partners,
+        idx.organizer_semantic,
+        "{tag} without a coterminous organizer semantic tag",
+        "organizer semantic tag {tag} without a coterminous organizer type/name",
+    )
+
+
+@rule("E030", Severity.ERROR, "overlapping annotations not licensed by the overlap rules")
+def _unlicensed_overlap(idx: _DocIndex) -> Iterator[Finding]:
+    for sent_anns in idx.by_sentence.values():
+        count = len(sent_anns)
+        for i in range(count):
+            a = sent_anns[i]
+            a_end = a.span.end
+            for j in range(i + 1, count):
+                b = sent_anns[j]
+                if b.span.start >= a_end:
+                    break  # sorted by start; nothing later overlaps a
+                # location-identifier/facility overlaps are W120's case
+                if (
+                    a.tag in LOCATION_IDENTIFIER_TAGS
+                    and b.tag in FACILITY_TAGS
+                    or b.tag in LOCATION_IDENTIFIER_TAGS
+                    and a.tag in FACILITY_TAGS
+                ):
+                    continue
+                if not allowed_overlap(a, b):
+                    yield _at(
+                        a, f"unlicensed overlap of {a.tag.value} and {b.tag.value}", (a.id, b.id)
+                    )
+
+
+@rule("E050", Severity.ERROR, "event-level content in a document labeled no_protest")
+def _no_protest_content(idx: _DocIndex) -> Iterator[Finding]:
+    labels = idx.doc.labels
+    if labels.violent is not None and labels.protest is not ProtestLabel.PROTEST:
+        yield (0, None, (), "violence label on a document not labeled protest")
+    if labels.demand is not None and labels.protest is not ProtestLabel.PROTEST:
+        yield (0, None, (), "demand label on a document not labeled protest")
+    if labels.protest is ProtestLabel.NO_PROTEST:
+        for sent in idx.doc.sentences:
+            anns_here = idx.by_sentence.get(sent.index)
+            if anns_here:
+                yield (
+                    sent.index,
+                    None,
+                    tuple(a.id for a in anns_here),
+                    "token annotations in a document labeled no_protest",
+                )
+            if sent.label is SentenceLabel.EVENT:
+                yield (sent.index, None, (), "sentence labeled 1 in a document labeled no_protest")
+
+
+@rule("W101", Severity.WARNING, "span starts or ends with a punctuation-only token")
+def _punctuation_edge(idx: _DocIndex) -> Iterator[Finding]:
+    for ann, first, last in idx.edge_tokens:
+        if is_punctuation_token(first) or is_punctuation_token(last):
+            yield _at(ann, f"{ann.tag.value} span starts or ends with punctuation")
+
+
+@rule("W102", Severity.WARNING, "span begins with an indefinite article")
+def _indefinite_article(idx: _DocIndex) -> Iterator[Finding]:
+    indefinite = idx.lexicons.articles_indefinite
+    for ann, first, _ in idx.edge_tokens:
+        if first.casefold() in indefinite:
+            yield _at(ann, f"{ann.tag.value} span begins with an indefinite article")
+
+
+@rule("W103", Severity.WARNING, "span begins with lowercase definite article")
+def _definite_article(idx: _DocIndex) -> Iterator[Finding]:
+    definite = idx.lexicons.articles_definite
+    for ann, first, _ in idx.edge_tokens:
+        if first in definite:
+            yield _at(ann, f"{ann.tag.value} span begins with a lowercase definite article")
+
+
+@rule("W110", Severity.WARNING, "sentence labeled 1 contains no trigger annotation")
+def _event_sentence_without_trigger(idx: _DocIndex) -> Iterator[Finding]:
+    for sent in idx.doc.sentences:
+        if sent.label is SentenceLabel.EVENT and not idx.trigger_events_by_sentence.get(
+            sent.index
+        ):
+            yield (sent.index, None, (), "sentence labeled 1 contains no event_type or event_mention")
+
+
+@rule("W111", Severity.WARNING, "trigger annotation in a sentence labeled 0 or 2")
+def _trigger_in_non_event_sentence(idx: _DocIndex) -> Iterator[Finding]:
+    for trig in idx.triggers:
+        label = idx.doc.sentences[trig.span.sentence].label
+        if label in (SentenceLabel.NON_EVENT, SentenceLabel.PLANNED):
+            yield _at(trig, f"{trig.tag.value} in a sentence labeled {int(label)}")
+
+
+@rule("W112", Severity.WARNING, "token event word tagged event_type despite a descriptive trigger")
+def _token_event_word_typed(idx: _DocIndex) -> Iterator[Finding]:
+    token_words = idx.lexicons.token_event_words
+    token_typed: list[Annotation] = []
+    descriptive_events: set[int] = set()
+    for trig in idx.triggers:
+        if idx.text(trig).casefold() in token_words:
+            if trig.tag is TagId.EVENT_TYPE:
+                token_typed.append(trig)
+        else:
+            descriptive_events |= trig.events
+    for trig in token_typed:
+        if not trig.events.isdisjoint(descriptive_events):
+            yield _at(
+                trig,
+                f"token event word {idx.text(trig)!r} tagged event_type while its "
+                "event has a descriptive trigger",
+            )
+
+
+@rule("W120", Severity.WARNING, "location identifier overlaps a facility annotation")
+def _identifier_on_facility(idx: _DocIndex) -> Iterator[Finding]:
+    for sent_anns in idx.by_sentence.values():
+        identifiers = [a for a in sent_anns if a.tag in LOCATION_IDENTIFIER_TAGS]
+        if not identifiers:
+            continue
+        facilities = [a for a in sent_anns if a.tag in FACILITY_TAGS]
+        for ident in identifiers:
+            for fac in facilities:
+                if overlaps(ident.span, fac.span):
+                    yield _at(
+                        ident,
+                        f"{ident.tag.value} overlaps {fac.tag.value}; facility tags have priority",
+                        (ident.id, fac.id),
+                    )
+
+
+@rule("W121", Severity.WARNING, "event numbers not contiguous from 1")
+def _event_number_gap(idx: _DocIndex) -> Iterator[Finding]:
+    used = idx.trigger_events | idx.argument_events
+    missing = set(range(1, max(used, default=0) + 1)) - used
+    if missing:
+        first_gap = min(missing)
+        carrier = next(
+            ann
+            for ann in idx.anns
+            if any(n > first_gap for n in ann.events) and focus_of(ann.tag) is not Focus.DOC_INFO
+        )
+        yield _at(
+            carrier,
+            f"event numbers {sorted(used)} are not contiguous from 1 (missing {sorted(missing)})",
+        )
+
+
+@rule("W122", Severity.WARNING, "explicit 'Event 1' comment on a tag")
+def _explicit_event_one(idx: _DocIndex) -> Iterator[Finding]:
+    for ann in idx.anns:
+        if ann.events_from_comment and 1 in ann.events:
+            yield _at(ann, "explicit 'Event 1' comment; the first event is not numbered")
+
+
+@rule("W130", Severity.WARNING, "country name tagged as event place")
+def _country_as_place(idx: _DocIndex) -> Iterator[Finding]:
+    countries = idx.lexicons.countries
+    for ann in idx.anns:
+        if ann.tag is TagId.EVENT_PLACE and idx.text(ann).casefold() in countries:
+            yield _at(ann, f"country name {idx.text(ann)!r} tagged as event_place")
+
+
+@rule("W131", Severity.WARNING, "participant_count span begins with an estimation qualifier")
+def _estimated_count(idx: _DocIndex) -> Iterator[Finding]:
+    qualifier_seqs = idx.lexicons.qualifier_token_sequences()
+    for ann in idx.anns:
+        if ann.tag is not TagId.PARTICIPANT_COUNT:
+            continue
+        toks = tuple(t.casefold() for t in idx.tokens(ann))
+        for seq in qualifier_seqs:
+            if toks[: len(seq)] == seq:
+                yield _at(
+                    ann, f"participant_count begins with estimation qualifier {' '.join(seq)!r}"
+                )
+                break
+
+
+# check_separation (assemble.py) emits these over assembled events;
+# validate_document does not run them.
+rule("W140", Severity.WARNING, "two events indistinguishable on every separation axis")
+rule("W141", Severity.INFO, "event assembled without any trigger annotation")
+
+
+@rule("W142", Severity.WARNING, "triggers of one event carry differing semantic categories")
+def _differing_trigger_categories(idx: _DocIndex) -> Iterator[Finding]:
+    partners = idx.trigger_partners
+    categories_by_event: dict[int, dict[str, Annotation]] = defaultdict(dict)
+    for trig in idx.triggers:
+        sems = partners[trig.id]
+        if len(sems) != 1:
+            continue  # missing/stacked semantics are E021's case
+        sem = sems[0]
+        for n in trig.events & sem.events:
+            categories_by_event[n].setdefault(sem.tag.value, trig)
+    for number in sorted(categories_by_event):
+        cats = categories_by_event[number]
+        if len(cats) > 1:
+            yield _at(
+                min(cats.values(), key=annotation_sort_key),
+                f"triggers of event {number} carry differing semantic categories: "
+                f"{sorted(cats)}",
+                tuple(sorted(t.id for t in cats.values())),
+            )
+
+
+@rule("I150", Severity.INFO, "same participant surface form with differing semantic tags")
+def _participant_surface_variants(idx: _DocIndex) -> Iterator[Finding]:
+    partners = idx.participant_partners
+    by_surface: dict[tuple[str, ...], dict[str, Annotation]] = defaultdict(dict)
+    for head in idx.participant_types:
+        sems = partners[head.id]
+        if sems:
+            surface = tuple(t.casefold() for t in idx.tokens(head))
+            by_surface[surface].setdefault(sems[0].tag.value, head)
+    for surface in sorted(by_surface):
+        variants = by_surface[surface]
+        if len(variants) > 1:
+            heads = sorted(variants.values(), key=annotation_sort_key)
+            yield _at(
+                heads[1],
+                f"participant surface {' '.join(surface)!r} carries differing "
+                f"semantic tags: {sorted(variants)}",
+                tuple(h.id for h in heads),
+            )
 
 
 def validate_document(
@@ -408,435 +776,13 @@ def validate_document(
     Pure function: identical inputs yield identical diagnostics, ordered
     by (sentence, span start, rule id).
     """
-    idx = _DocIndex(doc)
-    found: list[Diagnostic] = []
-
-    def emit(
-        rule: str,
-        sentence: int,
-        span: TokenSpan | None,
-        ann_ids: tuple[str, ...],
-        message: str,
-    ) -> None:
-        found.append(
-            Diagnostic(
-                rule=rule,
-                severity=cfg.severity_of(rule),
-                doc_id=doc.doc_id,
-                sentence=sentence,
-                span=span,
-                annotation_ids=ann_ids,
-                message=message,
-            )
-        )
-
-    enabled = cfg.enabled
-
-    if enabled("E010"):
-        trig_by_sent = idx.trigger_events_by_sentence
-        for ann in idx.anns:
-            tag = ann.tag
-            if tag in TRIGGER_TAGS or focus_of(tag) is Focus.DOC_INFO:
-                continue
-            if ann.events.isdisjoint(trig_by_sent.get(ann.span.sentence, ())):
-                if idx.in_title(ann):
-                    continue  # title content is annotated without trigger discipline
-                emit(
-                    "E010",
-                    ann.span.sentence,
-                    ann.span,
-                    (ann.id,),
-                    f"{tag.value} argument in a sentence with no trigger of "
-                    f"event(s) {sorted(ann.events)}",
-                )
-
-    if enabled("E020"):
-        dangling = idx.argument_events - idx.trigger_events
-        for number in sorted(dangling):
-            first = next(
-                ann
-                for ann in idx.anns
-                if number in ann.events
-                and ann.tag not in TRIGGER_TAGS
-                and focus_of(ann.tag) is not Focus.DOC_INFO
-            )
-            emit(
-                "E020",
-                first.span.sentence,
-                first.span,
-                (first.id,),
-                f"event {number} is referenced by arguments but has no trigger annotation",
-            )
-
-    if enabled("E021"):
-        # at most one event_type inside and one outside the title, per event
-        typed_by_event: dict[int, list[Annotation]] = defaultdict(list)
-        for trig in idx.triggers:
-            if trig.tag is TagId.EVENT_TYPE:
-                for n in trig.events:
-                    typed_by_event[n].append(trig)
-        for number in sorted(typed_by_event):
-            in_title = [t for t in typed_by_event[number] if idx.in_title(t)]
-            in_body = [t for t in typed_by_event[number] if not idx.in_title(t)]
-            for group, where in ((in_body, "outside the title"), (in_title, "in the title")):
-                if len(group) > 1:
-                    lead = group[1]
-                    emit(
-                        "E021",
-                        lead.span.sentence,
-                        lead.span,
-                        tuple(t.id for t in group),
-                        f"event {number} has {len(group)} event_type tags {where}",
-                    )
-        # semantic tags and triggers pair up coterminously
-        partners = _semantic_partners(idx.triggers, idx.event_semantic)
-        hosted: set[str] = set()
-        for trig in idx.triggers:
-            sems = partners[trig.id]
-            hosted.update(sem.id for sem in sems)
-            if not sems:
-                emit(
-                    "E021",
-                    trig.span.sentence,
-                    trig.span,
-                    (trig.id,),
-                    f"trigger {trig.tag.value} has no coterminous semantic category tag",
-                )
-            elif len(sems) > 1:
-                emit(
-                    "E021",
-                    trig.span.sentence,
-                    trig.span,
-                    (trig.id, *(sem.id for sem in sems)),
-                    f"trigger {trig.tag.value} has {len(sems)} semantic category tags",
-                )
-        for sem in idx.event_semantic:
-            if sem.id not in hosted:
-                emit(
-                    "E021",
-                    sem.span.sentence,
-                    sem.span,
-                    (sem.id,),
-                    f"semantic tag {sem.tag.value} is not coterminous with a trigger of its event",
-                )
-
-    if enabled("E022"):
-        p_types = [a for a in idx.anns if a.tag is TagId.PARTICIPANT_TYPE]
-        partners = _semantic_partners(p_types, idx.participant_semantic)
-        hosted = set()
-        for head in p_types:
-            sems = partners[head.id]
-            hosted.update(sem.id for sem in sems)
-            if not sems:
-                emit(
-                    "E022",
-                    head.span.sentence,
-                    head.span,
-                    (head.id,),
-                    "participant_type without a coterminous participant semantic tag",
-                )
-        for sem in idx.participant_semantic:
-            if sem.id not in hosted:
-                emit(
-                    "E022",
-                    sem.span.sentence,
-                    sem.span,
-                    (sem.id,),
-                    f"participant semantic tag {sem.tag.value} without a coterminous participant_type",
-                )
-
-    if enabled("E023"):
-        o_heads = [a for a in idx.anns if a.tag in ORGANIZER_HEAD_TAGS]
-        partners = _semantic_partners(o_heads, idx.organizer_semantic)
-        hosted = set()
-        for head in o_heads:
-            sems = partners[head.id]
-            hosted.update(sem.id for sem in sems)
-            if not sems:
-                emit(
-                    "E023",
-                    head.span.sentence,
-                    head.span,
-                    (head.id,),
-                    f"{head.tag.value} without a coterminous organizer semantic tag",
-                )
-        for sem in idx.organizer_semantic:
-            if sem.id not in hosted:
-                emit(
-                    "E023",
-                    sem.span.sentence,
-                    sem.span,
-                    (sem.id,),
-                    f"organizer semantic tag {sem.tag.value} without a coterminous organizer type/name",
-                )
-
-    if enabled("E030"):
-        for sent_anns in idx.by_sentence.values():
-            count = len(sent_anns)
-            for i in range(count):
-                a = sent_anns[i]
-                a_end = a.span.end
-                for j in range(i + 1, count):
-                    b = sent_anns[j]
-                    if b.span.start >= a_end:
-                        break  # sorted by start; nothing later overlaps a
-                    pair = frozenset({a.tag, b.tag})
-                    # location-identifier/facility overlaps are W120's case
-                    if (
-                        a.tag in LOCATION_IDENTIFIER_TAGS
-                        and b.tag in FACILITY_TAGS
-                        or b.tag in LOCATION_IDENTIFIER_TAGS
-                        and a.tag in FACILITY_TAGS
-                    ):
-                        continue
-                    if not allowed_overlap(a, b, doc):
-                        emit(
-                            "E030",
-                            a.span.sentence,
-                            a.span,
-                            (a.id, b.id),
-                            f"unlicensed overlap of {a.tag.value} and {b.tag.value}",
-                        )
-
-    if enabled("E050"):
-        labels = doc.labels
-        no_protest = labels.protest is ProtestLabel.NO_PROTEST
-        if labels.violent is not None and labels.protest is not ProtestLabel.PROTEST:
-            emit("E050", 0, None, (), "violence label on a document not labeled protest")
-        if labels.demand is not None and labels.protest is not ProtestLabel.PROTEST:
-            emit("E050", 0, None, (), "demand label on a document not labeled protest")
-        if no_protest:
-            for sent in doc.sentences:
-                anns_here = idx.by_sentence.get(sent.index, [])
-                if anns_here:
-                    emit(
-                        "E050",
-                        sent.index,
-                        None,
-                        tuple(a.id for a in anns_here),
-                        "token annotations in a document labeled no_protest",
-                    )
-                if sent.label is SentenceLabel.EVENT:
-                    emit(
-                        "E050",
-                        sent.index,
-                        None,
-                        (),
-                        "sentence labeled 1 in a document labeled no_protest",
-                    )
-
-    w101 = enabled("W101")
-    w102 = enabled("W102")
-    w103 = enabled("W103")
-    if w101 or w102 or w103:
-        indefinite = cfg.lexicons.articles_indefinite
-        definite = cfg.lexicons.articles_definite
-        for ann in idx.anns:
-            toks = idx.tokens(ann)
-            first = toks[0]
-            if w101 and (is_punctuation_token(first) or is_punctuation_token(toks[-1])):
-                emit(
-                    "W101",
-                    ann.span.sentence,
-                    ann.span,
-                    (ann.id,),
-                    f"{ann.tag.value} span starts or ends with punctuation",
-                )
-            if w102 and first.casefold() in indefinite:
-                emit(
-                    "W102",
-                    ann.span.sentence,
-                    ann.span,
-                    (ann.id,),
-                    f"{ann.tag.value} span begins with an indefinite article",
-                )
-            if w103 and first in definite:
-                emit(
-                    "W103",
-                    ann.span.sentence,
-                    ann.span,
-                    (ann.id,),
-                    f"{ann.tag.value} span begins with a lowercase definite article",
-                )
-
-    if enabled("W110"):
-        for sent in doc.sentences:
-            if sent.label is SentenceLabel.EVENT and not idx.trigger_events_by_sentence.get(
-                sent.index
-            ):
-                emit(
-                    "W110",
-                    sent.index,
-                    None,
-                    (),
-                    "sentence labeled 1 contains no event_type or event_mention",
-                )
-
-    if enabled("W111"):
-        for trig in idx.triggers:
-            label = doc.sentences[trig.span.sentence].label
-            if label in (SentenceLabel.NON_EVENT, SentenceLabel.PLANNED):
-                emit(
-                    "W111",
-                    trig.span.sentence,
-                    trig.span,
-                    (trig.id,),
-                    f"{trig.tag.value} in a sentence labeled {int(label)}",
-                )
-
-    if enabled("W112"):
-        token_words = cfg.lexicons.token_event_words
-        token_typed: list[Annotation] = []
-        descriptive_events: set[int] = set()
-        for trig in idx.triggers:
-            if idx.text(trig).casefold() in token_words:
-                if trig.tag is TagId.EVENT_TYPE:
-                    token_typed.append(trig)
-            else:
-                descriptive_events |= trig.events
-        for trig in token_typed:
-            if not trig.events.isdisjoint(descriptive_events):
-                emit(
-                    "W112",
-                    trig.span.sentence,
-                    trig.span,
-                    (trig.id,),
-                    f"token event word {idx.text(trig)!r} tagged event_type while its "
-                    "event has a descriptive trigger",
-                )
-
-    if enabled("W120"):
-        for sent_anns in idx.by_sentence.values():
-            identifiers = [a for a in sent_anns if a.tag in LOCATION_IDENTIFIER_TAGS]
-            if not identifiers:
-                continue
-            facilities = [a for a in sent_anns if a.tag in FACILITY_TAGS]
-            for ident in identifiers:
-                for fac in facilities:
-                    if overlaps(ident.span, fac.span):
-                        emit(
-                            "W120",
-                            ident.span.sentence,
-                            ident.span,
-                            (ident.id, fac.id),
-                            f"{ident.tag.value} overlaps {fac.tag.value}; facility tags have priority",
-                        )
-
-    if enabled("W121"):
-        used = idx.trigger_events | idx.argument_events
-        if used:
-            expected = set(range(1, max(used) + 1))
-            missing = expected - used
-            if missing:
-                first_gap = min(missing)
-                carrier = next(
-                    ann
-                    for ann in idx.anns
-                    if any(n > first_gap for n in ann.events)
-                    and focus_of(ann.tag) is not Focus.DOC_INFO
-                )
-                emit(
-                    "W121",
-                    carrier.span.sentence,
-                    carrier.span,
-                    (carrier.id,),
-                    f"event numbers {sorted(used)} are not contiguous from 1 "
-                    f"(missing {sorted(missing)})",
-                )
-
-    if enabled("W122"):
-        for ann in idx.anns:
-            if ann.events_from_comment and 1 in ann.events:
-                emit(
-                    "W122",
-                    ann.span.sentence,
-                    ann.span,
-                    (ann.id,),
-                    "explicit 'Event 1' comment; the first event is not numbered",
-                )
-
-    if enabled("W130"):
-        countries = cfg.lexicons.countries
-        for ann in idx.anns:
-            if ann.tag is TagId.EVENT_PLACE and idx.text(ann).casefold() in countries:
-                emit(
-                    "W130",
-                    ann.span.sentence,
-                    ann.span,
-                    (ann.id,),
-                    f"country name {idx.text(ann)!r} tagged as event_place",
-                )
-
-    if enabled("W131"):
-        qualifier_seqs = cfg.lexicons.qualifier_token_sequences()
-        for ann in idx.anns:
-            if ann.tag is not TagId.PARTICIPANT_COUNT:
-                continue
-            toks = tuple(t.casefold() for t in idx.tokens(ann))
-            for seq in qualifier_seqs:
-                if toks[: len(seq)] == seq:
-                    emit(
-                        "W131",
-                        ann.span.sentence,
-                        ann.span,
-                        (ann.id,),
-                        f"participant_count begins with estimation qualifier {' '.join(seq)!r}",
-                    )
-                    break
-
-    if enabled("W142"):
-        sem_by_span: dict[TokenSpan, list[Annotation]] = defaultdict(list)
-        for sem in idx.event_semantic:
-            sem_by_span[sem.span].append(sem)
-        categories_by_event: dict[int, dict[str, Annotation]] = defaultdict(dict)
-        for trig in idx.triggers:
-            sems = [
-                sem
-                for sem in sem_by_span.get(trig.span, ())
-                if not sem.events.isdisjoint(trig.events)
-            ]
-            if len(sems) != 1:
-                continue  # missing/stacked semantics are E021's case
-            sem = sems[0]
-            for n in trig.events & sem.events:
-                categories_by_event[n].setdefault(sem.tag.value, trig)
-        for number in sorted(categories_by_event):
-            cats = categories_by_event[number]
-            if len(cats) > 1:
-                lead = min(cats.values(), key=annotation_sort_key)
-                emit(
-                    "W142",
-                    lead.span.sentence,
-                    lead.span,
-                    tuple(sorted(t.id for t in cats.values())),
-                    f"triggers of event {number} carry differing semantic categories: "
-                    f"{sorted(cats)}",
-                )
-
-    if enabled("I150"):
-        p_types = [a for a in idx.anns if a.tag is TagId.PARTICIPANT_TYPE]
-        if p_types:
-            partners = _semantic_partners(p_types, idx.participant_semantic)
-            by_surface: dict[tuple[str, ...], dict[str, Annotation]] = defaultdict(dict)
-            for head in p_types:
-                sems = partners[head.id]
-                if sems:
-                    surface = tuple(t.casefold() for t in idx.tokens(head))
-                    by_surface[surface].setdefault(sems[0].tag.value, head)
-            for surface in sorted(by_surface):
-                variants = by_surface[surface]
-                if len(variants) > 1:
-                    heads = sorted(variants.values(), key=annotation_sort_key)
-                    lead = heads[1]
-                    emit(
-                        "I150",
-                        lead.span.sentence,
-                        lead.span,
-                        tuple(h.id for h in heads),
-                        f"participant surface {' '.join(surface)!r} carries differing "
-                        f"semantic tags: {sorted(variants)}",
-                    )
-
+    idx = _DocIndex(doc, cfg.lexicons)
+    found = [
+        diagnostic(rule_id, doc.doc_id, finding, cfg)
+        for rule_id, check in _CHECKS
+        if cfg.enabled(rule_id)
+        for finding in check(idx)
+    ]
     found.sort(key=Diagnostic.sort_key)
     return found
 

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from glocon.cli import EXIT_FINDINGS, EXIT_IO, EXIT_OK, EXIT_USAGE, corpus_stats, run
 from golden_docs import bjp_square_doc, karnataka_doc
 from rule_fixtures import RULE_FIXTURES
@@ -93,6 +95,26 @@ class TestValidateCommand:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"disabled_rules": ["Z999"]}))
         assert run(["validate", corpus, "--config", str(cfg)]) == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b'{"severity_overrides": ["W103"]}',
+            b'{"disabled_rules": [["W103"]]}',
+            b'{"lexicons": {"countries": [1]}}',
+            b'{"lexicons": {"countries": "India"}}',
+            b'{"lexicons": {"estimation_qualifiers": [""]}}',
+            b'{"disabled_rules": ["W103\xff"]}',
+        ],
+        ids=["overrides-list", "nested-rule-list", "non-string-word", "string-lexicon",
+             "blank-word", "not-utf8"],
+    )
+    def test_ill_typed_config_is_usage_error(self, corpus_file, tmp_path, capsys, content):
+        corpus = corpus_file([bjp_square_doc()])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(content)
+        assert run(["validate", corpus, "--config", str(cfg)]) == EXIT_USAGE
+        assert "glocon: bad config" in capsys.readouterr().err
 
 
 class TestAssembleCommand:

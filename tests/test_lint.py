@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from glocon.lint import (
+    CATALOG,
     ConfigError,
     LintConfig,
     Lexicons,
@@ -39,33 +41,32 @@ def _doc(doc_id, sentences, annotations, labels=DocumentLabels()):
 
 class TestAllowedOverlap:
     def _pair(self, tag_a, span_a, tag_b, span_b, events_a={1}, events_b={1}):
-        doc = None  # licensing is independent of the document
         a = Annotation(id="a", tag=tag_a, span=span_a, events=frozenset(events_a))
         b = Annotation(id="b", tag=tag_b, span=span_b, events=frozenset(events_b))
-        return a, b, doc
+        return a, b
 
     def test_participant_attribute_coterminous(self):
         # [Maoists] = participant_type + participant_ideology
-        a, b, doc = self._pair(
+        a, b = self._pair(
             TagId.PARTICIPANT_TYPE, TokenSpan(0, 4, 5), TagId.PARTICIPANT_IDEOLOGY, TokenSpan(0, 4, 5)
         )
-        assert allowed_overlap(a, b, doc) and allowed_overlap(b, a, doc)
+        assert allowed_overlap(a, b) and allowed_overlap(b, a)
 
     def test_facility_name_with_target_name(self):
         # "at the Office of Traffic Monitoring": facility and target share tokens
-        a, b, doc = self._pair(
+        a, b = self._pair(
             TagId.FACILITY_NAME, TokenSpan(0, 3, 8), TagId.TARGET_NAME, TokenSpan(0, 5, 8)
         )
-        assert allowed_overlap(a, b, doc)
+        assert allowed_overlap(a, b)
 
     def test_type_inside_name_never_licensed(self):
         # "Hospital" may not take facility_type inside "Safdarjung Hospital"
-        a, b, doc = self._pair(
+        a, b = self._pair(
             TagId.FACILITY_TYPE, TokenSpan(0, 2, 3), TagId.FACILITY_NAME, TokenSpan(0, 1, 3)
         )
-        assert not allowed_overlap(a, b, doc)
+        assert not allowed_overlap(a, b)
         # not even for disjoint event sets
-        a, b, doc = self._pair(
+        a, b = self._pair(
             TagId.FACILITY_TYPE,
             TokenSpan(0, 2, 3),
             TagId.FACILITY_NAME,
@@ -73,16 +74,16 @@ class TestAllowedOverlap:
             events_a={1},
             events_b={2},
         )
-        assert not allowed_overlap(a, b, doc)
+        assert not allowed_overlap(a, b)
 
     def test_unrelated_tags_same_event_not_licensed(self):
-        a, b, doc = self._pair(
+        a, b = self._pair(
             TagId.EVENT_TYPE, TokenSpan(0, 1, 2), TagId.PARTICIPANT_TYPE, TokenSpan(0, 1, 2)
         )
-        assert not allowed_overlap(a, b, doc)
+        assert not allowed_overlap(a, b)
 
     def test_different_events_licensed(self):
-        a, b, doc = self._pair(
+        a, b = self._pair(
             TagId.PARTICIPANT_TYPE,
             TokenSpan(0, 1, 2),
             TagId.TARGET_TYPE,
@@ -90,32 +91,32 @@ class TestAllowedOverlap:
             events_a={1},
             events_b={2},
         )
-        assert allowed_overlap(a, b, doc)
+        assert allowed_overlap(a, b)
 
     def test_document_title_licenses_anything(self):
-        a, b, doc = self._pair(
+        a, b = self._pair(
             TagId.DOCUMENT_TITLE, TokenSpan(0, 0, 6), TagId.EVENT_TYPE, TokenSpan(0, 2, 3)
         )
-        assert allowed_overlap(a, b, doc)
+        assert allowed_overlap(a, b)
 
     def test_organizer_attribute_contained_in_name(self):
         # [Communist Party of India (Marxist)] = organizer_name, [Communist] = organizer_ideology
-        a, b, doc = self._pair(
+        a, b = self._pair(
             TagId.ORGANIZER_NAME, TokenSpan(0, 0, 6), TagId.ORGANIZER_IDEOLOGY, TokenSpan(0, 0, 1)
         )
-        assert allowed_overlap(a, b, doc)
+        assert allowed_overlap(a, b)
 
     def test_semantic_requires_coterminosity(self):
-        a, b, doc = self._pair(
+        a, b = self._pair(
             TagId.EVENT_TYPE, TokenSpan(0, 1, 3), TagId.DEMONSTRATION, TokenSpan(0, 1, 2)
         )
-        assert not allowed_overlap(a, b, doc)
+        assert not allowed_overlap(a, b)
 
     def test_participant_semantic_not_licensed_on_name(self):
-        a, b, doc = self._pair(
+        a, b = self._pair(
             TagId.PARTICIPANT_NAME, TokenSpan(0, 1, 2), TagId.WORKER, TokenSpan(0, 1, 2)
         )
-        assert not allowed_overlap(a, b, doc)
+        assert not allowed_overlap(a, b)
 
 
 class TestTriggerDiscipline:
@@ -325,6 +326,12 @@ class TestEngineProperties:
         for rule_id in {d.rule for d in base} | {"E030", "W101"}:
             cfg = LintConfig(disabled_rules=frozenset({rule_id}))
             assert validate_document(doc, cfg) == [d for d in base if d.rule != rule_id]
+            # an override changes that rule's severity and nothing else
+            other = Severity.ERROR if CATALOG[rule_id].severity is Severity.INFO else Severity.INFO
+            cfg = LintConfig(severity_overrides={rule_id: other})
+            assert validate_document(doc, cfg) == [
+                dataclasses.replace(d, severity=other) if d.rule == rule_id else d for d in base
+            ]
 
     def test_oracle_equivalence_small(self):
         for seed in range(200):

@@ -1,5 +1,8 @@
 """Negative goldens: each catalog rule fires on its fixture and only there."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from glocon.lint import CATALOG, validate_document
@@ -30,3 +33,20 @@ def test_diagnostics_carry_default_severity(rule_id):
 def test_every_lint_rule_has_a_fixture():
     lint_rules = {r for r in CATALOG if r not in ("W140", "W141")}
     assert lint_rules == set(RULE_FIXTURES)
+
+
+def test_catalog_is_the_rule_registry():
+    from glocon.lint import _CHECKS
+
+    # validate_document runs every catalog rule but the separation rules,
+    # which only check_separation emits
+    assert all(entry.id == rule_id for rule_id, entry in CATALOG.items())
+    assert [rule_id for rule_id, _ in _CHECKS] == [
+        r for r in CATALOG if r not in ("W140", "W141")
+    ]
+
+
+def test_readme_rule_table_lists_the_catalog():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| ([EWI]\d{3}) \| (\w+) \|", readme, re.M)
+    assert rows == [(r.id, r.severity.value) for r in CATALOG.values()]
