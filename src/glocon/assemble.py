@@ -2,10 +2,10 @@
 
 Every event number that carries at least one trigger or argument yields
 one :class:`EventRecord`.  Annotations are routed into record fields by
-their tag's focus; semantic tags fold into the trigger, participant or
-organizer they sit on, and document-information tags stay out of events
-entirely.  An annotation numbered for several events contributes to each
-of their records.
+one tag-to-field table; semantic tags fold into the trigger, participant
+or organizer that hosts them (``SEMANTIC_HOSTS``), and
+document-information tags stay out of events entirely.  An annotation
+numbered for several events contributes to each of their records.
 
 Assembly is best-effort: documents with lint errors still produce
 records (trigger-less events are flagged by :func:`check_separation`).
@@ -31,11 +31,11 @@ from .model import (
     ORGANIZER_ATTRIBUTE_TAGS,
     ORGANIZER_HEAD_TAGS,
     PARTICIPANT_ATTRIBUTE_TAGS,
+    SEMANTIC_HOSTS,
     TagId,
     TARGET_TAGS,
     TokenSpan,
     TRIGGER_TAGS,
-    focus_of,
     span_contains,
 )
 
@@ -91,161 +91,119 @@ class EventRecord:
     doc_labels: DocumentLabels
 
 
-def _resolve_semantic(
-    head: Annotation,
-    number: int,
-    semantics_by_span: dict[TokenSpan, list[Annotation]],
-) -> str | None:
-    for sem in semantics_by_span.get(head.span, ()):
-        if number in sem.events:
-            return sem.tag.value
-    return None
+# Record field of each event argument tag.
+_ARGUMENT_FIELD: dict[TagId, str] = {
+    TagId.EVENT_TIME: "times",
+    TagId.EVENT_PLACE: "places",
+    **dict.fromkeys(FACILITY_TAGS, "facilities"),
+    **dict.fromkeys(LOCATION_IDENTIFIER_TAGS, "urban_rural_markers"),
+    **dict.fromkeys(TARGET_TAGS, "targets"),
+}
+_ARGUMENT_FIELDS = frozenset(_ARGUMENT_FIELD.values())
 
+# Per actor kind: record field, head tags, attribute tags, semantic focus.
+# The heads that host the focus (SEMANTIC_HOSTS) take its semantic tag and
+# hold the attributes inside them.
+_ACTORS = (
+    (
+        "participants",
+        frozenset({TagId.PARTICIPANT_TYPE, TagId.PARTICIPANT_NAME}),
+        PARTICIPANT_ATTRIBUTE_TAGS | {TagId.PARTICIPANT_COUNT},
+        Focus.PARTICIPANT_SEMANTIC,
+    ),
+    ("organizers", ORGANIZER_HEAD_TAGS, ORGANIZER_ATTRIBUTE_TAGS, Focus.ORGANIZER_SEMANTIC),
+)
 
-def _attach_attributes(
-    heads: list[Annotation],
-    attributes: list[Annotation],
-    text_of,
-) -> tuple[dict[str, list[ArgumentRef]], list[ArgumentRef]]:
-    """Attach attribute annotations to the unique head span containing them."""
-    attached: dict[str, list[ArgumentRef]] = defaultdict(list)
-    loose: list[ArgumentRef] = []
-    for attr in attributes:
-        containers = [h for h in heads if span_contains(h.span, attr.span)]
-        ref = ArgumentRef(attr.tag, attr.span, text_of(attr))
-        if len(containers) == 1:
-            attached[containers[0].id].append(ref)
-        else:
-            # zero containers, or an ambiguous tie: keep at event level
-            loose.append(ref)
-    return attached, loose
+# Record field of every tag that goes into events; document-information and
+# semantic tags go into none.
+_FIELD_OF: dict[TagId, str] = {
+    **dict.fromkeys(TRIGGER_TAGS, "triggers"),
+    **_ARGUMENT_FIELD,
+    **{tag: field for field, heads, attributes, _ in _ACTORS for tag in heads | attributes},
+}
 
 
 def assemble_events(doc: DocumentRecord) -> list[EventRecord]:
     """Build one EventRecord per realized event number, sorted by number."""
-    anns = doc.annotations  # already in canonical order
-
-    title_spans = [a.span for a in anns if a.tag is TagId.DOCUMENT_TITLE]
-    sem_by_span: dict[Focus, dict[TokenSpan, list[Annotation]]] = {
-        Focus.EVENT_SEMANTIC: defaultdict(list),
-        Focus.PARTICIPANT_SEMANTIC: defaultdict(list),
-        Focus.ORGANIZER_SEMANTIC: defaultdict(list),
-    }
-    content_by_number: dict[int, list[Annotation]] = defaultdict(list)
-    for ann in anns:
-        focus = focus_of(ann.tag)
-        if focus is Focus.DOC_INFO:
-            continue
-        if focus in sem_by_span:
-            sem_by_span[focus][ann.span].append(ann)
-            continue
-        for number in ann.events:
-            content_by_number[number].append(ann)
+    title_spans: list[TokenSpan] = []
+    semantics_at: dict[TokenSpan, list[Annotation]] = defaultdict(list)
+    # event number -> record field -> its annotations, in canonical order
+    routed: dict[int, dict[str, list[Annotation]]] = defaultdict(lambda: defaultdict(list))
+    for ann in doc.annotations:  # already in canonical order
+        tag = ann.tag
+        field = _FIELD_OF.get(tag)
+        if field is not None:
+            for number in ann.events:
+                routed[number][field].append(ann)
+        elif tag.focus in SEMANTIC_HOSTS:
+            semantics_at[ann.span].append(ann)
+        elif tag is TagId.DOCUMENT_TITLE:
+            title_spans.append(ann.span)
 
     def text_of(ann: Annotation) -> str:
         return doc.span_text(ann.span)
 
+    def semantic_of(head: Annotation, focus: Focus, number: int) -> str | None:
+        """The first ``focus`` tag of event ``number`` on ``head``, if ``head`` hosts ``focus``."""
+        if head.tag in SEMANTIC_HOSTS[focus]:
+            for sem in semantics_at.get(head.span, ()):
+                if sem.tag.focus is focus and number in sem.events:
+                    return sem.tag.value
+        return None
+
     records: list[EventRecord] = []
-    for number in sorted(content_by_number):
-        triggers: list[TriggerRef] = []
-        trigger_anns: list[Annotation] = []
-        times: list[ArgumentRef] = []
-        places: list[ArgumentRef] = []
-        facilities: list[ArgumentRef] = []
-        markers: list[ArgumentRef] = []
-        targets: list[ArgumentRef] = []
-        p_heads: list[Annotation] = []
-        p_attrs: list[Annotation] = []
-        o_heads: list[Annotation] = []
-        o_attrs: list[Annotation] = []
-
-        for ann in content_by_number[number]:
-            tag = ann.tag
-            if tag in TRIGGER_TAGS:
-                trigger_anns.append(ann)
-                triggers.append(
-                    TriggerRef(
-                        span=ann.span,
-                        text=text_of(ann),
-                        is_type=tag is TagId.EVENT_TYPE,
-                        in_title=any(span_contains(t, ann.span) for t in title_spans),
-                    )
+    for number in sorted(routed):
+        group = routed[number]
+        fields = {
+            field: tuple(ArgumentRef(a.tag, a.span, text_of(a)) for a in group[field])
+            for field in _ARGUMENT_FIELDS
+        }
+        unattached: list[ArgumentRef] = []
+        for field, head_tags, _, focus in _ACTORS:
+            heads = [a for a in group[field] if a.tag in head_tags]
+            hosts = [h for h in heads if h.tag in SEMANTIC_HOSTS[focus]]
+            attached: dict[str, list[ArgumentRef]] = defaultdict(list)
+            for attr in group[field]:
+                if attr.tag in head_tags:
+                    continue
+                ref = ArgumentRef(attr.tag, attr.span, text_of(attr))
+                containers = [h for h in hosts if span_contains(h.span, attr.span)]
+                if len(containers) == 1:
+                    attached[containers[0].id].append(ref)
+                else:
+                    # zero containers, or an ambiguous tie: keep at event level
+                    unattached.append(ref)
+            fields[field] = tuple(
+                ParticipantRecord(
+                    tag=head.tag,
+                    span=head.span,
+                    text=text_of(head),
+                    semantic=semantic_of(head, focus, number),
+                    attributes=tuple(attached[head.id]),
                 )
-            elif tag is TagId.EVENT_TIME:
-                times.append(ArgumentRef(tag, ann.span, text_of(ann)))
-            elif tag is TagId.EVENT_PLACE:
-                places.append(ArgumentRef(tag, ann.span, text_of(ann)))
-            elif tag in FACILITY_TAGS:
-                facilities.append(ArgumentRef(tag, ann.span, text_of(ann)))
-            elif tag in LOCATION_IDENTIFIER_TAGS:
-                markers.append(ArgumentRef(tag, ann.span, text_of(ann)))
-            elif tag in TARGET_TAGS:
-                targets.append(ArgumentRef(tag, ann.span, text_of(ann)))
-            elif tag in (TagId.PARTICIPANT_TYPE, TagId.PARTICIPANT_NAME):
-                p_heads.append(ann)
-            elif tag in PARTICIPANT_ATTRIBUTE_TAGS or tag is TagId.PARTICIPANT_COUNT:
-                p_attrs.append(ann)
-            elif tag in ORGANIZER_HEAD_TAGS:
-                o_heads.append(ann)
-            elif tag in ORGANIZER_ATTRIBUTE_TAGS:
-                o_attrs.append(ann)
-
-        p_attached, p_loose = _attach_attributes(
-            [h for h in p_heads if h.tag is TagId.PARTICIPANT_TYPE], p_attrs, text_of
-        )
-        o_attached, o_loose = _attach_attributes(o_heads, o_attrs, text_of)
-
-        participants = tuple(
-            ParticipantRecord(
-                tag=head.tag,
-                span=head.span,
-                text=text_of(head),
-                semantic=(
-                    _resolve_semantic(head, number, sem_by_span[Focus.PARTICIPANT_SEMANTIC])
-                    if head.tag is TagId.PARTICIPANT_TYPE
-                    else None
-                ),
-                attributes=tuple(p_attached.get(head.id, ())),
+                for head in heads
             )
-            for head in p_heads
-        )
-        organizers = tuple(
-            ParticipantRecord(
-                tag=head.tag,
-                span=head.span,
-                text=text_of(head),
-                semantic=_resolve_semantic(
-                    head, number, sem_by_span[Focus.ORGANIZER_SEMANTIC]
-                ),
-                attributes=tuple(o_attached.get(head.id, ())),
-            )
-            for head in o_heads
-        )
 
-        categories = [
-            _resolve_semantic(trig, number, sem_by_span[Focus.EVENT_SEMANTIC])
-            for trig in trigger_anns
-        ]
-        if categories and categories[0] is not None and len(set(categories)) == 1:
-            semantic_category = categories[0]
-        else:
-            semantic_category = None
-
+        triggers = group["triggers"]
+        categories = {semantic_of(t, Focus.EVENT_SEMANTIC, number) for t in triggers}
         records.append(
             EventRecord(
                 doc_id=doc.doc_id,
                 event_number=number,
-                semantic_category=semantic_category,
-                triggers=tuple(triggers),
-                times=tuple(times),
-                places=tuple(places),
-                facilities=tuple(facilities),
-                urban_rural_markers=tuple(markers),
-                targets=tuple(targets),
-                participants=participants,
-                organizers=organizers,
-                unattached_attributes=tuple(p_loose + o_loose),
+                # None unless every trigger carries the same category
+                semantic_category=categories.pop() if len(categories) == 1 else None,
+                triggers=tuple(
+                    TriggerRef(
+                        span=t.span,
+                        text=text_of(t),
+                        is_type=t.tag is TagId.EVENT_TYPE,
+                        in_title=any(span_contains(title, t.span) for title in title_spans),
+                    )
+                    for t in triggers
+                ),
+                unattached_attributes=tuple(unattached),
                 doc_labels=doc.labels,
+                **fields,
             )
         )
     return records

@@ -18,9 +18,9 @@ An absent ``events`` key means event 1.  Absent optional fields
 are omitted on output.
 
 Serialization is canonical: keys in the order shown above, annotations
-sorted by (sentence, start, end, tag), compact separators, LF line
-endings.  ``parse_corpus(serialize_corpus(docs))`` reproduces ``docs``
-exactly.
+sorted by (sentence, start, end, tag, event numbers, id), compact
+separators, LF line endings.  ``parse_corpus(serialize_corpus(docs))``
+reproduces ``docs`` exactly.
 """
 
 from __future__ import annotations
@@ -46,14 +46,11 @@ from .model import (
     TokenSpan,
     UnknownTagError,
     ViolenceLabel,
-    annotation_sort_key,
     format_event_refs,
     parse_event_refs,
     resolve_tag,
     span_error,
 )
-
-CORPUS_EXTENSION = ".glocon.jsonl"
 
 
 @dataclass(frozen=True)
@@ -294,11 +291,6 @@ def parse_corpus(
     return docs, errors
 
 
-def _confidence_json(c: float) -> float:
-    # Constructor guarantees at most 6 fractional digits already.
-    return round(c, 6)
-
-
 def document_to_obj(doc: DocumentRecord) -> dict:
     """Canonical JSON-compatible dict for one document."""
     labels: dict[str, str] = {}
@@ -317,7 +309,7 @@ def document_to_obj(doc: DocumentRecord) -> dict:
         sentences.append(obj)
 
     annotations = []
-    for ann in sorted(doc.annotations, key=annotation_sort_key):
+    for ann in doc.annotations:  # kept in canonical order by DocumentRecord
         obj = {
             "id": ann.id,
             "tag": ann.tag.value,
@@ -330,7 +322,7 @@ def document_to_obj(doc: DocumentRecord) -> dict:
         else:
             obj["events"] = sorted(ann.events)
         if ann.confidence is not None:
-            obj["confidence"] = _confidence_json(ann.confidence)
+            obj["confidence"] = ann.confidence
         if ann.comment is not None:
             obj["comment"] = ann.comment
         annotations.append(obj)

@@ -34,6 +34,7 @@ from .model import (
     ORGANIZER_HEAD_TAGS,
     PARTICIPANT_ATTRIBUTE_TAGS,
     ProtestLabel,
+    SEMANTIC_HOSTS,
     SentenceLabel,
     TagId,
     TARGET_TAGS,
@@ -41,7 +42,6 @@ from .model import (
     TRIGGER_TAGS,
     annotation_sort_key,
     coterminous,
-    focus_of,
     overlaps,
     span_contains,
 )
@@ -198,7 +198,14 @@ class LintConfig:
     lexicons: Lexicons = Lexicons()
 
     def __post_init__(self) -> None:
-        for rule_id in self.severity_overrides:
+        overrides = {}
+        for rule_id, sev in self.severity_overrides.items():
+            try:
+                overrides[rule_id] = Severity(sev)
+            except ValueError:
+                raise ConfigError(f"bad severity {sev!r} for rule {rule_id!r}") from None
+        object.__setattr__(self, "severity_overrides", overrides)
+        for rule_id in overrides:
             if rule_id not in CATALOG:
                 raise ConfigError(f"severity override for unknown rule {rule_id!r}")
         object.__setattr__(self, "disabled_rules", frozenset(self.disabled_rules))
@@ -219,12 +226,6 @@ class LintConfig:
         unknown = set(obj) - {"severity_overrides", "disabled_rules", "lexicons"}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        overrides = {}
-        for rule_id, sev in _config_value(obj, "severity_overrides", dict).items():
-            try:
-                overrides[rule_id] = Severity(sev)
-            except ValueError:
-                raise ConfigError(f"bad severity {sev!r} for rule {rule_id!r}") from None
         disabled = _config_value(obj, "disabled_rules", list)
         if not all(type(rule_id) is str for rule_id in disabled):
             raise ConfigError("disabled_rules must be a list of rule ids")
@@ -233,7 +234,7 @@ class LintConfig:
         if unknown:
             raise ConfigError(f"unknown lexicon keys: {sorted(unknown)}")
         return cls(
-            severity_overrides=overrides,
+            severity_overrides=_config_value(obj, "severity_overrides", dict),
             disabled_rules=frozenset(disabled),
             lexicons=Lexicons(**{key: _word_list(key, v) for key, v in lex_obj.items()}),
         )
@@ -284,10 +285,9 @@ _NAME_EXCLUSIVE_PAIRS = frozenset(
     }
 )
 
-_SEMANTIC_HOSTS: dict[Focus, frozenset[TagId]] = {
-    Focus.EVENT_SEMANTIC: TRIGGER_TAGS,
-    Focus.PARTICIPANT_SEMANTIC: frozenset({TagId.PARTICIPANT_TYPE}),
-    Focus.ORGANIZER_SEMANTIC: ORGANIZER_HEAD_TAGS,
+# The semantic focus each host tag takes its semantic tag from.
+_HOSTED_FOCUS: dict[TagId, Focus] = {
+    tag: focus for focus, hosts in SEMANTIC_HOSTS.items() for tag in hosts
 }
 
 
@@ -327,7 +327,7 @@ def allowed_overlap(a: Annotation, b: Annotation) -> bool:
         ):
             return True
         # iv. semantic tags sit coterminously on their hosts
-        hosts_for = _SEMANTIC_HOSTS.get(focus_of(attr.tag))
+        hosts_for = SEMANTIC_HOSTS.get(attr.tag.focus)
         if hosts_for is not None and host.tag in hosts_for and coterminous(host.span, attr.span):
             return True
     # v. same tokens may serve different events
@@ -369,11 +369,9 @@ class _DocIndex:
         self.trigger_events: set[int] = set()
         self.argument_events: set[int] = set()
         self.title_spans: list[TokenSpan] = []
-        self.event_semantic: list[Annotation] = []
-        self.participant_semantic: list[Annotation] = []
-        self.organizer_semantic: list[Annotation] = []
-        self.participant_types: list[Annotation] = []
-        self.organizer_heads: list[Annotation] = []
+        # semantic focus -> its host annotations, its semantic annotations
+        self.hosts: dict[Focus, list[Annotation]] = {focus: [] for focus in SEMANTIC_HOSTS}
+        self.semantics: dict[Focus, list[Annotation]] = {focus: [] for focus in SEMANTIC_HOSTS}
         # (annotation, first token, last token), for the span-shape rules
         self.edge_tokens: list[tuple[Annotation, str, str]] = []
         sentences = doc.sentences
@@ -383,35 +381,28 @@ class _DocIndex:
             toks = sentences[span.sentence].tokens
             self.edge_tokens.append((ann, toks[span.start], toks[span.end - 1]))
             tag = ann.tag
+            focus = tag.focus
             if tag in TRIGGER_TAGS:
                 self.triggers.append(ann)
                 self.trigger_events_by_sentence[span.sentence] |= ann.events
                 self.trigger_events |= ann.events
+            elif focus is Focus.DOC_INFO:
+                if tag is TagId.DOCUMENT_TITLE:
+                    self.title_spans.append(span)
+                continue
             else:
-                focus = focus_of(tag)
-                if focus is Focus.DOC_INFO:
-                    if tag is TagId.DOCUMENT_TITLE:
-                        self.title_spans.append(span)
-                    continue
                 self.argument_events |= ann.events
-                if tag is TagId.PARTICIPANT_TYPE:
-                    self.participant_types.append(ann)
-                elif tag in ORGANIZER_HEAD_TAGS:
-                    self.organizer_heads.append(ann)
-                elif focus is Focus.EVENT_SEMANTIC:
-                    self.event_semantic.append(ann)
-                elif focus is Focus.PARTICIPANT_SEMANTIC:
-                    self.participant_semantic.append(ann)
-                elif focus is Focus.ORGANIZER_SEMANTIC:
-                    self.organizer_semantic.append(ann)
-        # host annotation id -> its coterminous semantic tags sharing an event
-        self.trigger_partners = _semantic_partners(self.triggers, self.event_semantic)
-        self.participant_partners = _semantic_partners(
-            self.participant_types, self.participant_semantic
-        )
-        self.organizer_partners = _semantic_partners(
-            self.organizer_heads, self.organizer_semantic
-        )
+            hosted = _HOSTED_FOCUS.get(tag)
+            if hosted is not None:
+                self.hosts[hosted].append(ann)
+            elif focus in self.semantics:
+                self.semantics[focus].append(ann)
+        # semantic focus -> host annotation id -> its coterminous semantic
+        # tags sharing an event
+        self.partners = {
+            focus: _semantic_partners(self.hosts[focus], self.semantics[focus])
+            for focus in SEMANTIC_HOSTS
+        }
         self._text_cache: dict[str, str] = {}
 
     def text(self, ann: Annotation) -> str:
@@ -437,25 +428,21 @@ def _at(ann: Annotation, message: str, ids: tuple[str, ...] | None = None) -> Fi
     return (ann.span.sentence, ann.span, (ann.id,) if ids is None else ids, message)
 
 
-def _unpaired(
-    hosts: Iterable[Annotation],
-    partners: Mapping[str, list[Annotation]],
-    semantics: Iterable[Annotation],
-    no_semantic: str,
-    no_host: str,
-) -> Iterator[Finding]:
-    """Hosts without a coterminous semantic tag, then semantic tags without a host.
+def _unpaired(idx: _DocIndex, focus: Focus, no_semantic: str, no_host: str) -> Iterator[Finding]:
+    """Hosts of ``focus`` without a coterminous semantic tag, then semantic
+    tags of ``focus`` without a host.
 
     ``no_semantic`` and ``no_host`` are messages; ``{tag}`` in them names
     the unpaired annotation's tag.
     """
+    partners = idx.partners[focus]
     hosted: set[str] = set()
-    for host in hosts:
+    for host in idx.hosts[focus]:
         sems = partners[host.id]
         hosted.update(sem.id for sem in sems)
         if not sems:
             yield _at(host, no_semantic.format(tag=host.tag.value))
-    for sem in semantics:
+    for sem in idx.semantics[focus]:
         if sem.id not in hosted:
             yield _at(sem, no_host.format(tag=sem.tag.value))
 
@@ -465,7 +452,7 @@ def _argument_without_trigger(idx: _DocIndex) -> Iterator[Finding]:
     trig_by_sent = idx.trigger_events_by_sentence
     for ann in idx.anns:
         tag = ann.tag
-        if tag in TRIGGER_TAGS or focus_of(tag) is Focus.DOC_INFO:
+        if tag in TRIGGER_TAGS or tag.focus is Focus.DOC_INFO:
             continue
         if ann.events.isdisjoint(trig_by_sent.get(ann.span.sentence, ())):
             if idx.in_title(ann):
@@ -485,7 +472,7 @@ def _event_without_trigger(idx: _DocIndex) -> Iterator[Finding]:
             for ann in idx.anns
             if number in ann.events
             and ann.tag not in TRIGGER_TAGS
-            and focus_of(ann.tag) is not Focus.DOC_INFO
+            and ann.tag.focus is not Focus.DOC_INFO
         )
         yield _at(first, f"event {number} is referenced by arguments but has no trigger annotation")
 
@@ -509,8 +496,8 @@ def _trigger_discipline(idx: _DocIndex) -> Iterator[Finding]:
                     tuple(t.id for t in group),
                 )
     # semantic tags and triggers pair up coterminously, one tag per trigger
-    partners = idx.trigger_partners
-    for trig in idx.triggers:
+    partners = idx.partners[Focus.EVENT_SEMANTIC]
+    for trig in idx.hosts[Focus.EVENT_SEMANTIC]:
         sems = partners[trig.id]
         if len(sems) > 1:
             yield _at(
@@ -519,9 +506,8 @@ def _trigger_discipline(idx: _DocIndex) -> Iterator[Finding]:
                 (trig.id, *(sem.id for sem in sems)),
             )
     yield from _unpaired(
-        idx.triggers,
-        partners,
-        idx.event_semantic,
+        idx,
+        Focus.EVENT_SEMANTIC,
         "trigger {tag} has no coterminous semantic category tag",
         "semantic tag {tag} is not coterminous with a trigger of its event",
     )
@@ -530,9 +516,8 @@ def _trigger_discipline(idx: _DocIndex) -> Iterator[Finding]:
 @rule("E022", Severity.ERROR, "participant_type and participant semantic tag not paired")
 def _participant_pairing(idx: _DocIndex) -> Iterator[Finding]:
     return _unpaired(
-        idx.participant_types,
-        idx.participant_partners,
-        idx.participant_semantic,
+        idx,
+        Focus.PARTICIPANT_SEMANTIC,
         "participant_type without a coterminous participant semantic tag",
         "participant semantic tag {tag} without a coterminous participant_type",
     )
@@ -541,9 +526,8 @@ def _participant_pairing(idx: _DocIndex) -> Iterator[Finding]:
 @rule("E023", Severity.ERROR, "organizer type/name and organizer semantic tag not paired")
 def _organizer_pairing(idx: _DocIndex) -> Iterator[Finding]:
     return _unpaired(
-        idx.organizer_heads,
-        idx.organizer_partners,
-        idx.organizer_semantic,
+        idx,
+        Focus.ORGANIZER_SEMANTIC,
         "{tag} without a coterminous organizer semantic tag",
         "organizer semantic tag {tag} without a coterminous organizer type/name",
     )
@@ -576,12 +560,7 @@ def _unlicensed_overlap(idx: _DocIndex) -> Iterator[Finding]:
 
 @rule("E050", Severity.ERROR, "event-level content in a document labeled no_protest")
 def _no_protest_content(idx: _DocIndex) -> Iterator[Finding]:
-    labels = idx.doc.labels
-    if labels.violent is not None and labels.protest is not ProtestLabel.PROTEST:
-        yield (0, None, (), "violence label on a document not labeled protest")
-    if labels.demand is not None and labels.protest is not ProtestLabel.PROTEST:
-        yield (0, None, (), "demand label on a document not labeled protest")
-    if labels.protest is ProtestLabel.NO_PROTEST:
+    if idx.doc.labels.protest is ProtestLabel.NO_PROTEST:
         for sent in idx.doc.sentences:
             anns_here = idx.by_sentence.get(sent.index)
             if anns_here:
@@ -681,7 +660,7 @@ def _event_number_gap(idx: _DocIndex) -> Iterator[Finding]:
         carrier = next(
             ann
             for ann in idx.anns
-            if any(n > first_gap for n in ann.events) and focus_of(ann.tag) is not Focus.DOC_INFO
+            if any(n > first_gap for n in ann.events) and ann.tag.focus is not Focus.DOC_INFO
         )
         yield _at(
             carrier,
@@ -727,9 +706,9 @@ rule("W141", Severity.INFO, "event assembled without any trigger annotation")
 
 @rule("W142", Severity.WARNING, "triggers of one event carry differing semantic categories")
 def _differing_trigger_categories(idx: _DocIndex) -> Iterator[Finding]:
-    partners = idx.trigger_partners
+    partners = idx.partners[Focus.EVENT_SEMANTIC]
     categories_by_event: dict[int, dict[str, Annotation]] = defaultdict(dict)
-    for trig in idx.triggers:
+    for trig in idx.hosts[Focus.EVENT_SEMANTIC]:
         sems = partners[trig.id]
         if len(sems) != 1:
             continue  # missing/stacked semantics are E021's case
@@ -749,9 +728,9 @@ def _differing_trigger_categories(idx: _DocIndex) -> Iterator[Finding]:
 
 @rule("I150", Severity.INFO, "same participant surface form with differing semantic tags")
 def _participant_surface_variants(idx: _DocIndex) -> Iterator[Finding]:
-    partners = idx.participant_partners
+    partners = idx.partners[Focus.PARTICIPANT_SEMANTIC]
     by_surface: dict[tuple[str, ...], dict[str, Annotation]] = defaultdict(dict)
-    for head in idx.participant_types:
+    for head in idx.hosts[Focus.PARTICIPANT_SEMANTIC]:
         sems = partners[head.id]
         if sems:
             surface = tuple(t.casefold() for t in idx.tokens(head))

@@ -84,129 +84,72 @@ class Focus(str, enum.Enum):
 
 
 class TagId(str, enum.Enum):
-    """Closed enumeration of canonical tag names."""
+    """Closed enumeration of canonical tag names.
 
-    # document information
-    DOCUMENT_TITLE = "document_title"
-    EVENT_TIME_PUBLISHED = "event_time_published"
-    EVENT_PLACE_PUBLISHED = "event_place_published"
-    # event references and event arguments
-    EVENT_TYPE = "event_type"
-    EVENT_MENTION = "event_mention"
-    EVENT_TIME = "event_time"
-    EVENT_PLACE = "event_place"
-    FACILITY_TYPE = "facility_type"
-    FACILITY_NAME = "facility_name"
-    URBAN_LOCATION_IDENTIFIER = "urban_location_identifier"
-    RURAL_LOCATION_IDENTIFIER = "rural_location_identifier"
-    # semantic categories of events
-    DEMONSTRATION = "demonstration"
-    INDUSTRIAL_ACTION = "industrial_action"
-    GROUP_CLASH = "group_clash"
-    ARMED_MILITANCY = "armed_militancy"
-    ELECTORAL_POLITICS = "electoral_politics"
-    OTHER_EVENT = "other_event"
-    # participants
-    PARTICIPANT_TYPE = "participant_type"
-    PARTICIPANT_NAME = "participant_name"
-    PARTICIPANT_COUNT = "participant_count"
-    PARTICIPANT_IDEOLOGY = "participant_ideology"
-    PARTICIPANT_ETHNICITY = "participant_ethnicity"
-    PARTICIPANT_RELIGION = "participant_religion"
-    PARTICIPANT_CASTE = "participant_caste"
-    PARTICIPANT_SES = "participant_ses"
-    # semantic categories of participants
-    PEASANT = "peasant"
-    WORKER = "worker"
-    SMALL_PRODUCER = "small_producer"
-    EMPLOYER_EXECUTIVE = "employer_executive"
-    PROFESSIONAL = "professional"
-    STUDENT = "student"
-    POLITICIAN = "politician"
-    ACTIVIST = "activist"
-    MILITANT = "militant"
-    PEOPLE = "people"
-    OTHER_PARTICIPANT = "other_participant"
-    # organizers
-    ORGANIZER_TYPE = "organizer_type"
-    ORGANIZER_NAME = "organizer_name"
-    ORGANIZER_IDEOLOGY = "organizer_ideology"
-    ORGANIZER_ETHNICITY = "organizer_ethnicity"
-    ORGANIZER_RELIGION = "organizer_religion"
-    ORGANIZER_CASTE = "organizer_caste"
-    ORGANIZER_SES = "organizer_ses"
-    # semantic categories of organizers
-    POLITICAL_PARTY = "political_party"
-    NGO = "ngo"
-    UNION = "union"
-    MILITANT_ARMED_ORGANIZATION = "militant_armed_organization"
-    CHAMBER_OF_PROFESSIONALS = "chamber_of_professionals"
-    PERSON = "person"
-    OTHER_ORGANIZER = "other_organizer"
-    # targets
-    TARGET_TYPE = "target_type"
-    TARGET_NAME = "target_name"
+    Each member is declared with its focus, which ``tag.focus`` returns.
+    """
 
+    focus: Focus
 
-_FOCUS_OF: dict[TagId, Focus] = {}
-for _tag, _focus in [
-    (TagId.DOCUMENT_TITLE, Focus.DOC_INFO),
-    (TagId.EVENT_TIME_PUBLISHED, Focus.DOC_INFO),
-    (TagId.EVENT_PLACE_PUBLISHED, Focus.DOC_INFO),
-    (TagId.EVENT_TYPE, Focus.EVENT),
-    (TagId.EVENT_MENTION, Focus.EVENT),
-    (TagId.EVENT_TIME, Focus.EVENT),
-    (TagId.EVENT_PLACE, Focus.EVENT),
-    (TagId.FACILITY_TYPE, Focus.EVENT),
-    (TagId.FACILITY_NAME, Focus.EVENT),
-    (TagId.URBAN_LOCATION_IDENTIFIER, Focus.EVENT),
-    (TagId.RURAL_LOCATION_IDENTIFIER, Focus.EVENT),
-    (TagId.DEMONSTRATION, Focus.EVENT_SEMANTIC),
-    (TagId.INDUSTRIAL_ACTION, Focus.EVENT_SEMANTIC),
-    (TagId.GROUP_CLASH, Focus.EVENT_SEMANTIC),
-    (TagId.ARMED_MILITANCY, Focus.EVENT_SEMANTIC),
-    (TagId.ELECTORAL_POLITICS, Focus.EVENT_SEMANTIC),
-    (TagId.OTHER_EVENT, Focus.EVENT_SEMANTIC),
-    (TagId.PARTICIPANT_TYPE, Focus.PARTICIPANT),
-    (TagId.PARTICIPANT_NAME, Focus.PARTICIPANT),
-    (TagId.PARTICIPANT_COUNT, Focus.PARTICIPANT),
-    (TagId.PARTICIPANT_IDEOLOGY, Focus.PARTICIPANT),
-    (TagId.PARTICIPANT_ETHNICITY, Focus.PARTICIPANT),
-    (TagId.PARTICIPANT_RELIGION, Focus.PARTICIPANT),
-    (TagId.PARTICIPANT_CASTE, Focus.PARTICIPANT),
-    (TagId.PARTICIPANT_SES, Focus.PARTICIPANT),
-    (TagId.PEASANT, Focus.PARTICIPANT_SEMANTIC),
-    (TagId.WORKER, Focus.PARTICIPANT_SEMANTIC),
-    (TagId.SMALL_PRODUCER, Focus.PARTICIPANT_SEMANTIC),
-    (TagId.EMPLOYER_EXECUTIVE, Focus.PARTICIPANT_SEMANTIC),
-    (TagId.PROFESSIONAL, Focus.PARTICIPANT_SEMANTIC),
-    (TagId.STUDENT, Focus.PARTICIPANT_SEMANTIC),
-    (TagId.POLITICIAN, Focus.PARTICIPANT_SEMANTIC),
-    (TagId.ACTIVIST, Focus.PARTICIPANT_SEMANTIC),
-    (TagId.MILITANT, Focus.PARTICIPANT_SEMANTIC),
-    (TagId.PEOPLE, Focus.PARTICIPANT_SEMANTIC),
-    (TagId.OTHER_PARTICIPANT, Focus.PARTICIPANT_SEMANTIC),
-    (TagId.ORGANIZER_TYPE, Focus.ORGANIZER),
-    (TagId.ORGANIZER_NAME, Focus.ORGANIZER),
-    (TagId.ORGANIZER_IDEOLOGY, Focus.ORGANIZER),
-    (TagId.ORGANIZER_ETHNICITY, Focus.ORGANIZER),
-    (TagId.ORGANIZER_RELIGION, Focus.ORGANIZER),
-    (TagId.ORGANIZER_CASTE, Focus.ORGANIZER),
-    (TagId.ORGANIZER_SES, Focus.ORGANIZER),
-    (TagId.POLITICAL_PARTY, Focus.ORGANIZER_SEMANTIC),
-    (TagId.NGO, Focus.ORGANIZER_SEMANTIC),
-    (TagId.UNION, Focus.ORGANIZER_SEMANTIC),
-    (TagId.MILITANT_ARMED_ORGANIZATION, Focus.ORGANIZER_SEMANTIC),
-    (TagId.CHAMBER_OF_PROFESSIONALS, Focus.ORGANIZER_SEMANTIC),
-    (TagId.PERSON, Focus.ORGANIZER_SEMANTIC),
-    (TagId.OTHER_ORGANIZER, Focus.ORGANIZER_SEMANTIC),
-    (TagId.TARGET_TYPE, Focus.TARGET),
-    (TagId.TARGET_NAME, Focus.TARGET),
-]:
-    _FOCUS_OF[_tag] = _focus
-del _tag, _focus
+    def __new__(cls, name: str, focus: Focus) -> TagId:
+        tag = str.__new__(cls, name)
+        tag._value_ = name
+        tag.focus = focus
+        return tag
 
-assert len(_FOCUS_OF) == len(TagId)
+    DOCUMENT_TITLE = "document_title", Focus.DOC_INFO
+    EVENT_TIME_PUBLISHED = "event_time_published", Focus.DOC_INFO
+    EVENT_PLACE_PUBLISHED = "event_place_published", Focus.DOC_INFO
+    EVENT_TYPE = "event_type", Focus.EVENT
+    EVENT_MENTION = "event_mention", Focus.EVENT
+    EVENT_TIME = "event_time", Focus.EVENT
+    EVENT_PLACE = "event_place", Focus.EVENT
+    FACILITY_TYPE = "facility_type", Focus.EVENT
+    FACILITY_NAME = "facility_name", Focus.EVENT
+    URBAN_LOCATION_IDENTIFIER = "urban_location_identifier", Focus.EVENT
+    RURAL_LOCATION_IDENTIFIER = "rural_location_identifier", Focus.EVENT
+    DEMONSTRATION = "demonstration", Focus.EVENT_SEMANTIC
+    INDUSTRIAL_ACTION = "industrial_action", Focus.EVENT_SEMANTIC
+    GROUP_CLASH = "group_clash", Focus.EVENT_SEMANTIC
+    ARMED_MILITANCY = "armed_militancy", Focus.EVENT_SEMANTIC
+    ELECTORAL_POLITICS = "electoral_politics", Focus.EVENT_SEMANTIC
+    OTHER_EVENT = "other_event", Focus.EVENT_SEMANTIC
+    PARTICIPANT_TYPE = "participant_type", Focus.PARTICIPANT
+    PARTICIPANT_NAME = "participant_name", Focus.PARTICIPANT
+    PARTICIPANT_COUNT = "participant_count", Focus.PARTICIPANT
+    PARTICIPANT_IDEOLOGY = "participant_ideology", Focus.PARTICIPANT
+    PARTICIPANT_ETHNICITY = "participant_ethnicity", Focus.PARTICIPANT
+    PARTICIPANT_RELIGION = "participant_religion", Focus.PARTICIPANT
+    PARTICIPANT_CASTE = "participant_caste", Focus.PARTICIPANT
+    PARTICIPANT_SES = "participant_ses", Focus.PARTICIPANT
+    PEASANT = "peasant", Focus.PARTICIPANT_SEMANTIC
+    WORKER = "worker", Focus.PARTICIPANT_SEMANTIC
+    SMALL_PRODUCER = "small_producer", Focus.PARTICIPANT_SEMANTIC
+    EMPLOYER_EXECUTIVE = "employer_executive", Focus.PARTICIPANT_SEMANTIC
+    PROFESSIONAL = "professional", Focus.PARTICIPANT_SEMANTIC
+    STUDENT = "student", Focus.PARTICIPANT_SEMANTIC
+    POLITICIAN = "politician", Focus.PARTICIPANT_SEMANTIC
+    ACTIVIST = "activist", Focus.PARTICIPANT_SEMANTIC
+    MILITANT = "militant", Focus.PARTICIPANT_SEMANTIC
+    PEOPLE = "people", Focus.PARTICIPANT_SEMANTIC
+    OTHER_PARTICIPANT = "other_participant", Focus.PARTICIPANT_SEMANTIC
+    ORGANIZER_TYPE = "organizer_type", Focus.ORGANIZER
+    ORGANIZER_NAME = "organizer_name", Focus.ORGANIZER
+    ORGANIZER_IDEOLOGY = "organizer_ideology", Focus.ORGANIZER
+    ORGANIZER_ETHNICITY = "organizer_ethnicity", Focus.ORGANIZER
+    ORGANIZER_RELIGION = "organizer_religion", Focus.ORGANIZER
+    ORGANIZER_CASTE = "organizer_caste", Focus.ORGANIZER
+    ORGANIZER_SES = "organizer_ses", Focus.ORGANIZER
+    POLITICAL_PARTY = "political_party", Focus.ORGANIZER_SEMANTIC
+    NGO = "ngo", Focus.ORGANIZER_SEMANTIC
+    UNION = "union", Focus.ORGANIZER_SEMANTIC
+    MILITANT_ARMED_ORGANIZATION = "militant_armed_organization", Focus.ORGANIZER_SEMANTIC
+    CHAMBER_OF_PROFESSIONALS = "chamber_of_professionals", Focus.ORGANIZER_SEMANTIC
+    PERSON = "person", Focus.ORGANIZER_SEMANTIC
+    OTHER_ORGANIZER = "other_organizer", Focus.ORGANIZER_SEMANTIC
+    TARGET_TYPE = "target_type", Focus.TARGET
+    TARGET_NAME = "target_name", Focus.TARGET
+
 
 # Alternative spellings that appear in annotation practice (upper-case SES,
 # the abbreviated tag names used in worked examples).  The table is fixed:
@@ -255,14 +198,19 @@ ORGANIZER_ATTRIBUTE_TAGS = frozenset(
     }
 )
 ORGANIZER_HEAD_TAGS = frozenset({TagId.ORGANIZER_TYPE, TagId.ORGANIZER_NAME})
-SEMANTIC_FOCI = frozenset(
-    {Focus.EVENT_SEMANTIC, Focus.PARTICIPANT_SEMANTIC, Focus.ORGANIZER_SEMANTIC}
-)
+# The tags a semantic tag of each semantic focus sits on, coterminously.
+# Only these hosts take a semantic category; the actor heads among them
+# are also the ones that hold attributes.
+SEMANTIC_HOSTS: dict[Focus, frozenset[TagId]] = {
+    Focus.EVENT_SEMANTIC: TRIGGER_TAGS,
+    Focus.PARTICIPANT_SEMANTIC: frozenset({TagId.PARTICIPANT_TYPE}),
+    Focus.ORGANIZER_SEMANTIC: ORGANIZER_HEAD_TAGS,
+}
 
 
 def focus_of(tag: TagId) -> Focus:
     """Return the unique focus of a tag.  Total over the enumeration."""
-    return _FOCUS_OF[tag]
+    return tag.focus
 
 
 def resolve_tag(name: str) -> TagId:
@@ -441,10 +389,6 @@ class Annotation:
                     f"annotation {self.id}: confidence {c!r} has more than 6 fractional digits"
                 )
             object.__setattr__(self, "confidence", c)
-
-    @property
-    def focus(self) -> Focus:
-        return _FOCUS_OF[self.tag]
 
 
 @dataclass(frozen=True)

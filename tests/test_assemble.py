@@ -143,6 +143,49 @@ class TestAssemblyRules:
         assert [a.text for a in participant.attributes] == ["Maoist"]
         assert [a.text for a in record.unattached_attributes] == ["Hundreds"]
 
+    def test_actor_heads_hosts_and_attributes(self):
+        doc = _doc(
+            "actors",
+            [
+                sent(0, "Hindu Mahasabha members protested ."),
+                sent(1, "Maoist Rebels and Dalit farm workers marched ."),
+            ],
+            [
+                ann("e1", TagId.EVENT_TYPE, 0, 3, 4),
+                ann("e1s", TagId.DEMONSTRATION, 0, 3, 4),
+                # an organizer attribute inside an organizer_name head
+                ann("o1", TagId.ORGANIZER_NAME, 0, 0, 2),
+                ann("o1s", TagId.POLITICAL_PARTY, 0, 0, 2),
+                ann("o1r", TagId.ORGANIZER_RELIGION, 0, 0, 1),
+                ann("e2", TagId.EVENT_MENTION, 1, 6, 7),
+                ann("e2s", TagId.DEMONSTRATION, 1, 6, 7),
+                # participant_name hosts neither a semantic tag nor attributes
+                ann("p1", TagId.PARTICIPANT_NAME, 1, 0, 2),
+                ann("p1s", TagId.MILITANT, 1, 0, 2),
+                ann("p1i", TagId.PARTICIPANT_IDEOLOGY, 1, 0, 1),
+                # an attribute inside two participant_type heads
+                ann("p2", TagId.PARTICIPANT_TYPE, 1, 3, 5),
+                ann("p2s", TagId.PEASANT, 1, 3, 5),
+                ann("p3", TagId.PARTICIPANT_TYPE, 1, 3, 6),
+                ann("p3s", TagId.WORKER, 1, 3, 6),
+                ann("p2c", TagId.PARTICIPANT_CASTE, 1, 3, 4),
+            ],
+        )
+        [record] = assemble_events(doc)
+        assert [
+            (o.tag, o.text, o.semantic, [a.text for a in o.attributes])
+            for o in record.organizers
+        ] == [(TagId.ORGANIZER_NAME, "Hindu Mahasabha", "political_party", ["Hindu"])]
+        assert [
+            (p.tag, p.text, p.semantic, [a.text for a in p.attributes])
+            for p in record.participants
+        ] == [
+            (TagId.PARTICIPANT_NAME, "Maoist Rebels", None, []),
+            (TagId.PARTICIPANT_TYPE, "Dalit farm", "peasant", []),
+            (TagId.PARTICIPANT_TYPE, "Dalit farm workers", "worker", []),
+        ]
+        assert [a.text for a in record.unattached_attributes] == ["Maoist", "Dalit"]
+
     def test_doc_info_tags_stay_out_of_events(self):
         doc = _doc(
             "pub",

@@ -31,6 +31,7 @@ from glocon.model import (
 from golden_docs import ann, bjp_square_doc, karnataka_doc, sent
 from oracle import brute_force_e030_pairs
 from randdocs import random_corpus, random_document
+from rule_fixtures import RULE_FIXTURES
 
 
 def _doc(doc_id, sentences, annotations, labels=DocumentLabels()):
@@ -257,6 +258,18 @@ class TestConfig:
         cfg = LintConfig(severity_overrides={"W103": Severity.ERROR})
         diags = validate_document(doc, cfg)
         assert [d.severity for d in diags if d.rule == "W103"] == [Severity.ERROR]
+
+    def test_severity_override_given_as_a_string(self):
+        bad, _ = RULE_FIXTURES["W103"]
+        cfg = LintConfig(severity_overrides={"W103": "error"})
+        [diag] = validate_document(bad, cfg)
+        assert diag.severity is Severity.ERROR
+        assert " W103 error " in diag.render()
+        assert validate_corpus([bad], cfg).count_at_or_above(Severity.ERROR) == 1
+
+    def test_unknown_severity_rejected(self):
+        with pytest.raises(ConfigError):
+            LintConfig(severity_overrides={"W103": "bogus"})
 
     def test_unknown_rule_rejected(self):
         with pytest.raises(ConfigError):
