@@ -53,7 +53,6 @@ from .model import (
     TokenSpan,
     ViolenceLabel,
     coterminous,
-    focus_of,
     overlaps,
 )
 

@@ -4,8 +4,11 @@ Every event number that carries at least one trigger or argument yields
 one :class:`EventRecord`.  Annotations are routed into record fields by
 one tag-to-field table; semantic tags fold into the trigger, participant
 or organizer that hosts them (``SEMANTIC_HOSTS``), and
-document-information tags stay out of events entirely.  An annotation
-numbered for several events contributes to each of their records.
+document-information tags stay out of events entirely.  An actor
+attribute attaches to the one head that holds it (``holds_attribute``,
+the overlap E030 licenses); any other non-head tag of an actor focus
+stays in ``unattached_attributes``.  An annotation numbered for several
+events contributes to each of their records.
 
 Assembly is best-effort: documents with lint errors still produce
 records (trigger-less events are flagged by :func:`check_separation`).
@@ -22,20 +25,19 @@ from typing import Iterable, Sequence
 
 from .lint import Diagnostic, diagnostic
 from .model import (
+    ACTORS,
     Annotation,
     DocumentLabels,
     DocumentRecord,
     FACILITY_TAGS,
     Focus,
     LOCATION_IDENTIFIER_TAGS,
-    ORGANIZER_ATTRIBUTE_TAGS,
-    ORGANIZER_HEAD_TAGS,
-    PARTICIPANT_ATTRIBUTE_TAGS,
     SEMANTIC_HOSTS,
     TagId,
     TARGET_TAGS,
     TokenSpan,
     TRIGGER_TAGS,
+    holds_attribute,
     span_contains,
 )
 
@@ -101,25 +103,15 @@ _ARGUMENT_FIELD: dict[TagId, str] = {
 }
 _ARGUMENT_FIELDS = frozenset(_ARGUMENT_FIELD.values())
 
-# Per actor kind: record field, head tags, attribute tags, semantic focus.
-# The heads that host the focus (SEMANTIC_HOSTS) take its semantic tag and
-# hold the attributes inside them.
-_ACTORS = (
-    (
-        "participants",
-        frozenset({TagId.PARTICIPANT_TYPE, TagId.PARTICIPANT_NAME}),
-        PARTICIPANT_ATTRIBUTE_TAGS | {TagId.PARTICIPANT_COUNT},
-        Focus.PARTICIPANT_SEMANTIC,
-    ),
-    ("organizers", ORGANIZER_HEAD_TAGS, ORGANIZER_ATTRIBUTE_TAGS, Focus.ORGANIZER_SEMANTIC),
-)
+# Record field of each actor focus (``ACTORS``); every tag of the focus goes into it.
+_ACTOR_FIELD = {Focus.PARTICIPANT: "participants", Focus.ORGANIZER: "organizers"}
 
 # Record field of every tag that goes into events; document-information and
 # semantic tags go into none.
 _FIELD_OF: dict[TagId, str] = {
     **dict.fromkeys(TRIGGER_TAGS, "triggers"),
     **_ARGUMENT_FIELD,
-    **{tag: field for field, heads, attributes, _ in _ACTORS for tag in heads | attributes},
+    **{tag: _ACTOR_FIELD[tag.focus] for tag in TagId if tag.focus in _ACTOR_FIELD},
 }
 
 
@@ -159,26 +151,26 @@ def assemble_events(doc: DocumentRecord) -> list[EventRecord]:
             for field in _ARGUMENT_FIELDS
         }
         unattached: list[ArgumentRef] = []
-        for field, head_tags, _, focus in _ACTORS:
-            heads = [a for a in group[field] if a.tag in head_tags]
-            hosts = [h for h in heads if h.tag in SEMANTIC_HOSTS[focus]]
+        for actor_focus, field in _ACTOR_FIELD.items():
+            actor = ACTORS[actor_focus]
+            heads = [a for a in group[field] if a.tag in actor.heads]
             attached: dict[str, list[ArgumentRef]] = defaultdict(list)
             for attr in group[field]:
-                if attr.tag in head_tags:
+                if attr.tag in actor.heads:
                     continue
                 ref = ArgumentRef(attr.tag, attr.span, text_of(attr))
-                containers = [h for h in hosts if span_contains(h.span, attr.span)]
+                containers = [h for h in heads if holds_attribute(h, attr)]
                 if len(containers) == 1:
                     attached[containers[0].id].append(ref)
                 else:
-                    # zero containers, or an ambiguous tie: keep at event level
+                    # no head holds it, or an ambiguous tie: keep at event level
                     unattached.append(ref)
             fields[field] = tuple(
                 ParticipantRecord(
                     tag=head.tag,
                     span=head.span,
                     text=text_of(head),
-                    semantic=semantic_of(head, focus, number),
+                    semantic=semantic_of(head, actor.semantic, number),
                     attributes=tuple(attached[head.id]),
                 )
                 for head in heads

@@ -116,7 +116,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         except OSError as exc:
             print(f"glocon: cannot read config {args.config}: {exc}", file=sys.stderr)
             return EXIT_IO
-        except (ConfigError, json.JSONDecodeError) as exc:
+        except ConfigError as exc:
             print(f"glocon: bad config {args.config}: {exc}", file=sys.stderr)
             return EXIT_USAGE
     docs, parse_errors, failure = _read_corpus(args.corpus)

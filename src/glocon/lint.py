@@ -25,14 +25,12 @@ from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .model import (
+    ACTORS,
     Annotation,
     DocumentRecord,
     FACILITY_TAGS,
     Focus,
     LOCATION_IDENTIFIER_TAGS,
-    ORGANIZER_ATTRIBUTE_TAGS,
-    ORGANIZER_HEAD_TAGS,
-    PARTICIPANT_ATTRIBUTE_TAGS,
     ProtestLabel,
     SEMANTIC_HOSTS,
     SentenceLabel,
@@ -42,6 +40,7 @@ from .model import (
     TRIGGER_TAGS,
     annotation_sort_key,
     coterminous,
+    holds_attribute,
     overlaps,
     span_contains,
 )
@@ -249,6 +248,10 @@ def load_config(path: str) -> LintConfig:
             obj = json.load(handle)
         except UnicodeDecodeError as exc:
             raise ConfigError(f"not UTF-8: {exc}") from None
+        except (ValueError, RecursionError) as exc:
+            # invalid JSON, an integer past int()'s digit limit, or nesting
+            # past the recursion limit
+            raise ConfigError(str(exc)) from None
     return LintConfig.from_obj(obj)
 
 
@@ -277,12 +280,7 @@ def is_punctuation_token(token: str) -> bool:
 
 # Per-focus *_type / *_name pairs that must never overlap each other.
 _NAME_EXCLUSIVE_PAIRS = frozenset(
-    {
-        frozenset({TagId.PARTICIPANT_TYPE, TagId.PARTICIPANT_NAME}),
-        frozenset({TagId.ORGANIZER_TYPE, TagId.ORGANIZER_NAME}),
-        frozenset({TagId.FACILITY_TYPE, TagId.FACILITY_NAME}),
-        frozenset({TagId.TARGET_TYPE, TagId.TARGET_NAME}),
-    }
+    {FACILITY_TAGS, TARGET_TAGS, *(actor.heads for actor in ACTORS.values())}
 )
 
 # The semantic focus each host tag takes its semantic tag from.
@@ -311,20 +309,9 @@ def allowed_overlap(a: Annotation, b: Annotation) -> bool:
     # i. document title overlays all event information in the title
     if ta is TagId.DOCUMENT_TITLE or tb is TagId.DOCUMENT_TITLE:
         return True
-    # ii. participant attributes inside the participant_type span
     for host, attr in ((a, b), (b, a)):
-        if (
-            host.tag is TagId.PARTICIPANT_TYPE
-            and attr.tag in PARTICIPANT_ATTRIBUTE_TAGS
-            and span_contains(host.span, attr.span)
-        ):
-            return True
-        # iii. organizer attributes inside organizer type/name spans
-        if (
-            host.tag in ORGANIZER_HEAD_TAGS
-            and attr.tag in ORGANIZER_ATTRIBUTE_TAGS
-            and span_contains(host.span, attr.span)
-        ):
+        # ii, iii. actor attributes inside the heads that hold them
+        if holds_attribute(host, attr):
             return True
         # iv. semantic tags sit coterminously on their hosts
         hosts_for = SEMANTIC_HOSTS.get(attr.tag.focus)

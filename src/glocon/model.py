@@ -16,7 +16,7 @@ import enum
 import re
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 
 class ParseErrorKind(str, enum.Enum):
@@ -179,38 +179,50 @@ TARGET_TAGS = frozenset({TagId.TARGET_TYPE, TagId.TARGET_NAME})
 LOCATION_IDENTIFIER_TAGS = frozenset(
     {TagId.URBAN_LOCATION_IDENTIFIER, TagId.RURAL_LOCATION_IDENTIFIER}
 )
-PARTICIPANT_ATTRIBUTE_TAGS = frozenset(
-    {
-        TagId.PARTICIPANT_IDEOLOGY,
-        TagId.PARTICIPANT_ETHNICITY,
-        TagId.PARTICIPANT_RELIGION,
-        TagId.PARTICIPANT_CASTE,
-        TagId.PARTICIPANT_SES,
-    }
-)
-ORGANIZER_ATTRIBUTE_TAGS = frozenset(
-    {
-        TagId.ORGANIZER_IDEOLOGY,
-        TagId.ORGANIZER_ETHNICITY,
-        TagId.ORGANIZER_RELIGION,
-        TagId.ORGANIZER_CASTE,
-        TagId.ORGANIZER_SES,
-    }
-)
-ORGANIZER_HEAD_TAGS = frozenset({TagId.ORGANIZER_TYPE, TagId.ORGANIZER_NAME})
+
+
+class Actor(NamedTuple):
+    """Tag roles of an actor focus: its type and name ``heads``, the ``hosts``
+    among them that take the ``semantic`` focus's tag and hold the
+    ``attributes`` inside them.  Other tags of the focus are plain arguments."""
+
+    heads: frozenset[TagId]
+    hosts: frozenset[TagId]
+    attributes: frozenset[TagId]
+    semantic: Focus
+
+
+# participant_count is a participant argument, never an attribute.
+ACTORS: dict[Focus, Actor] = {
+    Focus.PARTICIPANT: Actor(
+        heads=frozenset({TagId.PARTICIPANT_TYPE, TagId.PARTICIPANT_NAME}),
+        hosts=frozenset({TagId.PARTICIPANT_TYPE}),
+        attributes=frozenset(
+            {TagId.PARTICIPANT_IDEOLOGY, TagId.PARTICIPANT_ETHNICITY, TagId.PARTICIPANT_RELIGION,
+             TagId.PARTICIPANT_CASTE, TagId.PARTICIPANT_SES}
+        ),
+        semantic=Focus.PARTICIPANT_SEMANTIC,
+    ),
+    Focus.ORGANIZER: Actor(
+        heads=frozenset({TagId.ORGANIZER_TYPE, TagId.ORGANIZER_NAME}),
+        hosts=frozenset({TagId.ORGANIZER_TYPE, TagId.ORGANIZER_NAME}),
+        attributes=frozenset(
+            {TagId.ORGANIZER_IDEOLOGY, TagId.ORGANIZER_ETHNICITY, TagId.ORGANIZER_RELIGION,
+             TagId.ORGANIZER_CASTE, TagId.ORGANIZER_SES}
+        ),
+        semantic=Focus.ORGANIZER_SEMANTIC,
+    ),
+}
 # The tags a semantic tag of each semantic focus sits on, coterminously.
-# Only these hosts take a semantic category; the actor heads among them
-# are also the ones that hold attributes.
+# Only these hosts take a semantic category.
 SEMANTIC_HOSTS: dict[Focus, frozenset[TagId]] = {
     Focus.EVENT_SEMANTIC: TRIGGER_TAGS,
-    Focus.PARTICIPANT_SEMANTIC: frozenset({TagId.PARTICIPANT_TYPE}),
-    Focus.ORGANIZER_SEMANTIC: ORGANIZER_HEAD_TAGS,
+    **{actor.semantic: actor.hosts for actor in ACTORS.values()},
 }
-
-
-def focus_of(tag: TagId) -> Focus:
-    """Return the unique focus of a tag.  Total over the enumeration."""
-    return tag.focus
+# The heads that hold each attribute tag.
+ATTRIBUTE_HOSTS: dict[TagId, frozenset[TagId]] = {
+    tag: actor.hosts for actor in ACTORS.values() for tag in actor.attributes
+}
 
 
 def resolve_tag(name: str) -> TagId:
@@ -338,6 +350,12 @@ def span_contains(outer: TokenSpan, inner: TokenSpan) -> bool:
         and outer.start <= inner.start
         and inner.end <= outer.end
     )
+
+
+def holds_attribute(head: Annotation, attr: Annotation) -> bool:
+    """Is ``attr`` an attribute inside ``head``, a head that holds it?  E030
+    licenses exactly these overlaps, and assembly attaches exactly there."""
+    return head.tag in ATTRIBUTE_HOSTS.get(attr.tag, ()) and span_contains(head.span, attr.span)
 
 
 @dataclass(frozen=True)

@@ -9,12 +9,12 @@ from glocon.assemble import (
     EXPORT_COLUMNS,
 )
 from glocon.io import parse_corpus, serialize_corpus
+from glocon.lint import validate_document
 from glocon.model import (
     DocumentLabels,
     DocumentRecord,
     Focus,
     TagId,
-    focus_of,
 )
 from golden_docs import ann, sent
 from randdocs import random_document
@@ -186,6 +186,29 @@ class TestAssemblyRules:
         ]
         assert [a.text for a in record.unattached_attributes] == ["Maoist", "Dalit"]
 
+    def test_count_inside_head_is_not_an_attribute(self):
+        # participant_count is a participant argument, not an attribute: its
+        # overlap with the head is unlicensed, and it never attaches to it
+        doc = _doc(
+            "count",
+            [sent(0, "Hundreds of workers marched .")],
+            [
+                ann("e1", TagId.EVENT_TYPE, 0, 3, 4),
+                ann("e1s", TagId.DEMONSTRATION, 0, 3, 4),
+                ann("p1", TagId.PARTICIPANT_TYPE, 0, 0, 3),
+                ann("p1s", TagId.WORKER, 0, 0, 3),
+                ann("c1", TagId.PARTICIPANT_COUNT, 0, 0, 1),
+            ],
+        )
+        assert [d.render() for d in validate_document(doc)] == [
+            "count:0:0-1 E030 error unlicensed overlap of participant_count and participant_type",
+            "count:0:0-1 E030 error unlicensed overlap of participant_count and worker",
+        ]
+        [record] = assemble_events(doc)
+        [head] = record.participants
+        assert head.attributes == ()
+        assert [a.text for a in record.unattached_attributes] == ["Hundreds"]
+
     def test_doc_info_tags_stay_out_of_events(self):
         doc = _doc(
             "pub",
@@ -321,7 +344,7 @@ class TestAssemblyProperties:
     def _content_contributions(self, doc):
         total = 0
         for a in doc.annotations:
-            focus = focus_of(a.tag)
+            focus = a.tag.focus
             if focus is Focus.DOC_INFO or focus in (
                 Focus.EVENT_SEMANTIC,
                 Focus.PARTICIPANT_SEMANTIC,

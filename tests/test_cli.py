@@ -105,9 +105,11 @@ class TestValidateCommand:
             b'{"lexicons": {"countries": "India"}}',
             b'{"lexicons": {"estimation_qualifiers": [""]}}',
             b'{"disabled_rules": ["W103\xff"]}',
+            b"[" * 100_000 + b"]" * 100_000,
+            b'{"disabled_rules": [' + b"1" * 5_000 + b"]}",
         ],
         ids=["overrides-list", "nested-rule-list", "non-string-word", "string-lexicon",
-             "blank-word", "not-utf8"],
+             "blank-word", "not-utf8", "nested-past-recursion-limit", "integer-past-digit-limit"],
     )
     def test_ill_typed_config_is_usage_error(self, corpus_file, tmp_path, capsys, content):
         corpus = corpus_file([bjp_square_doc()])

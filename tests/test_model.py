@@ -20,7 +20,6 @@ from glocon.model import (
     UnknownTagError,
     ViolenceLabel,
     coterminous,
-    focus_of,
     overlaps,
     resolve_tag,
 )
@@ -28,7 +27,7 @@ from glocon.model import (
 
 def test_focus_of_is_total():
     for tag in TagId:
-        assert isinstance(focus_of(tag), Focus)
+        assert isinstance(tag.focus, Focus)
 
 
 @pytest.mark.parametrize(
@@ -42,13 +41,13 @@ def test_focus_of_is_total():
     ],
 )
 def test_focus_of_examples(tag, focus):
-    assert focus_of(tag) is focus
+    assert tag.focus is focus
 
 
 def test_focus_partition_sizes():
     by_focus = {}
     for tag in TagId:
-        by_focus.setdefault(focus_of(tag), []).append(tag)
+        by_focus.setdefault(tag.focus, []).append(tag)
     assert len(by_focus[Focus.DOC_INFO]) == 3
     assert len(by_focus[Focus.EVENT]) == 8
     assert len(by_focus[Focus.EVENT_SEMANTIC]) == 6
