@@ -15,17 +15,16 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from dataclasses import asdict, dataclass
+from typing import Mapping, Sequence
 
 from .model import (
+    DOC_LABELS,
     Annotation,
-    DemandLabel,
     DocumentRecord,
-    ProtestLabel,
     SentenceLabel,
-    ViolenceLabel,
     coterminous,
+    label_text,
     overlaps,
 )
 
@@ -84,17 +83,19 @@ def pair_corpora(
 
 
 class AgreementLevel(str, enum.Enum):
+    """A label level: ``doc_<key>`` for each ``DOC_LABELS`` key, then sentences."""
+
     DOC_PROTEST = "doc_protest"
     DOC_VIOLENT = "doc_violent"
     DOC_DEMAND = "doc_demand"
     SENTENCE = "sentence"
 
 
+# The DOC_LABELS key each document level scores.
+_DOC_LEVEL_KEY = {AgreementLevel(f"doc_{key}"): key for key in DOC_LABELS}
 _LEVEL_CATEGORIES: dict[AgreementLevel, tuple[str, ...]] = {
-    AgreementLevel.DOC_PROTEST: tuple(l.value for l in ProtestLabel),
-    AgreementLevel.DOC_VIOLENT: tuple(l.value for l in ViolenceLabel),
-    AgreementLevel.DOC_DEMAND: tuple(l.value for l in DemandLabel),
-    AgreementLevel.SENTENCE: tuple(str(int(l)) for l in SentenceLabel),
+    **{level: tuple(map(label_text, DOC_LABELS[key])) for level, key in _DOC_LEVEL_KEY.items()},
+    AgreementLevel.SENTENCE: tuple(map(label_text, SentenceLabel)),
 }
 
 
@@ -132,23 +133,12 @@ class KappaResult:
         }
 
 
-def _doc_label_items(level: AgreementLevel) -> Callable[[DocumentRecord, DocumentRecord], list]:
-    attr = {
-        AgreementLevel.DOC_PROTEST: "protest",
-        AgreementLevel.DOC_VIOLENT: "violent",
-        AgreementLevel.DOC_DEMAND: "demand",
-    }[level]
-
-    def items(doc_a: DocumentRecord, doc_b: DocumentRecord) -> list:
-        return [(getattr(doc_a.labels, attr), getattr(doc_b.labels, attr))]
-
-    return items
-
-
-def _sentence_items(doc_a: DocumentRecord, doc_b: DocumentRecord) -> list:
-    return [
-        (sa.label, sb.label) for sa, sb in zip(doc_a.sentences, doc_b.sentences)
-    ]
+def _labels(doc: DocumentRecord, level: AgreementLevel) -> Sequence:
+    """The labels ``level`` scores in ``doc``, one per item (``None`` if unset)."""
+    key = _DOC_LEVEL_KEY.get(level)
+    if key is None:
+        return [sent.label for sent in doc.sentences]
+    return (getattr(doc.labels, key),)
 
 
 def cohen_kappa(
@@ -185,21 +175,13 @@ def label_kappa(
     Items where either annotator left the label unset are skipped (and
     counted in the result).
     """
-    items = (
-        _sentence_items if level is AgreementLevel.SENTENCE else _doc_label_items(level)
-    )
-    labeled: list[tuple[str, str]] = []
-    skipped = 0
-    for doc_a, doc_b in pairs:
-        for la, lb in items(doc_a, doc_b):
-            if la is None or lb is None:
-                skipped += 1
-                continue
-            if level is AgreementLevel.SENTENCE:
-                labeled.append((str(int(la)), str(int(lb))))
-            else:
-                labeled.append((la.value, lb.value))
-    return cohen_kappa(level, labeled, skipped)
+    items = [
+        item for doc_a, doc_b in pairs for item in zip(_labels(doc_a, level), _labels(doc_b, level))
+    ]
+    labeled = [
+        (label_text(la), label_text(lb)) for la, lb in items if la is not None and lb is not None
+    ]
+    return cohen_kappa(level, labeled, len(items) - len(labeled))
 
 
 class MatchMode(str, enum.Enum):
@@ -236,22 +218,12 @@ class PRFReport:
     documents: int
 
     def to_obj(self) -> dict:
-        def score_obj(s: TagScore) -> dict:
-            return {
-                "tp": s.tp,
-                "fp": s.fp,
-                "fn": s.fn,
-                "precision": s.precision,
-                "recall": s.recall,
-                "f1": s.f1,
-            }
-
         return {
             "mode": self.mode.value,
             "reference": self.reference,
             "documents": self.documents,
-            "micro": score_obj(self.micro),
-            "per_tag": {tag: score_obj(s) for tag, s in sorted(self.per_tag.items())},
+            "micro": asdict(self.micro),
+            "per_tag": {tag: asdict(s) for tag, s in sorted(self.per_tag.items())},
         }
 
 

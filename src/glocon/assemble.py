@@ -26,6 +26,7 @@ from typing import Iterable, Sequence
 from .lint import Diagnostic, diagnostic
 from .model import (
     ACTORS,
+    DOC_LABELS,
     Annotation,
     DocumentLabels,
     DocumentRecord,
@@ -38,6 +39,7 @@ from .model import (
     TokenSpan,
     TRIGGER_TAGS,
     holds_attribute,
+    label_text,
     span_contains,
 )
 
@@ -278,9 +280,7 @@ EXPORT_COLUMNS = (
     "organizers",
     "organizer_semantics",
     "targets",
-    "doc_protest",
-    "doc_violent",
-    "doc_demand",
+    *(f"doc_{key}" for key in DOC_LABELS),
 )
 
 
@@ -292,31 +292,25 @@ def export_rows(records: Iterable[EventRecord]) -> list[dict[str, str]]:
     """
     rows = []
     for record in sorted(records, key=lambda r: (r.doc_id, r.event_number)):
-        labels = record.doc_labels
-        rows.append(
-            {
-                "doc_id": record.doc_id,
-                "event_number": str(record.event_number),
-                "semantic_category": record.semantic_category or "",
-                "triggers": "|".join(t.text for t in record.triggers),
-                "times": "|".join(t.text for t in record.times),
-                "places": "|".join(p.text for p in record.places),
-                "facilities": "|".join(f.text for f in record.facilities),
-                "urban_rural": "|".join(m.text for m in record.urban_rural_markers),
-                "participants": "|".join(p.text for p in record.participants),
-                "participant_semantics": "|".join(
-                    p.semantic or "" for p in record.participants
-                ),
-                "organizers": "|".join(o.text for o in record.organizers),
-                "organizer_semantics": "|".join(
-                    o.semantic or "" for o in record.organizers
-                ),
-                "targets": "|".join(t.text for t in record.targets),
-                "doc_protest": labels.protest.value if labels.protest else "",
-                "doc_violent": labels.violent.value if labels.violent else "",
-                "doc_demand": labels.demand.value if labels.demand else "",
-            }
-        )
+        row = {
+            "doc_id": record.doc_id,
+            "event_number": str(record.event_number),
+            "semantic_category": record.semantic_category or "",
+            "triggers": "|".join(t.text for t in record.triggers),
+            "times": "|".join(t.text for t in record.times),
+            "places": "|".join(p.text for p in record.places),
+            "facilities": "|".join(f.text for f in record.facilities),
+            "urban_rural": "|".join(m.text for m in record.urban_rural_markers),
+            "participants": "|".join(p.text for p in record.participants),
+            "participant_semantics": "|".join(p.semantic or "" for p in record.participants),
+            "organizers": "|".join(o.text for o in record.organizers),
+            "organizer_semantics": "|".join(o.semantic or "" for o in record.organizers),
+            "targets": "|".join(t.text for t in record.targets),
+        }
+        for key in DOC_LABELS:
+            label = getattr(record.doc_labels, key)
+            row[f"doc_{key}"] = "" if label is None else label_text(label)
+        rows.append(row)
     return rows
 
 

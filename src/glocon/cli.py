@@ -33,7 +33,7 @@ from .agreement import (
 from .assemble import assemble_events, export_rows, rows_to_csv, rows_to_jsonl
 from .io import CorpusDecodeError, load_corpus
 from .lint import ConfigError, DEFAULT_CONFIG, Severity, load_config, validate_corpus
-from .model import DocumentRecord
+from .model import DOC_LABELS, DocumentRecord, label_text
 
 EXIT_OK = 0
 EXIT_FINDINGS = 1
@@ -49,9 +49,10 @@ class Stats:
     sentences: int = 0
     annotations: int = 0
     tag_counts: Counter = field(default_factory=Counter)
-    protest_labels: Counter = field(default_factory=Counter)
-    violent_labels: Counter = field(default_factory=Counter)
-    demand_labels: Counter = field(default_factory=Counter)
+    # DOC_LABELS key -> label text (or "unlabeled") -> documents
+    doc_labels: dict[str, Counter] = field(
+        default_factory=lambda: {key: Counter() for key in DOC_LABELS}
+    )
     sentence_labels: Counter = field(default_factory=Counter)
     events_total: int = 0
     events_per_doc: dict[str, int] = field(default_factory=dict)
@@ -63,9 +64,10 @@ class Stats:
             "annotations": self.annotations,
             "events_total": self.events_total,
             "tag_counts": dict(sorted(self.tag_counts.items())),
-            "protest_labels": dict(sorted(self.protest_labels.items())),
-            "violent_labels": dict(sorted(self.violent_labels.items())),
-            "demand_labels": dict(sorted(self.demand_labels.items())),
+            **{
+                f"{key}_labels": dict(sorted(counts.items()))
+                for key, counts in self.doc_labels.items()
+            },
             "sentence_labels": dict(sorted(self.sentence_labels.items())),
             "events_per_doc": self.events_per_doc,
         }
@@ -78,12 +80,11 @@ def corpus_stats(docs: Sequence[DocumentRecord]) -> Stats:
         stats.sentences += len(doc.sentences)
         stats.annotations += len(doc.annotations)
         for sent in doc.sentences:
-            key = "unlabeled" if sent.label is None else str(int(sent.label))
+            key = "unlabeled" if sent.label is None else label_text(sent.label)
             stats.sentence_labels[key] += 1
-        labels = doc.labels
-        stats.protest_labels[labels.protest.value if labels.protest else "unlabeled"] += 1
-        stats.violent_labels[labels.violent.value if labels.violent else "unlabeled"] += 1
-        stats.demand_labels[labels.demand.value if labels.demand else "unlabeled"] += 1
+        for key, counts in stats.doc_labels.items():
+            label = getattr(doc.labels, key)
+            counts["unlabeled" if label is None else label_text(label)] += 1
         events = set()
         for ann in doc.annotations:
             stats.tag_counts[ann.tag.value] += 1
@@ -94,7 +95,11 @@ def corpus_stats(docs: Sequence[DocumentRecord]) -> Stats:
 
 
 def _read_corpus(path: str):
-    """Load a corpus file or return (None, exit_code) on hard failure."""
+    """Load a corpus file, printing its parse errors to stderr.
+
+    Returns ``(docs, parse_errors, None)``, or ``(None, None, exit_code)``
+    when the file cannot be read or decoded.
+    """
     try:
         docs, errors = load_corpus(path)
     except OSError as exc:
@@ -227,11 +232,7 @@ def _cmd_agree(args: argparse.Namespace) -> int:
         levels = (
             [AgreementLevel.SENTENCE]
             if args.level == "sentence"
-            else [
-                AgreementLevel.DOC_PROTEST,
-                AgreementLevel.DOC_VIOLENT,
-                AgreementLevel.DOC_DEMAND,
-            ]
+            else [level for level in AgreementLevel if level is not AgreementLevel.SENTENCE]
         )
         results = [label_kappa(pairing.pairs, level) for level in levels]
         for res in results:
@@ -261,9 +262,10 @@ def _format_stats_text(stats: Stats) -> str:
         f"events:      {stats.events_total}",
         "sentence labels: "
         + ", ".join(f"{k}={v}" for k, v in sorted(stats.sentence_labels.items())),
-        "protest: " + ", ".join(f"{k}={v}" for k, v in sorted(stats.protest_labels.items())),
-        "violent: " + ", ".join(f"{k}={v}" for k, v in sorted(stats.violent_labels.items())),
-        "demand:  " + ", ".join(f"{k}={v}" for k, v in sorted(stats.demand_labels.items())),
+        *(
+            f"{key + ':':<8} " + ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))
+            for key, counts in stats.doc_labels.items()
+        ),
         "tag counts:",
     ]
     for tag, count in sorted(stats.tag_counts.items()):

@@ -30,23 +30,22 @@ from dataclasses import dataclass
 from typing import IO, Iterable
 
 from .model import (
+    DOC_LABELS,
     EMPTY_LABELS,
     Annotation,
-    DemandLabel,
     DocumentLabels,
     DocumentRecord,
     EventRefError,
     InvariantError,
     LabelError,
     ParseErrorKind,
-    ProtestLabel,
     SentenceLabel,
     SentenceRecord,
     SpanError,
     TokenSpan,
     UnknownTagError,
-    ViolenceLabel,
     format_event_refs,
+    label_text,
     parse_event_refs,
     resolve_tag,
     span_error,
@@ -82,14 +81,14 @@ class CorpusDecodeError(Exception):
 # InvariantError that carries its kind.
 
 _DOC_KEYS = frozenset({"doc_id", "labels", "sentences", "annotations"})
-_LABEL_KEYS = frozenset({"protest", "violent", "demand"})
+_LABEL_KEYS = frozenset(DOC_LABELS)
 _SENTENCE_KEYS = frozenset({"index", "tokens", "label"})
 _ANNOTATION_KEYS = frozenset(
     {"id", "tag", "sentence", "start", "end", "events", "confidence", "comment"}
 )
-_PROTEST = {label.value: label for label in ProtestLabel}
-_VIOLENCE = {label.value: label for label in ViolenceLabel}
-_DEMAND = {label.value: label for label in DemandLabel}
+_DOC_LABEL_VOCABS = {
+    key: {label.value: label for label in vocab} for key, vocab in DOC_LABELS.items()
+}
 _SENTENCE_LABELS = {label.value: label for label in SentenceLabel}
 _EVENT_ONE = frozenset({1})
 
@@ -112,9 +111,7 @@ def _parse_labels(obj: object) -> DocumentLabels:
     if not obj.keys() <= _LABEL_KEYS:
         raise InvariantError(f"unknown label keys: {sorted(obj.keys() - _LABEL_KEYS)}")
     return DocumentLabels(
-        _label(obj, "protest", _PROTEST),
-        _label(obj, "violent", _VIOLENCE),
-        _label(obj, "demand", _DEMAND),
+        **{key: _label(obj, key, vocab) for key, vocab in _DOC_LABEL_VOCABS.items()}
     )
 
 
@@ -293,13 +290,11 @@ def parse_corpus(
 
 def document_to_obj(doc: DocumentRecord) -> dict:
     """Canonical JSON-compatible dict for one document."""
-    labels: dict[str, str] = {}
-    if doc.labels.protest is not None:
-        labels["protest"] = doc.labels.protest.value
-    if doc.labels.violent is not None:
-        labels["violent"] = doc.labels.violent.value
-    if doc.labels.demand is not None:
-        labels["demand"] = doc.labels.demand.value
+    labels = {
+        key: label_text(label)
+        for key in DOC_LABELS
+        if (label := getattr(doc.labels, key)) is not None
+    }
 
     sentences = []
     for sent in doc.sentences:

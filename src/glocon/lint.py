@@ -390,14 +390,9 @@ class _DocIndex:
             focus: _semantic_partners(self.hosts[focus], self.semantics[focus])
             for focus in SEMANTIC_HOSTS
         }
-        self._text_cache: dict[str, str] = {}
 
     def text(self, ann: Annotation) -> str:
-        cached = self._text_cache.get(ann.id)
-        if cached is None:
-            cached = self.doc.span_text(ann.span)
-            self._text_cache[ann.id] = cached
-        return cached
+        return self.doc.span_text(ann.span)
 
     def in_title(self, ann: Annotation) -> bool:
         if ann.tag is TagId.DOCUMENT_TITLE:

@@ -456,6 +456,18 @@ class DocumentLabels:
 
 EMPTY_LABELS = DocumentLabels()
 
+# Each DocumentLabels field with its vocabulary, in serialization order.
+DOC_LABELS: dict[str, type[enum.Enum]] = {
+    "protest": ProtestLabel,
+    "violent": ViolenceLabel,
+    "demand": DemandLabel,
+}
+
+
+def label_text(label: enum.Enum) -> str:
+    """Text form of a document or sentence label: ``"protest"``, ``"1"``."""
+    return str(label.value)
+
 
 @dataclass(frozen=True)
 class DocumentRecord:

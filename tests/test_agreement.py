@@ -12,6 +12,7 @@ from glocon.agreement import (
     span_prf,
 )
 from glocon.model import (
+    DOC_LABELS,
     Annotation,
     DocumentLabels,
     DocumentRecord,
@@ -313,3 +314,8 @@ class TestSpanPRF:
             result = label_kappa(pairs, level)
             if result.n:
                 assert result.kappa == 1.0
+
+
+def test_document_levels_are_the_doc_labels():
+    doc_levels = [level.value for level in AgreementLevel if level is not AgreementLevel.SENTENCE]
+    assert doc_levels == [f"doc_{key}" for key in DOC_LABELS]

@@ -20,7 +20,7 @@ class TestStats:
         assert stats.events_per_doc["bjp-square"] == 2
         assert stats.tag_counts["event_type"] == 2
         assert stats.tag_counts["event_mention"] == 2
-        assert stats.protest_labels == {"protest": 1}
+        assert stats.doc_labels["protest"] == {"protest": 1}
 
     def test_counts_match_recount(self):
         from randdocs import random_corpus

@@ -1,0 +1,47 @@
+"""Golden CLI outputs: the exact stdout of ``stats``, ``assemble`` and label
+``agree`` on a small fixed corpus pair.
+
+``golden/labels_a.glocon.jsonl`` is ``randdocs.random_corpus(8, seed=12)``.
+``golden/labels_b.glocon.jsonl`` is the same documents with each one taking
+the next document's labels (``economic_welfare`` read as
+``economic_non_welfare``) and every odd sentence's label moved one step
+along ``none -> 0 -> 1 -> 2 -> none``.  Between them they hold every
+document-label value, unlabeled fields, ``no_protest`` documents and
+sentence labels 0, 1, 2 and none.
+
+The ``golden/<case>.out`` files were recorded before the label schema was
+declared in one table (``glocon.model.DOC_LABELS``); a change to any of
+them is a change to the CLI's output.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from glocon.cli import EXIT_OK, run
+
+GOLDEN = Path(__file__).parent / "golden"
+A = str(GOLDEN / "labels_a.glocon.jsonl")
+B = str(GOLDEN / "labels_b.glocon.jsonl")
+
+CASES = {
+    "stats_a_text": ["stats", A],
+    "stats_a_json": ["stats", A, "--format", "json"],
+    "stats_b_text": ["stats", B],
+    "stats_b_json": ["stats", B, "--format", "json"],
+    "assemble_a_csv": ["assemble", A],
+    "assemble_a_jsonl": ["assemble", A, "--format", "jsonl"],
+    "assemble_b_csv": ["assemble", B],
+    "assemble_b_jsonl": ["assemble", B, "--format", "jsonl"],
+    "agree_doc_text": ["agree", A, B, "--level", "doc"],
+    "agree_doc_json": ["agree", A, B, "--level", "doc", "--format", "json"],
+    "agree_sentence_text": ["agree", A, B, "--level", "sentence"],
+    "agree_sentence_json": ["agree", A, B, "--level", "sentence", "--format", "json"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_stdout_matches_golden(case, capsys):
+    assert run(CASES[case]) == EXIT_OK
+    expected = (GOLDEN / f"{case}.out").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == expected

@@ -1,8 +1,11 @@
+from dataclasses import fields
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from glocon.model import (
+    DOC_LABELS,
     Annotation,
     DocumentLabels,
     DocumentRecord,
@@ -13,6 +16,7 @@ from glocon.model import (
     LabelError,
     ParseErrorKind,
     ProtestLabel,
+    SentenceLabel,
     SentenceRecord,
     SpanError,
     TagId,
@@ -20,6 +24,7 @@ from glocon.model import (
     UnknownTagError,
     ViolenceLabel,
     coterminous,
+    label_text,
     overlaps,
     resolve_tag,
 )
@@ -159,6 +164,16 @@ def test_document_labels_dependency():
         DocumentLabels(violent=ViolenceLabel.VIOLENT)
     with pytest.raises(InvariantError):
         DocumentLabels(protest=ProtestLabel.NO_PROTEST, violent=ViolenceLabel.VIOLENT)
+
+
+def test_doc_labels_are_the_document_label_fields():
+    assert tuple(DOC_LABELS) == tuple(f.name for f in fields(DocumentLabels))
+
+
+def test_label_text():
+    assert label_text(ProtestLabel.NO_PROTEST) == "no_protest"
+    assert label_text(SentenceLabel.NON_EVENT) == "0"
+    assert label_text(SentenceLabel.PLANNED) == "2"
 
 
 def test_sentence_record_rejects_empty_tokens():
