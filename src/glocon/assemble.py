@@ -209,6 +209,7 @@ def _first_location(record: EventRecord) -> tuple[int, TokenSpan | None]:
         record.times,
         record.places,
         record.facilities,
+        record.urban_rural_markers,
         record.targets,
     ):
         for item in group:

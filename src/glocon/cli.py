@@ -8,14 +8,15 @@ Subcommands::
     glocon stats <corpus> [--format text|json]
 
 Exit codes: 0 success, 1 diagnostics at or above the --fail-on
-threshold, 2 usage error, 3 I/O or parse failure.  In JSON output mode
-stdout carries only the requested payload; summaries go to stderr.
+threshold, 2 usage error, 3 I/O or parse failure or a closed stdout.
+Stdout is UTF-8; in JSON mode it carries only the payload, summaries go to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
@@ -334,7 +335,14 @@ def run(argv: Sequence[str] | None = None) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> None:
-    sys.exit(run(argv))
+    sys.stdout.reconfigure(encoding="utf-8")  # the same bytes as --out writes
+    try:
+        code = run(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader closed stdout; keep the exit-time flush quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_IO
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -13,21 +13,22 @@ one document object per line::
 ``events`` may be a plain integer array or a FLAT-style comment string
 such as ``"Event 2, Event 3"``; the string form is normalized through
 :func:`parse_event_refs` and re-emitted as a string on serialization.
-An absent ``events`` key means event 1.  Absent optional fields
-(``labels`` sub-keys, sentence ``label``, ``confidence``, ``comment``)
-are omitted on output.
+An absent ``events`` key or a blank string means event 1, written back
+as ``[1]``.  Absent optional fields (``labels`` sub-keys, sentence
+``label``, ``confidence``, ``comment``) are omitted on output.
 
-Serialization is canonical: keys in the order shown above, annotations
-sorted by (sentence, start, end, tag, event numbers, id), compact
-separators, LF line endings.  ``parse_corpus(serialize_corpus(docs))``
-reproduces ``docs`` exactly.
+:func:`parse_corpus` takes the corpus as bytes only; :func:`load_corpus`
+reads it from a path.  Serialization is canonical: keys in the order
+shown above, annotations sorted by (sentence, start, end, tag, event
+numbers, id), compact separators, LF line endings.
+``parse_corpus(serialize_corpus(docs))`` reproduces ``docs`` exactly.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import IO, Iterable
+from typing import Iterable
 
 from .model import (
     DOC_LABELS,
@@ -169,9 +170,9 @@ def _parse_annotation(obj: object, sentences: tuple[SentenceRecord, ...]) -> Ann
         raise span_error(ann_id, sentence, start, end, sentences) from None
 
     events = obj.get("events")
-    from_comment = type(events) is str
-    if events is None:
-        events = _EVENT_ONE
+    from_comment = type(events) is str and events.strip() != ""
+    if events is None or type(events) is str and not from_comment:
+        events = _EVENT_ONE  # absent, or a blank comment that numbers nothing
     elif from_comment:
         try:
             events = parse_event_refs(events)
@@ -211,12 +212,14 @@ def _parse_document(obj: object) -> DocumentRecord:
     return DocumentRecord(doc_id, labels, sentences, annotations)
 
 
-def _decode(line: str, check_encodable: bool) -> object:
+def _decode(line: str) -> object:
     """The JSON value of one line; a string that UTF-8 cannot encode (a lone
-    surrogate) rejects the line, since the document could not be written back."""
+    surrogate) rejects the line, since the document could not be written back.
+    Strict UTF-8 decoding yields no surrogates, so only a ``\\u`` escape can
+    put one into a line, and only such lines are re-encoded."""
     try:
         obj = json.loads(line)
-        if check_encodable:
+        if "\\u" in line:
             json.dumps(obj, ensure_ascii=False).encode("utf-8")
     except json.JSONDecodeError as exc:
         raise InvariantError(f"invalid JSON: {exc.msg}") from None
@@ -236,39 +239,26 @@ def _rejection(lineno: int, obj: object, exc: Exception) -> ParseError:
     return ParseError(lineno, doc_id if type(doc_id) is str else None, kind, message)
 
 
-def parse_corpus(
-    data: bytes | str | IO[bytes],
-) -> tuple[list[DocumentRecord], list[ParseError]]:
-    """Parse a corpus from bytes, text, or a binary file object.
+def parse_corpus(data: bytes) -> tuple[list[DocumentRecord], list[ParseError]]:
+    """Parse a corpus from its UTF-8 bytes; :func:`load_corpus` reads a path.
 
     One DocumentRecord per well-formed line, in input order.  A malformed
     line produces at least one ParseError and no record.  Blank lines are
     skipped.  Undecodable bytes raise CorpusDecodeError.
     """
-    if hasattr(data, "read"):
-        data = data.read()
-    # UTF-8 bytes decode to text without surrogates, so only a \u escape
-    # can put one into a line; text input may hold them anywhere
-    from_bytes = isinstance(data, bytes)
-    if from_bytes:
-        lines: list[str] = []
-        for lineno, raw in enumerate(data.split(b"\n"), start=1):
-            try:
-                lines.append(raw.decode("utf-8"))
-            except UnicodeDecodeError as exc:
-                raise CorpusDecodeError(lineno, exc) from None
-    else:
-        lines = data.split("\n")
-
     docs: list[DocumentRecord] = []
     errors: list[ParseError] = []
     seen_doc_ids: set[str] = set()
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, raw in enumerate(data.split(b"\n"), start=1):
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CorpusDecodeError(lineno, exc) from None
         if not line.strip():
             continue
         obj = None
         try:
-            obj = _decode(line, not from_bytes or "\\u" in line)
+            obj = _decode(line)
             doc = _parse_document(obj)
         except (InvariantError, RecursionError) as exc:
             errors.append(_rejection(lineno, obj, exc))

@@ -295,7 +295,7 @@ class DemandLabel(str, enum.Enum):
     ECONOMIC_WELFARE = "economic_welfare"
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class TokenSpan:
     """A contiguous token range within a single sentence.
 

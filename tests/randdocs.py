@@ -148,7 +148,7 @@ def random_document(rng: random.Random, max_annotations: int = 12) -> DocumentRe
         violent=rng.choice([None, ViolenceLabel.VIOLENT, ViolenceLabel.NON_VIOLENT])
         if protest is ProtestLabel.PROTEST
         else None,
-        demand=rng.choice([None, DemandLabel.NON_ECONOMIC, DemandLabel.ECONOMIC_WELFARE])
+        demand=rng.choice([None, *DemandLabel])
         if protest is ProtestLabel.PROTEST
         else None,
     )

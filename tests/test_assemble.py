@@ -277,6 +277,20 @@ class TestSeparation:
         rules = [d.rule for d in check_separation(records)]
         assert "E020" in rules and "W141" in rules
 
+    def test_identifier_only_event_located_at_its_identifier(self):
+        doc = _doc(
+            "d",
+            [sent(0, "Farmers protested ."), sent(1, "They gathered near the rural outskirts .")],
+            [ann("r1", TagId.RURAL_LOCATION_IDENTIFIER, 1, 4, 5)],
+        )
+
+        def located(diags):
+            return [d.render().split(" ", 2)[:2] for d in diags]
+
+        separation = located(check_separation(assemble_events(doc)))
+        assert separation == [["d:1:4-5", "E020"], ["d:1:4-5", "W141"]]
+        assert ["d:1:4-5", "E020"] in located(validate_document(doc))
+
 
 class TestExport:
     def test_bjp_rows(self, bjp_doc):

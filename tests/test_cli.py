@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from glocon.cli import EXIT_FINDINGS, EXIT_IO, EXIT_OK, EXIT_USAGE, corpus_stats, run
-from golden_docs import bjp_square_doc, karnataka_doc
+from glocon.model import DocumentLabels, DocumentRecord, TagId
+from glocon.synth import synthetic_corpus
+from golden_docs import ann, bjp_square_doc, karnataka_doc, sent
 from rule_fixtures import RULE_FIXTURES
 
 
@@ -185,3 +191,46 @@ class TestUsage:
         payload = json.loads(capsys.readouterr().out)
         assert payload["events_total"] == 2
         assert payload["tag_counts"]["facility_type"] == 2
+
+
+class TestConsoleEntry:
+    """``main()`` as the console script runs it, in a child interpreter."""
+
+    @staticmethod
+    def _cli(args, env=(), **popen):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        return subprocess.Popen(
+            [sys.executable, "-m", "glocon.cli", *args],
+            env={**os.environ, "PYTHONPATH": src, **dict(env)},
+            **popen,
+        )
+
+    def test_closed_pipe_exits_three_without_traceback(self, corpus_file, tmp_path):
+        path = corpus_file(synthetic_corpus(2000))  # far more output than a pipe buffers
+        with open(tmp_path / "stderr", "wb") as err:
+            proc = self._cli(["validate", path], stdout=subprocess.PIPE, stderr=err)
+            assert proc.stdout.readline()
+            proc.stdout.close()
+            assert proc.wait(timeout=120) == EXIT_IO
+        assert b"Traceback" not in (tmp_path / "stderr").read_bytes()
+
+    def test_stdout_is_utf8_under_an_ascii_locale(self, corpus_file, tmp_path):
+        doc = DocumentRecord(
+            "d1",
+            DocumentLabels(),
+            (sent(0, "Workers held a 示威 in São Paulo ."),),
+            (
+                ann("t1", TagId.EVENT_TYPE, 0, 3, 4),
+                ann("t1s", TagId.DEMONSTRATION, 0, 3, 4),
+                ann("p1", TagId.EVENT_PLACE, 0, 5, 7),
+            ),
+        )
+        path, out = corpus_file([doc]), tmp_path / "events.csv"
+        ascii_env = {"PYTHONIOENCODING": "ascii"}
+        to_file = self._cli(["assemble", path, "--out", str(out)], ascii_env)
+        assert to_file.wait(timeout=60) == EXIT_OK
+        to_stdout = self._cli(["assemble", path], ascii_env, stdout=subprocess.PIPE)
+        stdout, _ = to_stdout.communicate(timeout=60)
+        assert to_stdout.returncode == EXIT_OK
+        assert "São Paulo" in out.read_text(encoding="utf-8")
+        assert stdout == out.read_bytes()

@@ -13,6 +13,7 @@ from glocon.io import (
     parse_event_refs,
     serialize_corpus,
 )
+from glocon.lint import validate_document
 from glocon.model import TagId
 from randdocs import random_corpus
 
@@ -138,6 +139,22 @@ def test_bad_event_comment():
     docs, errors = parse_corpus(_line(obj))
     assert docs == []
     assert errors[0].kind is ParseErrorKind.BAD_EVENT_REF
+
+
+@pytest.mark.parametrize("blank", ["", "  "], ids=["empty", "spaces"])
+def test_blank_event_comment_is_event_one(blank):
+    obj = _doc_obj(
+        annotations=[
+            {"id": "a1", "tag": "event_type", "sentence": 0, "start": 1, "end": 2,
+             "events": blank}
+        ]
+    )
+    docs, errors = parse_corpus(_line(obj))
+    assert errors == []
+    ann = docs[0].annotations[0]
+    assert (ann.events, ann.events_from_comment) == ({1}, False)
+    assert "W122" not in [d.rule for d in validate_document(docs[0])]
+    assert json.loads(serialize_corpus(docs))["annotations"][0]["events"] == [1]
 
 
 def test_bad_label_values():
@@ -463,8 +480,6 @@ def test_lone_surrogate_is_malformed(obj):
         ParseErrorKind.MALFORMED_RECORD,
         "string with a lone surrogate, not encodable as UTF-8",
     )
-    # text input carries the surrogate itself rather than an escape
-    assert parse_corpus(json.dumps(obj, ensure_ascii=False))[1][0].kind is error.kind
 
 
 def test_surrogate_pair_escape_is_accepted():
