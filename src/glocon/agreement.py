@@ -8,7 +8,9 @@ token overlap) matching.
 Span matching is one-to-one and greedy in canonical span order; in
 lenient mode coterminous matches are taken first so that every strict
 true positive is also a lenient one.  Event numbers are ignored when
-matching spans (annotators may number events differently).
+matching spans (annotators may number events differently).  Candidates
+are limited to references with the same tag in the same sentence, which
+gives the same greedy choice as a scan of the whole document.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import asdict, dataclass
+from operator import attrgetter
 from typing import Mapping, Sequence
 
 from .model import (
@@ -23,6 +26,7 @@ from .model import (
     Annotation,
     DocumentRecord,
     SentenceLabel,
+    TagId,
     coterminous,
     label_text,
     overlaps,
@@ -231,26 +235,32 @@ def _match_document(
     hyp: Sequence[Annotation],
     ref: Sequence[Annotation],
     mode: MatchMode,
-    tp: dict,
-    fp: dict,
-    fn: dict,
+    tp: dict[TagId, int],
+    fp: dict[TagId, int],
+    fn: dict[TagId, int],
 ) -> None:
     """Greedy one-to-one matching of two documents' annotations, each in
-    canonical order (as ``DocumentRecord`` keeps them)."""
-    matched_ref: set[int] = set()
-    matched_hyp: set[int] = set()
+    canonical order (as ``DocumentRecord`` keeps them).
+
+    Both match predicates need the same sentence, and tags must be equal,
+    so a hypothesis annotation is compared only with the references of its
+    ``(tag, sentence)`` bucket.  A bucket keeps canonical order, so its
+    first unmatched match is the first one in the whole document.
+    """
+    buckets: dict[tuple[TagId, int], list[int]] = {}
+    for j, r in enumerate(ref):
+        buckets.setdefault((r.tag, r.span.sentence), []).append(j)
+    matched_ref = [False] * len(ref)
+    matched_hyp = [False] * len(hyp)
 
     def run_pass(predicate) -> None:
         for i, h in enumerate(hyp):
-            if i in matched_hyp:
+            if matched_hyp[i]:
                 continue
-            for j, r in enumerate(ref):
-                if j in matched_ref or r.tag is not h.tag:
-                    continue
-                if predicate(h.span, r.span):
-                    matched_ref.add(j)
-                    matched_hyp.add(i)
-                    tp[h.tag.value] = tp.get(h.tag.value, 0) + 1
+            for j in buckets.get((h.tag, h.span.sentence), ()):
+                if not matched_ref[j] and predicate(h.span, ref[j].span):
+                    matched_ref[j] = matched_hyp[i] = True
+                    tp[h.tag] = tp.get(h.tag, 0) + 1
                     break
 
     # exact matches first, so the strict TP set is a subset of the lenient one
@@ -258,12 +268,12 @@ def _match_document(
     if mode is MatchMode.LENIENT:
         run_pass(overlaps)
 
-    for i, h in enumerate(hyp):
-        if i not in matched_hyp:
-            fp[h.tag.value] = fp.get(h.tag.value, 0) + 1
-    for j, r in enumerate(ref):
-        if j not in matched_ref:
-            fn[r.tag.value] = fn.get(r.tag.value, 0) + 1
+    for h, matched in zip(hyp, matched_hyp):
+        if not matched:
+            fp[h.tag] = fp.get(h.tag, 0) + 1
+    for r, matched in zip(ref, matched_ref):
+        if not matched:
+            fn[r.tag] = fn.get(r.tag, 0) + 1
 
 
 def span_prf(
@@ -278,16 +288,16 @@ def span_prf(
     """
     if reference not in ("a", "b"):
         raise ValueError(f"reference must be 'a' or 'b', got {reference!r}")
-    tp: dict[str, int] = {}
-    fp: dict[str, int] = {}
-    fn: dict[str, int] = {}
+    tp: dict[TagId, int] = {}
+    fp: dict[TagId, int] = {}
+    fn: dict[TagId, int] = {}
     for doc_a, doc_b in pairs:
         ref_doc, hyp_doc = (doc_a, doc_b) if reference == "a" else (doc_b, doc_a)
         _match_document(hyp_doc.annotations, ref_doc.annotations, mode, tp, fp, fn)
 
-    tags = sorted(set(tp) | set(fp) | set(fn))
+    tags = sorted(set(tp) | set(fp) | set(fn), key=attrgetter("value"))
     per_tag = {
-        tag: _score(tp.get(tag, 0), fp.get(tag, 0), fn.get(tag, 0)) for tag in tags
+        tag.value: _score(tp.get(tag, 0), fp.get(tag, 0), fn.get(tag, 0)) for tag in tags
     }
     micro = _score(sum(tp.values()), sum(fp.values()), sum(fn.values()))
     return PRFReport(

@@ -1,11 +1,16 @@
-"""Independent brute-force checker for overlap licensing (rule E030).
+"""Independent brute-force checkers: overlap licensing (rule E030) and
+greedy span matching (token-level agreement).
 
 This module deliberately re-states the licensing clauses one by one and
-never calls into glocon.lint: it is the oracle the engine is compared
-against.  Only the shared data model is imported.
+the matcher's two passes, and never calls into glocon.lint or
+glocon.agreement: it is the oracle those modules are compared against.
+Only the shared data model is imported.
 """
 
 from __future__ import annotations
+
+from collections import Counter
+from typing import Callable, Sequence
 
 from glocon.model import Annotation, DocumentRecord, TagId
 
@@ -171,3 +176,40 @@ def brute_force_e030_pairs(doc: DocumentRecord) -> set[frozenset[str]]:
             if not overlap_is_licensed(a, b):
                 violations.add(frozenset({a.id, b.id}))
     return violations
+
+
+def greedy_span_match(
+    hyp: Sequence[Annotation], ref: Sequence[Annotation], mode: str
+) -> dict[str, tuple[int, int, int]]:
+    """Per-tag ``(tp, fp, fn)`` of ``hyp`` scored against ``ref``.
+
+    Both sides are in canonical order.  The first pass gives each
+    hypothesis annotation, in order, the first unmatched reference with the
+    same tag and the same span; in ``"lenient"`` mode a second pass does the
+    same for the remaining ones with any token overlap.  Every pass scans
+    every reference for every hypothesis annotation.
+    """
+    matched_hyp: set[int] = set()
+    matched_ref: set[int] = set()
+    tp: dict[str, int] = {}
+
+    def one_pass(same: Callable[[Annotation, Annotation], bool]) -> None:
+        for i, h in enumerate(hyp):
+            if i in matched_hyp:
+                continue
+            for j, r in enumerate(ref):
+                if j not in matched_ref and r.tag == h.tag and same(h, r):
+                    matched_hyp.add(i)
+                    matched_ref.add(j)
+                    tp[h.tag.value] = tp.get(h.tag.value, 0) + 1
+                    break
+
+    one_pass(_same_span)
+    if mode == "lenient":
+        one_pass(spans_overlap)
+
+    fp = Counter(h.tag.value for i, h in enumerate(hyp) if i not in matched_hyp)
+    fn = Counter(r.tag.value for j, r in enumerate(ref) if j not in matched_ref)
+    return {
+        tag: (tp.get(tag, 0), fp[tag], fn[tag]) for tag in sorted(set(tp) | set(fp) | set(fn))
+    }

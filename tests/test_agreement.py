@@ -23,6 +23,7 @@ from glocon.model import (
     TokenSpan,
 )
 from golden_docs import ann, sent
+from oracle import greedy_span_match
 from randdocs import random_corpus, random_document
 
 
@@ -272,7 +273,6 @@ class TestSpanPRF:
         assert (as_b.precision, as_b.recall) == (0.5, 1.0)
 
     def test_strict_tp_subset_of_lenient(self):
-        rng = random.Random(11)
         for seed in range(60):
             base = random_document(random.Random(seed))
             other = random_document(random.Random(seed + 10_000))
@@ -297,12 +297,13 @@ class TestSpanPRF:
                 annotations=tuple(remapped),
             )
             pairs = pair_corpora([base], [twin]).pairs
-            strict = span_prf(pairs, MatchMode.STRICT)
-            lenient = span_prf(pairs, MatchMode.LENIENT)
-            assert lenient.micro.tp >= strict.micro.tp
-            assert lenient.micro.f1 >= strict.micro.f1
-            for tag, s_score in strict.per_tag.items():
-                assert lenient.per_tag[tag].tp >= s_score.tp
+            for reference in ("a", "b"):
+                strict = span_prf(pairs, MatchMode.STRICT, reference)
+                lenient = span_prf(pairs, MatchMode.LENIENT, reference)
+                assert lenient.micro.tp >= strict.micro.tp
+                assert lenient.micro.f1 >= strict.micro.f1
+                for tag, s_score in strict.per_tag.items():
+                    assert lenient.per_tag[tag].tp >= s_score.tp
 
     def test_self_agreement_on_random_corpora(self):
         docs = random_corpus(10, seed=3)
@@ -314,6 +315,96 @@ class TestSpanPRF:
             result = label_kappa(pairs, level)
             if result.n:
                 assert result.kappa == 1.0
+
+
+def _perturbed_twin(doc: DocumentRecord, rng: random.Random) -> DocumentRecord:
+    """``doc`` with its spans shifted by one token, dropped, duplicated and
+    retagged; some spans also get a copy widened by a token on each side,
+    which competes with the original for one reference; and several extra
+    same-tag spans are crowded into one sentence."""
+    anns: list[Annotation] = []
+
+    def add(tag: TagId, span: TokenSpan) -> None:
+        anns.append(Annotation(id=f"t{len(anns)}", tag=tag, span=span, events=frozenset({1})))
+
+    def clipped(sentence: int, start: int, end: int) -> TokenSpan | None:
+        n = len(doc.sentences[sentence].tokens)
+        start, end = max(0, start), min(n, end)
+        return TokenSpan(sentence, start, end) if start < end else None
+
+    for a in doc.annotations:
+        s = a.span
+        roll = rng.random()
+        if roll < 0.15:
+            continue  # dropped
+        if roll < 0.35:
+            shift = rng.choice((-1, 1))
+            span = clipped(s.sentence, s.start + shift, s.end + shift) or s
+            add(a.tag, span)
+        elif roll < 0.45:
+            add(rng.choice(list(TagId)), s)
+        elif roll < 0.55:
+            add(a.tag, s)
+            add(a.tag, s)  # duplicated
+        elif roll < 0.65:
+            add(a.tag, s)
+            add(a.tag, clipped(s.sentence, s.start - 1, s.end + 1) or s)
+        else:
+            add(a.tag, s)
+
+    # crowd one bucket: several same-tag candidates in one sentence
+    tag = rng.choice([a.tag for a in doc.annotations] or list(TagId))
+    sentence = rng.randrange(len(doc.sentences))
+    n = len(doc.sentences[sentence].tokens)
+    for _ in range(rng.randint(2, 5)):
+        start = rng.randrange(n)
+        add(tag, TokenSpan(sentence, start, min(n, start + rng.randint(1, 3))))
+    return DocumentRecord(
+        doc_id=doc.doc_id, labels=doc.labels, sentences=doc.sentences, annotations=tuple(anns)
+    )
+
+
+def _counts(report) -> dict[str, tuple[int, int, int]]:
+    return {tag: (s.tp, s.fp, s.fn) for tag, s in report.per_tag.items()}
+
+
+class TestGreedyMatcherOracle:
+    """``span_prf`` against the quadratic two-pass scan of ``oracle.py``."""
+
+    def test_random_perturbed_pairs(self):
+        crowded = overlap_only = 0
+        for seed in range(200):
+            rng = random.Random(seed)
+            base = random_document(rng)
+            twin = _perturbed_twin(base, rng)
+            for mode in MatchMode:
+                for reference in ("a", "b"):
+                    ref, hyp = (base, twin) if reference == "a" else (twin, base)
+                    report = span_prf([(base, twin)], mode, reference)
+                    expected = greedy_span_match(hyp.annotations, ref.annotations, mode.value)
+                    assert _counts(report) == expected, (seed, mode, reference)
+            strict = span_prf([(base, twin)], MatchMode.STRICT).micro
+            lenient = span_prf([(base, twin)], MatchMode.LENIENT).micro
+            overlap_only += lenient.tp > strict.tp
+            keys = [(a.tag, a.span.sentence) for a in twin.annotations]
+            crowded += len(keys) - len(set(keys)) >= 2
+        # the perturbations reach both passes and crowded buckets
+        assert overlap_only >= 100 and crowded >= 150
+
+    def test_exact_pass_takes_the_reference_first(self):
+        # h1 overlaps both references and comes first in canonical order; an
+        # overlap-only scan would give it r1 and leave h2 (= r1) unmatched
+        refs = _span_doc(
+            "d", [ann("r1", TagId.EVENT_TYPE, 0, 1, 2), ann("r2", TagId.EVENT_TYPE, 0, 2, 3)]
+        )
+        hyp = _span_doc(
+            "d", [ann("h1", TagId.EVENT_TYPE, 0, 0, 4), ann("h2", TagId.EVENT_TYPE, 0, 1, 2)]
+        )
+        report = span_prf([(refs, hyp)], MatchMode.LENIENT)
+        assert _counts(report) == {"event_type": (2, 0, 0)}
+        assert greedy_span_match(hyp.annotations, refs.annotations, "lenient") == {
+            "event_type": (2, 0, 0)
+        }
 
 
 def test_document_levels_are_the_doc_labels():

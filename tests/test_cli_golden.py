@@ -1,5 +1,5 @@
-"""Golden CLI outputs: the exact stdout of ``stats``, ``assemble`` and label
-``agree`` on a small fixed corpus pair.
+"""Golden CLI outputs: the exact stdout of ``stats``, ``assemble`` and
+``agree`` on small fixed corpus pairs.
 
 ``golden/labels_a.glocon.jsonl`` is ``randdocs.random_corpus(8, seed=12)``.
 ``golden/labels_b.glocon.jsonl`` is the same documents with each one taking
@@ -7,11 +7,24 @@ the next document's labels (``economic_welfare`` read as
 ``economic_non_welfare``) and every odd sentence's label moved one step
 along ``none -> 0 -> 1 -> 2 -> none``.  Between them they hold every
 document-label value, unlabeled fields, ``no_protest`` documents and
-sentence labels 0, 1, 2 and none.
+sentence labels 0, 1, 2 and none.  Their annotations are identical.
 
-The ``golden/<case>.out`` files were recorded before the label schema was
-declared in one table (``glocon.model.DOC_LABELS``); a change to any of
-them is a change to the CLI's output.
+``golden/spans_b.glocon.jsonl`` is ``labels_a`` with fixed span edits, so
+that token-level agreement has something to score.  Taking each
+document's annotations in canonical order, the ones at positions 1, 6,
+11, ... are shifted one token right (left when they end their sentence;
+a span over a whole sentence stays), those at 3, 8, 13, ... are dropped,
+and those at 4, 9, 14, ... are retagged ``event_mention`` (``event_type``
+when they were ``event_mention``).  Every document with annotations gains
+``x1``, a copy of its first annotation widened by one token on the right
+(on the left when it ends its sentence), and ``x2``, an ``event_place``
+of event 1 on the last token of its last sentence.
+
+The ``golden/<case>.out`` files of the other cases were recorded before
+the label schema was declared in one table (``glocon.model.DOC_LABELS``),
+and those of the ``agree_token`` cases before span matching compared
+each annotation only with references of its tag and sentence; a change
+to any of them is a change to the CLI's output.
 """
 
 from pathlib import Path
@@ -23,6 +36,7 @@ from glocon.cli import EXIT_OK, run
 GOLDEN = Path(__file__).parent / "golden"
 A = str(GOLDEN / "labels_a.glocon.jsonl")
 B = str(GOLDEN / "labels_b.glocon.jsonl")
+SPANS_B = str(GOLDEN / "spans_b.glocon.jsonl")
 
 CASES = {
     "stats_a_text": ["stats", A],
@@ -37,6 +51,13 @@ CASES = {
     "agree_doc_json": ["agree", A, B, "--level", "doc", "--format", "json"],
     "agree_sentence_text": ["agree", A, B, "--level", "sentence"],
     "agree_sentence_json": ["agree", A, B, "--level", "sentence", "--format", "json"],
+    **{
+        f"agree_token_{mode}_{fmt}": [
+            "agree", A, SPANS_B, "--level", "token", "--mode", mode, "--format", fmt
+        ]
+        for mode in ("strict", "lenient")
+        for fmt in ("text", "json")
+    },
 }
 
 
