@@ -15,17 +15,10 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--docs", type=int, default=1000)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--tokens", type=int, default=200, help="approx tokens per document")
-    parser.add_argument("--annotations", type=int, default=15, help="approx annotations per document")
     parser.add_argument("--out", required=True)
     args = parser.parse_args()
 
-    docs = synthetic_corpus(
-        args.docs,
-        seed=args.seed,
-        target_tokens=args.tokens,
-        target_annotations=args.annotations,
-    )
+    docs = synthetic_corpus(args.docs, seed=args.seed)
     save_corpus(args.out, docs)
     print(f"wrote {len(docs)} documents to {args.out}")
 

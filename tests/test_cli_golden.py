@@ -1,5 +1,5 @@
-"""Golden CLI outputs: the exact stdout of ``stats``, ``assemble`` and
-``agree`` on small fixed corpus pairs.
+"""Golden CLI outputs: the exact stdout of ``validate``, ``stats``,
+``assemble`` and ``agree`` on small fixed corpus pairs.
 
 ``golden/labels_a.glocon.jsonl`` is ``randdocs.random_corpus(8, seed=12)``.
 ``golden/labels_b.glocon.jsonl`` is the same documents with each one taking
@@ -20,18 +20,20 @@ when they were ``event_mention``).  Every document with annotations gains
 (on the left when it ends its sentence), and ``x2``, an ``event_place``
 of event 1 on the last token of its last sentence.
 
-The ``golden/<case>.out`` files of the other cases were recorded before
-the label schema was declared in one table (``glocon.model.DOC_LABELS``),
-and those of the ``agree_token`` cases before span matching compared
-each annotation only with references of its tag and sentence; a change
-to any of them is a change to the CLI's output.
+The ``golden/<case>.out`` files of the ``stats``, ``assemble``, ``agree_doc``
+and ``agree_sentence`` cases were recorded before the label schema was
+declared in one table (``glocon.model.DOC_LABELS``), and those of the
+``agree_token`` cases before span matching compared each annotation only
+with references of its tag and sentence.  The ``validate`` cases print
+``labels_a``'s lint errors, so they exit 1.  A change to any of them is a
+change to the CLI's output.
 """
 
 from pathlib import Path
 
 import pytest
 
-from glocon.cli import EXIT_OK, run
+from glocon.cli import EXIT_FINDINGS, EXIT_OK, run
 
 GOLDEN = Path(__file__).parent / "golden"
 A = str(GOLDEN / "labels_a.glocon.jsonl")
@@ -39,6 +41,8 @@ B = str(GOLDEN / "labels_b.glocon.jsonl")
 SPANS_B = str(GOLDEN / "spans_b.glocon.jsonl")
 
 CASES = {
+    "validate_a_text": ["validate", A],
+    "validate_a_json": ["validate", A, "--format", "json"],
     "stats_a_text": ["stats", A],
     "stats_a_json": ["stats", A, "--format", "json"],
     "stats_b_text": ["stats", B],
@@ -63,6 +67,6 @@ CASES = {
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_stdout_matches_golden(case, capsys):
-    assert run(CASES[case]) == EXIT_OK
+    assert run(CASES[case]) == (EXIT_FINDINGS if case.startswith("validate") else EXIT_OK)
     expected = (GOLDEN / f"{case}.out").read_text(encoding="utf-8")
     assert capsys.readouterr().out == expected

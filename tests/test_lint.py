@@ -220,6 +220,47 @@ class TestRuleDetails:
         cfg = LintConfig(disabled_rules=frozenset({"W120"}))
         assert validate_document(doc, cfg) == []
 
+    def test_semantic_tag_on_an_argument_is_not_reported_again(self):
+        doc = _doc(
+            "d",
+            [sent(0, "Protesters marched ."), sent(1, "Workers were angry .")],
+            [
+                ann("e1", TagId.EVENT_TYPE, 0, 1, 2),
+                ann("e1s", TagId.DEMONSTRATION, 0, 1, 2),
+                ann("p1", TagId.PARTICIPANT_TYPE, 1, 0, 1),
+                ann("p1s", TagId.WORKER, 1, 0, 1),
+            ],
+        )
+        e010 = [d for d in validate_document(doc) if d.rule == "E010"]
+        assert [d.annotation_ids for d in e010] == [("p1",)]
+
+    def test_event_only_on_a_semantic_tag_is_not_an_e020(self):
+        doc = _doc(
+            "d",
+            [sent(0, "Workers marched .")],
+            [
+                ann("e1", TagId.EVENT_TYPE, 0, 1, 2),
+                ann("e1s", TagId.DEMONSTRATION, 0, 1, 2),
+                ann("w2", TagId.WORKER, 0, 0, 1, events={2}),
+            ],
+        )
+        found = [(d.rule, d.annotation_ids) for d in validate_document(doc)]
+        assert found == [("E022", ("w2",))]
+
+    def test_w121_counts_event_numbers_of_semantic_tags(self):
+        doc = _doc(
+            "d",
+            [sent(0, "Workers marched .")],
+            [
+                ann("e1", TagId.EVENT_TYPE, 0, 1, 2),
+                ann("e1s", TagId.DEMONSTRATION, 0, 1, 2),
+                ann("w3", TagId.WORKER, 0, 0, 1, events={3}),
+            ],
+        )
+        w121 = [d for d in validate_document(doc) if d.rule == "W121"]
+        assert [d.annotation_ids for d in w121] == [("w3",)]
+        assert "[1, 3]" in w121[0].message
+
     def test_w121_message_names_missing_numbers(self):
         doc = _doc(
             "gap",
