@@ -1,10 +1,12 @@
-"""Independent brute-force checkers: overlap licensing (rule E030) and
-greedy span matching (token-level agreement).
+"""Independent brute-force checkers: overlap licensing (rule E030),
+greedy span matching (token-level agreement) and the semantic category
+and title flag of assembled events.
 
-This module deliberately re-states the licensing clauses one by one and
-the matcher's two passes, and never calls into glocon.lint or
-glocon.agreement: it is the oracle those modules are compared against.
-Only the shared data model is imported.
+This module deliberately re-states the licensing clauses one by one,
+the matcher's two passes and the manual's semantic pairing, and never
+calls into glocon.lint, glocon.agreement or glocon.assemble: it is the
+oracle those modules are compared against.  Only the shared data model
+is imported.
 """
 
 from __future__ import annotations
@@ -57,6 +59,17 @@ ORGANIZER_SEMANTIC = {
     TagId.CHAMBER_OF_PROFESSIONALS,
     TagId.PERSON,
     TagId.OTHER_ORGANIZER,
+}
+TRIGGERS = {TagId.EVENT_TYPE, TagId.EVENT_MENTION}
+PARTICIPANT_HEADS = {TagId.PARTICIPANT_TYPE, TagId.PARTICIPANT_NAME}
+ORGANIZER_HEADS = {TagId.ORGANIZER_TYPE, TagId.ORGANIZER_NAME}
+# The semantic tags each host tag takes; every other tag takes none.
+SEMANTICS_OF_HOST = {
+    TagId.EVENT_TYPE: EVENT_SEMANTIC,
+    TagId.EVENT_MENTION: EVENT_SEMANTIC,
+    TagId.PARTICIPANT_TYPE: PARTICIPANT_SEMANTIC,
+    TagId.ORGANIZER_TYPE: ORGANIZER_SEMANTIC,
+    TagId.ORGANIZER_NAME: ORGANIZER_SEMANTIC,
 }
 FACILITY = {TagId.FACILITY_TYPE, TagId.FACILITY_NAME}
 TARGET = {TagId.TARGET_TYPE, TagId.TARGET_NAME}
@@ -176,6 +189,27 @@ def brute_force_e030_pairs(doc: DocumentRecord) -> set[frozenset[str]]:
             if not overlap_is_licensed(a, b):
                 violations.add(frozenset({a.id, b.id}))
     return violations
+
+
+def brute_force_semantic(doc: DocumentRecord, head: Annotation, number: int) -> str | None:
+    """The semantic category ``head`` takes in event ``number``.
+
+    It is the first annotation, in canonical order, that is a semantic tag
+    of the head's semantic focus, covers exactly the head's tokens and
+    carries ``number``.  A head that hosts no semantic focus takes None.
+    """
+    semantic_tags = SEMANTICS_OF_HOST.get(head.tag, set())
+    for sem in doc.annotations:
+        if sem.tag in semantic_tags and _same_span(sem, head) and number in sem.events:
+            return sem.tag.value
+    return None
+
+
+def brute_force_in_title(doc: DocumentRecord, ann: Annotation) -> bool:
+    """Does some document_title span contain ``ann``?"""
+    return any(
+        title.tag == TagId.DOCUMENT_TITLE and _contained(ann, title) for title in doc.annotations
+    )
 
 
 def greedy_span_match(

@@ -18,6 +18,13 @@ from glocon.model import (
     TagId,
 )
 from golden_docs import ann, sent
+from oracle import (
+    ORGANIZER_HEADS,
+    PARTICIPANT_HEADS,
+    TRIGGERS,
+    brute_force_in_title,
+    brute_force_semantic,
+)
 from randdocs import random_document
 
 
@@ -422,6 +429,33 @@ class TestAssemblyProperties:
             records = assemble_events(doc)
             placed = sum(self._record_population(r) for r in records)
             assert placed == self._content_contributions(doc), f"seed {seed}"
+
+    def test_semantics_and_title_flags_match_the_oracle(self):
+        """Every head's and trigger's semantic category is the first
+        coterminous semantic tag of its focus carrying the event, and a
+        trigger is in the title iff a document_title span contains it."""
+        for seed in range(2_000):
+            doc = random_document(random.Random(seed))
+            for record in assemble_events(doc):
+                number = record.event_number
+                members = [a for a in doc.annotations if number in a.events]
+                triggers = [a for a in members if a.tag in TRIGGERS]
+                assert [t.span for t in record.triggers] == [a.span for a in triggers]
+                assert [t.in_title for t in record.triggers] == [
+                    brute_force_in_title(doc, a) for a in triggers
+                ], f"seed {seed}"
+                categories = {brute_force_semantic(doc, a, number) for a in triggers}
+                expected = categories.pop() if len(categories) == 1 else None
+                assert record.semantic_category == expected, f"seed {seed}"
+                for head_tags, records in (
+                    (PARTICIPANT_HEADS, record.participants),
+                    (ORGANIZER_HEADS, record.organizers),
+                ):
+                    heads = [a for a in members if a.tag in head_tags]
+                    assert [(p.tag, p.span) for p in records] == [(a.tag, a.span) for a in heads]
+                    assert [p.semantic for p in records] == [
+                        brute_force_semantic(doc, a, number) for a in heads
+                    ], f"seed {seed}"
 
     def test_records_strictly_sorted(self):
         for seed in range(50):
