@@ -1,14 +1,16 @@
 """Fold a document's annotations into normalized per-event records.
 
 Every event number that carries at least one trigger or argument yields
-one :class:`EventRecord`.  Annotations are routed into record fields by
-one tag-to-field table; semantic tags fold into the trigger, participant
-or organizer that hosts them (``SEMANTIC_HOSTS``), and
-document-information tags stay out of events entirely.  An actor
-attribute attaches to the one head that holds it (``holds_attribute``,
-the overlap E030 licenses); any other non-head tag of an actor focus
-stays in ``unattached_attributes``.  An annotation numbered for several
-events contributes to each of their records.
+one :class:`EventRecord`.  The triggers and arguments of the document's
+:class:`~glocon.model.DocumentView` are routed into record fields by one
+tag-to-field table; document-information tags stay out of events
+entirely.  A trigger or head takes as its semantic category in event *n*
+its first semantic partner carrying *n*, the pairing E021-E023 check,
+and a trigger's ``in_title`` is the view's title test, the one E010 and
+E021 use.  An actor attribute attaches to the one head that holds it
+(``holds_attribute``, the overlap E030 licenses); any other non-head tag
+of an actor focus stays in ``unattached_attributes``.  An annotation
+numbered for several events contributes to each of their records.
 
 Assembly is best-effort: documents with lint errors still produce
 records (trigger-less events are flagged by :func:`check_separation`).
@@ -31,17 +33,16 @@ from .model import (
     Annotation,
     DocumentLabels,
     DocumentRecord,
+    DocumentView,
     FACILITY_TAGS,
     Focus,
     LOCATION_IDENTIFIER_TAGS,
-    SEMANTIC_HOSTS,
     TagId,
     TARGET_TAGS,
     TokenSpan,
     TRIGGER_TAGS,
     holds_attribute,
     label_text,
-    span_contains,
 )
 
 
@@ -116,30 +117,22 @@ _FIELD_OF: dict[TagId, str] = {
 
 def assemble_events(doc: DocumentRecord) -> list[EventRecord]:
     """Build one EventRecord per realized event number, sorted by number."""
-    title_spans: list[TokenSpan] = []
-    semantics_at: dict[TokenSpan, list[Annotation]] = defaultdict(list)
+    view = DocumentView(doc)
     # event number -> record field -> its annotations, in canonical order
     routed: dict[int, dict[str, list[Annotation]]] = defaultdict(lambda: defaultdict(list))
-    for ann in doc.annotations:  # already in canonical order
-        tag = ann.tag
-        field = _FIELD_OF.get(tag)
-        if field is not None:
-            for number in ann.events:
-                routed[number][field].append(ann)
-        elif tag.focus in SEMANTIC_HOSTS:
-            semantics_at[ann.span].append(ann)
-        elif tag is TagId.DOCUMENT_TITLE:
-            title_spans.append(ann.span)
+    for ann in (*view.triggers, *view.arguments):
+        field = _FIELD_OF[ann.tag]
+        for number in ann.events:
+            routed[number][field].append(ann)
 
     def text_of(ann: Annotation) -> str:
         return doc.span_text(ann.span)
 
-    def semantic_of(head: Annotation, focus: Focus, number: int) -> str | None:
-        """The first ``focus`` tag of event ``number`` on ``head``, if ``head`` hosts ``focus``."""
-        if head.tag in SEMANTIC_HOSTS[focus]:
-            for sem in semantics_at.get(head.span, ()):
-                if sem.tag.focus is focus and number in sem.events:
-                    return sem.tag.value
+    def semantic_of(head: Annotation, number: int) -> str | None:
+        """The first semantic partner of ``head`` carrying event ``number``, if any."""
+        for sem in view.partners.get(head.id, ()):
+            if number in sem.events:
+                return sem.tag.value
         return None
 
     records: list[EventRecord] = []
@@ -169,14 +162,14 @@ def assemble_events(doc: DocumentRecord) -> list[EventRecord]:
                     tag=head.tag,
                     span=head.span,
                     text=text_of(head),
-                    semantic=semantic_of(head, actor.semantic, number),
+                    semantic=semantic_of(head, number),
                     attributes=tuple(attached[head.id]),
                 )
                 for head in heads
             )
 
         triggers = group["triggers"]
-        categories = {semantic_of(t, Focus.EVENT_SEMANTIC, number) for t in triggers}
+        categories = {semantic_of(t, number) for t in triggers}
         records.append(
             EventRecord(
                 doc_id=doc.doc_id,
@@ -188,7 +181,7 @@ def assemble_events(doc: DocumentRecord) -> list[EventRecord]:
                         span=t.span,
                         text=text_of(t),
                         is_type=t.tag is TagId.EVENT_TYPE,
-                        in_title=any(span_contains(title, t.span) for title in title_spans),
+                        in_title=view.in_title(t),
                     )
                     for t in triggers
                 ),

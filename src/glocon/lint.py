@@ -8,6 +8,10 @@ and ``validate_document`` turns them into diagnostics in one loop.  It
 is a pure function of the document and the configuration; diagnostics
 come back in canonical order (sentence, span start, rule id).
 
+The index extends :class:`~glocon.model.DocumentView`, which event
+assembly reads too, so the rules check the same semantic pairings and
+title test that assembly uses.
+
 Severities can be overridden and rules disabled per run through
 :class:`LintConfig`.  The lexicons (articles, estimation qualifiers,
 token event words, country gazetteer) default to the English lists and
@@ -26,9 +30,9 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .model import (
     ACTORS,
-    ARGUMENT_TAGS,
     Annotation,
     DocumentRecord,
+    DocumentView,
     FACILITY_TAGS,
     Focus,
     LOCATION_IDENTIFIER_TAGS,
@@ -38,12 +42,10 @@ from .model import (
     TagId,
     TARGET_TAGS,
     TokenSpan,
-    TRIGGER_TAGS,
     annotation_sort_key,
     coterminous,
     holds_attribute,
     overlaps,
-    span_contains,
 )
 
 
@@ -284,11 +286,6 @@ _NAME_EXCLUSIVE_PAIRS = frozenset(
     {FACILITY_TAGS, TARGET_TAGS, *(actor.heads for actor in ACTORS.values())}
 )
 
-# The semantic focus each host tag takes its semantic tag from.
-_HOSTED_FOCUS: dict[TagId, Focus] = {
-    tag: focus for focus, hosts in SEMANTIC_HOSTS.items() for tag in hosts
-}
-
 
 def allowed_overlap(a: Annotation, b: Annotation) -> bool:
     """Is an overlap of these two annotations licensed?
@@ -329,38 +326,14 @@ def allowed_overlap(a: Annotation, b: Annotation) -> bool:
     return False
 
 
-def _semantic_partners(
-    hosts: Iterable[Annotation], semantics: Sequence[Annotation]
-) -> dict[str, list[Annotation]]:
-    """For each host annotation id, the coterminous semantic tags sharing an event."""
-    by_pos: dict[TokenSpan, list[Annotation]] = defaultdict(list)
-    for sem in semantics:
-        by_pos[sem.span].append(sem)
-    out: dict[str, list[Annotation]] = {}
-    for host in hosts:
-        out[host.id] = [
-            sem for sem in by_pos.get(host.span, ()) if not sem.events.isdisjoint(host.events)
-        ]
-    return out
-
-
-class _DocIndex:
-    """Per-document lookups shared by the rules."""
+class _DocIndex(DocumentView):
+    """The document view plus the lookups only the rules need."""
 
     def __init__(self, doc: DocumentRecord, lexicons: Lexicons):
-        self.doc = doc
+        super().__init__(doc)
         self.lexicons = lexicons
         self.anns = doc.annotations  # already in canonical order
         self.by_sentence: dict[int, list[Annotation]] = defaultdict(list)
-        self.triggers: list[Annotation] = []
-        self.trigger_events_by_sentence: dict[int, set[int]] = defaultdict(set)
-        self.trigger_events: set[int] = set()
-        self.argument_events: set[int] = set()
-        self.semantic_events: set[int] = set()
-        self.title_spans: list[TokenSpan] = []
-        # semantic focus -> its host annotations, its semantic annotations
-        self.hosts: dict[Focus, list[Annotation]] = {focus: [] for focus in SEMANTIC_HOSTS}
-        self.semantics: dict[Focus, list[Annotation]] = {focus: [] for focus in SEMANTIC_HOSTS}
         # (annotation, first token, last token), for the span-shape rules
         self.edge_tokens: list[tuple[Annotation, str, str]] = []
         sentences = doc.sentences
@@ -369,39 +342,17 @@ class _DocIndex:
             self.by_sentence[span.sentence].append(ann)
             toks = sentences[span.sentence].tokens
             self.edge_tokens.append((ann, toks[span.start], toks[span.end - 1]))
-            tag = ann.tag
-            focus = tag.focus
-            if tag in TRIGGER_TAGS:
-                self.triggers.append(ann)
-                self.trigger_events_by_sentence[span.sentence] |= ann.events
-                self.trigger_events |= ann.events
-            elif tag in ARGUMENT_TAGS:
-                self.argument_events |= ann.events
-            elif focus is Focus.DOC_INFO:
-                if tag is TagId.DOCUMENT_TITLE:
-                    self.title_spans.append(span)
-                continue
-            hosted = _HOSTED_FOCUS.get(tag)
-            if hosted is not None:
-                self.hosts[hosted].append(ann)
-            elif focus in self.semantics:
-                self.semantics[focus].append(ann)
-                self.semantic_events |= ann.events
-        # semantic focus -> host annotation id -> its coterminous semantic
-        # tags sharing an event
-        self.partners = {
-            focus: _semantic_partners(self.hosts[focus], self.semantics[focus])
-            for focus in SEMANTIC_HOSTS
-        }
+        self.trigger_events_by_sentence: dict[int, set[int]] = defaultdict(set)
+        for trig in self.triggers:
+            self.trigger_events_by_sentence[trig.span.sentence] |= trig.events
+        self.trigger_events: set[int] = set().union(*self.trigger_events_by_sentence.values())
+        self.argument_events: set[int] = set().union(*(a.events for a in self.arguments))
+        self.semantic_events: set[int] = set().union(
+            *(sem.events for sems in self.semantics.values() for sem in sems)
+        )
 
     def text(self, ann: Annotation) -> str:
         return self.doc.span_text(ann.span)
-
-    def in_title(self, ann: Annotation) -> bool:
-        if ann.tag is TagId.DOCUMENT_TITLE:
-            return False
-        span = ann.span
-        return any(span_contains(title, span) for title in self.title_spans)
 
     def tokens(self, ann: Annotation) -> tuple[str, ...]:
         span = ann.span
@@ -420,10 +371,9 @@ def _unpaired(idx: _DocIndex, focus: Focus, no_semantic: str, no_host: str) -> I
     ``no_semantic`` and ``no_host`` are messages; ``{tag}`` in them names
     the unpaired annotation's tag.
     """
-    partners = idx.partners[focus]
     hosted: set[str] = set()
     for host in idx.hosts[focus]:
-        sems = partners[host.id]
+        sems = idx.partners[host.id]
         hosted.update(sem.id for sem in sems)
         if not sems:
             yield _at(host, no_semantic.format(tag=host.tag.value))
@@ -435,9 +385,7 @@ def _unpaired(idx: _DocIndex, focus: Focus, no_semantic: str, no_host: str) -> I
 @rule("E010", Severity.ERROR, "argument in a sentence without a trigger of a shared event")
 def _argument_without_trigger(idx: _DocIndex) -> Iterator[Finding]:
     trig_by_sent = idx.trigger_events_by_sentence
-    for ann in idx.anns:
-        if ann.tag not in ARGUMENT_TAGS:
-            continue
+    for ann in idx.arguments:
         if ann.events.isdisjoint(trig_by_sent.get(ann.span.sentence, ())):
             if idx.in_title(ann):
                 continue  # title content is annotated without trigger discipline
@@ -451,7 +399,7 @@ def _argument_without_trigger(idx: _DocIndex) -> Iterator[Finding]:
 @rule("E020", Severity.ERROR, "event number referenced by arguments but has no trigger")
 def _event_without_trigger(idx: _DocIndex) -> Iterator[Finding]:
     for number in sorted(idx.argument_events - idx.trigger_events):
-        first = next(ann for ann in idx.anns if number in ann.events and ann.tag in ARGUMENT_TAGS)
+        first = next(ann for ann in idx.arguments if number in ann.events)
         yield _at(first, f"event {number} is referenced by arguments but has no trigger annotation")
 
 
@@ -474,9 +422,8 @@ def _trigger_discipline(idx: _DocIndex) -> Iterator[Finding]:
                     tuple(t.id for t in group),
                 )
     # semantic tags and triggers pair up coterminously, one tag per trigger
-    partners = idx.partners[Focus.EVENT_SEMANTIC]
-    for trig in idx.hosts[Focus.EVENT_SEMANTIC]:
-        sems = partners[trig.id]
+    for trig in idx.triggers:
+        sems = idx.partners[trig.id]
         if len(sems) > 1:
             yield _at(
                 trig,
@@ -684,10 +631,9 @@ rule("W141", Severity.INFO, "event assembled without any trigger annotation")
 
 @rule("W142", Severity.WARNING, "triggers of one event carry differing semantic categories")
 def _differing_trigger_categories(idx: _DocIndex) -> Iterator[Finding]:
-    partners = idx.partners[Focus.EVENT_SEMANTIC]
     categories_by_event: dict[int, dict[str, Annotation]] = defaultdict(dict)
-    for trig in idx.hosts[Focus.EVENT_SEMANTIC]:
-        sems = partners[trig.id]
+    for trig in idx.triggers:
+        sems = idx.partners[trig.id]
         if len(sems) != 1:
             continue  # missing/stacked semantics are E021's case
         sem = sems[0]
@@ -706,10 +652,9 @@ def _differing_trigger_categories(idx: _DocIndex) -> Iterator[Finding]:
 
 @rule("I150", Severity.INFO, "same participant surface form with differing semantic tags")
 def _participant_surface_variants(idx: _DocIndex) -> Iterator[Finding]:
-    partners = idx.partners[Focus.PARTICIPANT_SEMANTIC]
     by_surface: dict[tuple[str, ...], dict[str, Annotation]] = defaultdict(dict)
     for head in idx.hosts[Focus.PARTICIPANT_SEMANTIC]:
-        sems = partners[head.id]
+        sems = idx.partners[head.id]
         if sems:
             surface = tuple(t.casefold() for t in idx.tokens(head))
             by_surface[surface].setdefault(sems[0].tag.value, head)

@@ -226,6 +226,11 @@ SEMANTIC_HOSTS: dict[Focus, frozenset[TagId]] = {
     Focus.EVENT_SEMANTIC: TRIGGER_TAGS,
     **{actor.semantic: actor.hosts for actor in ACTORS.values()},
 }
+# The semantic focus each host tag takes its semantic tag from.  The foci's
+# host sets are disjoint, so every host takes exactly one focus.
+HOSTED_FOCUS: dict[TagId, Focus] = {
+    tag: focus for focus, hosts in SEMANTIC_HOSTS.items() for tag in hosts
+}
 # The heads that hold each attribute tag.
 ATTRIBUTE_HOSTS: dict[TagId, frozenset[TagId]] = {
     tag: actor.hosts for actor in ACTORS.values() for tag in actor.attributes
@@ -526,3 +531,57 @@ def annotation_sort_key(ann: Annotation) -> tuple:
         tuple(sorted(ann.events)),
         ann.id,
     )
+
+
+class DocumentView:
+    """A document's annotations routed by role, in canonical order: the
+    ``triggers``, the ``arguments`` and, per semantic focus, its ``hosts``
+    and ``semantics``.  Lint and event assembly both read it.
+
+    ``partners`` maps each host id to the semantic tags of its focus that
+    sit on it coterminously and share an event with it.  E021-E023 check
+    these pairings; assembly takes a head's category in event *n* from its
+    first partner carrying *n*.  ``in_title`` is the one title test.
+    """
+
+    def __init__(self, doc: DocumentRecord):
+        self.doc = doc
+        self.triggers: list[Annotation] = []
+        self.arguments: list[Annotation] = []
+        self.title_spans: list[TokenSpan] = []
+        self.hosts: dict[Focus, list[Annotation]] = {focus: [] for focus in SEMANTIC_HOSTS}
+        self.semantics: dict[Focus, list[Annotation]] = {focus: [] for focus in SEMANTIC_HOSTS}
+        hosts, semantics = self.hosts, self.semantics
+        title = TagId.DOCUMENT_TITLE  # bound once: enum member access is slow
+        for ann in doc.annotations:  # already in canonical order
+            tag = ann.tag
+            if tag in TRIGGER_TAGS:
+                self.triggers.append(ann)
+            elif tag in ARGUMENT_TAGS:
+                self.arguments.append(ann)
+            elif tag is title:
+                self.title_spans.append(ann.span)
+                continue
+            hosted = HOSTED_FOCUS.get(tag)
+            if hosted is not None:
+                hosts[hosted].append(ann)
+            elif tag.focus in semantics:
+                semantics[tag.focus].append(ann)
+        self.partners: dict[str, list[Annotation]] = {}
+        for focus, sems in semantics.items():
+            # spans keyed as plain tuples, which hash in C
+            at_span: dict[tuple[int, int, int], list[Annotation]] = {}
+            for sem in sems:
+                span = sem.span
+                at_span.setdefault((span.sentence, span.start, span.end), []).append(sem)
+            for host in hosts[focus]:
+                span = host.span
+                found = at_span.get((span.sentence, span.start, span.end), ())
+                self.partners[host.id] = [s for s in found if not s.events.isdisjoint(host.events)]
+
+    def in_title(self, ann: Annotation) -> bool:
+        """Does a document_title span contain ``ann``?  A title is never in the title."""
+        if ann.tag is TagId.DOCUMENT_TITLE:
+            return False
+        span = ann.span
+        return any(span_contains(title, span) for title in self.title_spans)

@@ -103,26 +103,32 @@ class TestValidateCommand:
         assert run(["validate", corpus, "--config", str(cfg)]) == EXIT_USAGE
 
     @pytest.mark.parametrize(
-        "content",
+        "content,message",
         [
-            b'{"severity_overrides": ["W103"]}',
-            b'{"disabled_rules": [["W103"]]}',
-            b'{"lexicons": {"countries": [1]}}',
-            b'{"lexicons": {"countries": "India"}}',
-            b'{"lexicons": {"estimation_qualifiers": [""]}}',
-            b'{"disabled_rules": ["W103\xff"]}',
-            b"[" * 100_000 + b"]" * 100_000,
-            b'{"disabled_rules": [' + b"1" * 5_000 + b"]}",
+            (b'{"severity_overrides": ["W103"]}', "severity_overrides must be a JSON object"),
+            (b'{"lexicons": []}', "lexicons must be a JSON object"),
+            (b'{"disabled_rules": {}}', "disabled_rules must be a JSON list"),
+            (b'{"disabled_rules": [["W103"]]}', "disabled_rules must be a list of rule ids"),
+            (b'{"lexicons": {"countries": [1]}}', "lexicon countries must be a list"),
+            (b'{"lexicons": {"countries": "India"}}', "lexicon countries must be a list"),
+            (b'{"lexicons": {"estimation_qualifiers": [""]}}',
+             "lexicon estimation_qualifiers must be a list"),
+            (b'{"disabled_rules": ["W103\xff"]}', "not UTF-8"),
+            # the messages of these two depend on the Python version
+            (b"[" * 100_000 + b"]" * 100_000, ""),
+            (b'{"disabled_rules": [' + b"1" * 5_000 + b"]}", ""),
         ],
-        ids=["overrides-list", "nested-rule-list", "non-string-word", "string-lexicon",
-             "blank-word", "not-utf8", "nested-past-recursion-limit", "integer-past-digit-limit"],
+        ids=["overrides-list", "lexicons-list", "disabled-object", "nested-rule-list",
+             "non-string-word", "string-lexicon", "blank-word", "not-utf8",
+             "nested-past-recursion-limit", "integer-past-digit-limit"],
     )
-    def test_ill_typed_config_is_usage_error(self, corpus_file, tmp_path, capsys, content):
+    def test_ill_typed_config_is_usage_error(self, corpus_file, tmp_path, capsys, content,
+                                             message):
         corpus = corpus_file([bjp_square_doc()])
         cfg = tmp_path / "cfg.json"
         cfg.write_bytes(content)
         assert run(["validate", corpus, "--config", str(cfg)]) == EXIT_USAGE
-        assert "glocon: bad config" in capsys.readouterr().err
+        assert f"glocon: bad config {cfg}: {message}" in capsys.readouterr().err
 
 
 class TestAssembleCommand:

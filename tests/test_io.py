@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from glocon.io import (
     CorpusDecodeError,
     EventRefError,
+    ParseError,
     ParseErrorKind,
     format_event_refs,
     parse_corpus,
@@ -406,6 +407,12 @@ SINGLE_DEFECT_LINES = [
      _doc(annotations=[_ANN, {**_ANN, "tag": "event_mention", "start": 1, "end": 2}]), "d1",
      "duplicate_id", "duplicate annotation id 'a1'"),
 ]
+
+
+@pytest.mark.parametrize("doc_id,shown", [("d1", "[d1]"), (None, "[?]")])
+def test_parse_error_names_its_document(doc_id, shown):
+    error = ParseError(3, doc_id, ParseErrorKind.BAD_SPAN, "m")
+    assert str(error) == f"line 3 {shown} bad_span: m"
 
 
 @pytest.mark.parametrize(

@@ -276,6 +276,22 @@ class TestRuleDetails:
         assert len(diags) == 1
         assert "[2, 3]" in diags[0].message
 
+    def test_w121_skips_document_info_carriers(self):
+        # the title carries the event past the gap first, but only the
+        # argument that carries it is located
+        doc = _doc(
+            "d",
+            [sent(0, "March in Delhi"), sent(1, "Protesters marched today .")],
+            [
+                ann("e1", TagId.EVENT_TYPE, 0, 0, 1),
+                ann("e1s", TagId.DEMONSTRATION, 0, 0, 1),
+                ann("title", TagId.DOCUMENT_TITLE, 0, 0, 3, events={3}),
+                ann("t3", TagId.EVENT_TIME, 1, 2, 3, events={3}),
+            ],
+        )
+        w121 = [d for d in validate_document(doc) if d.rule == "W121"]
+        assert [d.annotation_ids for d in w121] == [("t3",)]
+
     def test_punctuation_token_class(self):
         assert is_punctuation_token(",")
         assert is_punctuation_token("...")
@@ -343,6 +359,22 @@ class TestConfig:
         path.write_text(json.dumps({"rules": []}))
         with pytest.raises(ConfigError):
             load_config(str(path))
+
+    def test_overlapping_qualifiers_give_one_w131(self):
+        doc = _doc(
+            "qualifiers",
+            [sent(0, "more than 500 workers marched .")],
+            [
+                ann("e1", TagId.EVENT_TYPE, 0, 4, 5),
+                ann("e1s", TagId.DEMONSTRATION, 0, 4, 5),
+                ann("c1", TagId.PARTICIPANT_COUNT, 0, 0, 3),
+            ],
+        )
+        cfg = LintConfig(lexicons=Lexicons(estimation_qualifiers=("more", "more than")))
+        w131 = [d for d in validate_document(doc, cfg) if d.rule == "W131"]
+        assert [d.message for d in w131] == [
+            "participant_count begins with estimation qualifier 'more'"
+        ]
 
     def test_custom_lexicon_drives_w130(self):
         doc = _doc(

@@ -183,6 +183,14 @@ def test_sentence_record_rejects_empty_tokens():
         SentenceRecord(index=0, tokens=("ok", ""))
 
 
+def test_direct_construction_coerces_sequences_and_labels():
+    sentence = SentenceRecord(0, ["a"], 1)
+    assert type(sentence.tokens) is tuple and sentence.tokens == ("a",)
+    assert sentence.label is SentenceLabel.EVENT
+    doc = DocumentRecord("d", sentences=[sentence])
+    assert type(doc.sentences) is tuple and doc.sentences == (sentence,)
+
+
 def _one_sentence_doc(annotations):
     return DocumentRecord(
         doc_id="d",
