@@ -277,8 +277,8 @@ class TestRuleDetails:
         assert "[2, 3]" in diags[0].message
 
     def test_w121_skips_document_info_carriers(self):
-        # the title carries the event past the gap first, but only the
-        # argument that carries it is located
+        # e1 comes first and the title carries event 3 before t3 does, but
+        # W121 is located at the first carrier that is not document info
         doc = _doc(
             "d",
             [sent(0, "March in Delhi"), sent(1, "Protesters marched today .")],
