@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from glocon.cli import EXIT_FINDINGS, EXIT_IO, EXIT_OK, EXIT_USAGE, corpus_stats, run
+from glocon.io import serialize_corpus
 from glocon.model import DocumentLabels, DocumentRecord, TagId
 from glocon.synth import synthetic_corpus
 from golden_docs import ann, bjp_square_doc, karnataka_doc, sent
@@ -197,6 +198,20 @@ class TestUsage:
         payload = json.loads(capsys.readouterr().out)
         assert payload["events_total"] == 2
         assert payload["tag_counts"]["facility_type"] == 2
+
+
+class TestCorpusReading:
+    @pytest.mark.parametrize("command", ["validate", "assemble", "stats"])
+    def test_late_decode_error_prints_only_itself(self, tmp_path, capsys, command):
+        path = tmp_path / "late.glocon.jsonl"
+        path.write_bytes(serialize_corpus([bjp_square_doc()]) + b"not json\n\xff\n")
+        assert run([command, str(path)]) == EXIT_IO
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [
+            f"glocon: {path}: line 3: undecodable bytes ('utf-8' codec can't decode byte 0xff "
+            "in position 0: invalid start byte)"
+        ]
 
 
 class TestConsoleEntry:

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from glocon.io import (
     ParseError,
     ParseErrorKind,
     format_event_refs,
+    load_corpus,
     parse_corpus,
     parse_event_refs,
     serialize_corpus,
@@ -427,6 +429,36 @@ def test_single_defect_line_rejection(line, doc_id, kind, message):
     assert [(e.line, e.doc_id, e.kind.value, e.message) for e in errors] == [
         (1, doc_id, kind, message)
     ]
+
+
+# one rejected line of each ParseErrorKind, from the single-defect cases
+_ONE_PER_KIND = {}
+for _, _obj, _, _kind, _ in SINGLE_DEFECT_LINES:
+    _ONE_PER_KIND.setdefault(_kind, _obj if isinstance(_obj, bytes) else json.dumps(_obj).encode())
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_load_corpus_reads_a_file_as_parse_corpus_reads_its_bytes(tmp_path, seed):
+    assert set(_ONE_PER_KIND) == {kind.value for kind in ParseErrorKind}
+    rng = random.Random(seed)
+    lines = serialize_corpus(random_corpus(8, seed)).split(b"\n")[:-1]
+    lines += [b"", b"   ", b" \t", rng.choice(lines), *_ONE_PER_KIND.values()]
+    rng.shuffle(lines)
+    cut = b'{"doc_id": "cut", "sent'  # a string cut off at the end of a line
+    lines.insert(rng.randrange(len(lines)), cut)
+    ends = [rng.choice((b"\n", b"\r\n")) for _ in lines]
+    ends[lines.index(cut)] = b"\n"
+    if seed % 2:
+        ends[-1] = b""  # no final newline
+    data = b"".join(line + end for line, end in zip(lines, ends))
+    path = tmp_path / "corpus.glocon.jsonl"
+    path.write_bytes(data)
+
+    docs, errors = load_corpus(str(path))
+    assert repr((docs, errors)) == repr(parse_corpus(data))
+    assert len(docs) == 8
+    assert {e.kind.value for e in errors} == set(_ONE_PER_KIND)
+    assert "invalid JSON: Unterminated string starting at" in {e.message for e in errors}
 
 
 # --------------------------------------------------------------------------
