@@ -23,6 +23,7 @@ from .assemble import (
 from .io import (
     ParseError,
     ParseErrorKind,
+    iter_corpus,
     load_corpus,
     parse_corpus,
     parse_event_refs,

@@ -20,7 +20,7 @@ import os
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .agreement import (
     AgreementLevel,
@@ -31,8 +31,8 @@ from .agreement import (
     pair_corpora,
     span_prf,
 )
-from .assemble import assemble_events, export_rows, rows_to_csv, rows_to_jsonl
-from .io import CorpusDecodeError, load_corpus
+from .assemble import EventRecord, assemble_events, export_rows, rows_to_csv, rows_to_jsonl
+from .io import CorpusDecodeError, ParseError, iter_corpus
 from .lint import ConfigError, DEFAULT_CONFIG, Severity, load_config, validate_corpus
 from .model import DOC_LABELS, DocumentRecord, label_text
 
@@ -74,10 +74,11 @@ class Stats:
         }
 
 
-def corpus_stats(docs: Sequence[DocumentRecord]) -> Stats:
+def corpus_stats(docs: Iterable[DocumentRecord]) -> Stats:
     """Deterministic counts over a corpus."""
-    stats = Stats(documents=len(docs))
+    stats = Stats()
     for doc in docs:
+        stats.documents += 1
         stats.sentences += len(doc.sentences)
         stats.annotations += len(doc.annotations)
         for sent in doc.sentences:
@@ -95,14 +96,26 @@ def corpus_stats(docs: Sequence[DocumentRecord]) -> Stats:
     return stats
 
 
-def _read_corpus(path: str):
-    """Load a corpus file, printing its parse errors to stderr.
+def _read_corpus(path: str, consume: Callable[[Iterator[DocumentRecord]], object]):
+    """Stream the documents of a corpus file into ``consume``, then print
+    the file's parse errors to stderr.
 
-    Returns ``(docs, parse_errors, None)``, or ``(None, None, exit_code)``
-    when the file cannot be read or decoded.
+    Returns ``(consume's result, parse_errors, None)``, or ``(None, None,
+    exit_code)`` when the file cannot be read or decoded; the failure's
+    message is then the only output.
     """
+    errors: list[ParseError] = []
+
+    def documents(handle) -> Iterator[DocumentRecord]:
+        for item in iter_corpus(handle):
+            if type(item) is ParseError:
+                errors.append(item)
+            else:
+                yield item
+
     try:
-        docs, errors = load_corpus(path)
+        with open(path, "rb") as handle:
+            result = consume(documents(handle))
     except OSError as exc:
         print(f"glocon: cannot read {path}: {exc}", file=sys.stderr)
         return None, None, EXIT_IO
@@ -111,7 +124,7 @@ def _read_corpus(path: str):
         return None, None, EXIT_IO
     for err in errors:
         print(f"glocon: {path}: {err}", file=sys.stderr)
-    return docs, errors, None
+    return result, errors, None
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
@@ -125,11 +138,12 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         except ConfigError as exc:
             print(f"glocon: bad config {args.config}: {exc}", file=sys.stderr)
             return EXIT_USAGE
-    docs, parse_errors, failure = _read_corpus(args.corpus)
+    report, parse_errors, failure = _read_corpus(
+        args.corpus, lambda docs: validate_corpus(docs, cfg)
+    )
     if failure is not None:
         return failure
 
-    report = validate_corpus(docs, cfg)
     totals = report.totals
     summary = (
         f"{report.documents} documents: "
@@ -153,13 +167,21 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _assemble_corpus(docs: Iterable[DocumentRecord]) -> tuple[list[EventRecord], int]:
+    """Every document's event records, and the number of documents."""
+    records: list[EventRecord] = []
+    documents = 0
+    for doc in docs:
+        documents += 1
+        records.extend(assemble_events(doc))
+    return records, documents
+
+
 def _cmd_assemble(args: argparse.Namespace) -> int:
-    docs, parse_errors, failure = _read_corpus(args.corpus)
+    assembled, parse_errors, failure = _read_corpus(args.corpus, _assemble_corpus)
     if failure is not None:
         return failure
-    records = []
-    for doc in docs:
-        records.extend(assemble_events(doc))
+    records, documents = assembled
     rows = export_rows(records)
     payload = rows_to_csv(rows) if args.format == "csv" else rows_to_jsonl(rows)
     if args.out:
@@ -171,7 +193,7 @@ def _cmd_assemble(args: argparse.Namespace) -> int:
             return EXIT_IO
     else:
         sys.stdout.write(payload)
-    print(f"{len(rows)} events from {len(docs)} documents", file=sys.stderr)
+    print(f"{len(rows)} events from {documents} documents", file=sys.stderr)
     return EXIT_IO if parse_errors else EXIT_OK
 
 
@@ -210,10 +232,10 @@ def _format_prf_table(report: PRFReport) -> str:
 
 
 def _cmd_agree(args: argparse.Namespace) -> int:
-    docs_a, errors_a, failure = _read_corpus(args.corpus_a)
+    docs_a, errors_a, failure = _read_corpus(args.corpus_a, list)
     if failure is not None:
         return failure
-    docs_b, errors_b, failure = _read_corpus(args.corpus_b)
+    docs_b, errors_b, failure = _read_corpus(args.corpus_b, list)
     if failure is not None:
         return failure
 
@@ -275,10 +297,9 @@ def _format_stats_text(stats: Stats) -> str:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    docs, parse_errors, failure = _read_corpus(args.corpus)
+    stats, parse_errors, failure = _read_corpus(args.corpus, corpus_stats)
     if failure is not None:
         return failure
-    stats = corpus_stats(docs)
     if args.format == "json":
         json.dump(stats.to_obj(), sys.stdout, indent=2)
         sys.stdout.write("\n")

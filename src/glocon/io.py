@@ -17,10 +17,15 @@ An absent ``events`` key or a blank string means event 1, written back
 as ``[1]``.  Absent optional fields (``labels`` sub-keys, sentence
 ``label``, ``confidence``, ``comment``) are omitted on output.
 
-:func:`parse_corpus` takes the corpus as bytes only; :func:`load_corpus`
-reads it from a path.  Serialization is canonical: keys in the order
-shown above, annotations sorted by (sentence, start, end, tag, event
-numbers, id), compact separators, LF line endings.
+:func:`iter_corpus` is the one parse loop.  It takes raw byte lines (an
+open binary file will do) and yields one document or parse error at a
+time, so its consumer can hold one document at a time.
+:func:`parse_corpus` (the corpus as bytes) and :func:`load_corpus` (a
+path) collect it into lists, and so hold the whole corpus.
+
+Serialization is canonical: keys in the order shown above, annotations
+sorted by (sentence, start, end, tag, event numbers, id), compact
+separators, LF line endings.
 ``parse_corpus(serialize_corpus(docs))`` reproduces ``docs`` exactly.
 """
 
@@ -28,7 +33,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .model import (
     DOC_LABELS,
@@ -239,17 +244,20 @@ def _rejection(lineno: int, obj: object, exc: Exception) -> ParseError:
     return ParseError(lineno, doc_id if type(doc_id) is str else None, kind, message)
 
 
-def parse_corpus(data: bytes) -> tuple[list[DocumentRecord], list[ParseError]]:
-    """Parse a corpus from its UTF-8 bytes; :func:`load_corpus` reads a path.
+def iter_corpus(lines: Iterable[bytes]) -> Iterator[DocumentRecord | ParseError]:
+    """Parse a corpus line by line, holding one document at a time.
 
-    One DocumentRecord per well-formed line, in input order.  A malformed
-    line produces at least one ParseError and no record.  Blank lines are
-    skipped.  Undecodable bytes raise CorpusDecodeError.
+    ``lines`` are raw byte lines, such as an open binary file yields; one
+    trailing ``\\n`` is stripped from each.  Yields a DocumentRecord per
+    well-formed line and at least one ParseError per malformed line, in
+    input order, with 1-based line numbers.  Blank lines are skipped, and a
+    repeated ``doc_id`` is a DUPLICATE_ID error.  Undecodable bytes raise
+    CorpusDecodeError.
     """
-    docs: list[DocumentRecord] = []
-    errors: list[ParseError] = []
     seen_doc_ids: set[str] = set()
-    for lineno, raw in enumerate(data.split(b"\n"), start=1):
+    for lineno, raw in enumerate(lines, start=1):
+        if raw.endswith(b"\n"):  # as bytes.split drops it, so JSON errors read alike
+            raw = raw[:-1]
         try:
             line = raw.decode("utf-8")
         except UnicodeDecodeError as exc:
@@ -261,21 +269,34 @@ def parse_corpus(data: bytes) -> tuple[list[DocumentRecord], list[ParseError]]:
             obj = _decode(line)
             doc = _parse_document(obj)
         except (InvariantError, RecursionError) as exc:
-            errors.append(_rejection(lineno, obj, exc))
+            yield _rejection(lineno, obj, exc)
             continue
         if doc.doc_id in seen_doc_ids:
-            errors.append(
-                ParseError(
-                    line=lineno,
-                    doc_id=doc.doc_id,
-                    kind=ParseErrorKind.DUPLICATE_ID,
-                    message=f"duplicate doc_id {doc.doc_id!r}",
-                )
+            yield ParseError(
+                line=lineno,
+                doc_id=doc.doc_id,
+                kind=ParseErrorKind.DUPLICATE_ID,
+                message=f"duplicate doc_id {doc.doc_id!r}",
             )
             continue
         seen_doc_ids.add(doc.doc_id)
-        docs.append(doc)
+        yield doc
+
+
+def _collect(
+    items: Iterable[DocumentRecord | ParseError],
+) -> tuple[list[DocumentRecord], list[ParseError]]:
+    docs: list[DocumentRecord] = []
+    errors: list[ParseError] = []
+    for item in items:
+        (errors if type(item) is ParseError else docs).append(item)
     return docs, errors
+
+
+def parse_corpus(data: bytes) -> tuple[list[DocumentRecord], list[ParseError]]:
+    """Parse a whole corpus from its UTF-8 bytes: :func:`iter_corpus` over
+    its lines, collected into ``(documents, parse errors)``."""
+    return _collect(iter_corpus(data.split(b"\n")))
 
 
 def document_to_obj(doc: DocumentRecord) -> dict:
@@ -332,8 +353,9 @@ def serialize_corpus(docs: Iterable[DocumentRecord]) -> bytes:
 
 
 def load_corpus(path: str) -> tuple[list[DocumentRecord], list[ParseError]]:
+    """Parse a whole corpus file, reading it line by line."""
     with open(path, "rb") as handle:
-        return parse_corpus(handle.read())
+        return _collect(iter_corpus(handle))
 
 
 def save_corpus(path: str, docs: Iterable[DocumentRecord]) -> None:

@@ -26,7 +26,7 @@ import unicodedata
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .model import (
     ACTORS,
@@ -603,16 +603,18 @@ def _explicit_event_one(idx: _DocIndex) -> Iterator[Finding]:
 @rule("W130", Severity.WARNING, "country name tagged as event place")
 def _country_as_place(idx: _DocIndex) -> Iterator[Finding]:
     countries = idx.lexicons.countries
+    place = TagId.EVENT_PLACE  # bound once: enum member access is slow
     for ann in idx.anns:
-        if ann.tag is TagId.EVENT_PLACE and idx.text(ann).casefold() in countries:
+        if ann.tag is place and idx.text(ann).casefold() in countries:
             yield _at(ann, f"country name {idx.text(ann)!r} tagged as event_place")
 
 
 @rule("W131", Severity.WARNING, "participant_count span begins with an estimation qualifier")
 def _estimated_count(idx: _DocIndex) -> Iterator[Finding]:
     qualifier_seqs = idx.lexicons.qualifier_token_sequences()
+    count = TagId.PARTICIPANT_COUNT  # bound once: enum member access is slow
     for ann in idx.anns:
-        if ann.tag is not TagId.PARTICIPANT_COUNT:
+        if ann.tag is not count:
             continue
         toks = tuple(t.casefold() for t in idx.tokens(ann))
         for seq in qualifier_seqs:
@@ -705,15 +707,17 @@ class CorpusReport:
 
 
 def validate_corpus(
-    docs: Sequence[DocumentRecord], cfg: LintConfig = DEFAULT_CONFIG
+    docs: Iterable[DocumentRecord], cfg: LintConfig = DEFAULT_CONFIG
 ) -> CorpusReport:
-    """Validate documents in order and tally severities."""
+    """Validate documents in order, one at a time, and tally severities."""
     diagnostics: list[Diagnostic] = []
+    documents = 0
     for doc in docs:
+        documents += 1
         diagnostics.extend(validate_document(doc, cfg))
     totals = Counter(d.severity for d in diagnostics)
     for sev in Severity:
         totals.setdefault(sev, 0)
     return CorpusReport(
-        diagnostics=tuple(diagnostics), totals=dict(totals), documents=len(docs)
+        diagnostics=tuple(diagnostics), totals=dict(totals), documents=documents
     )

@@ -1,13 +1,15 @@
+import contextlib
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from glocon.cli import EXIT_FINDINGS, EXIT_IO, EXIT_OK, EXIT_USAGE, corpus_stats, run
-from glocon.io import serialize_corpus
+from glocon.io import load_corpus, serialize_corpus
 from glocon.model import DocumentLabels, DocumentRecord, TagId
 from glocon.synth import synthetic_corpus
 from golden_docs import ann, bjp_square_doc, karnataka_doc, sent
@@ -212,6 +214,26 @@ class TestCorpusReading:
             f"glocon: {path}: line 3: undecodable bytes ('utf-8' codec can't decode byte 0xff "
             "in position 0: invalid start byte)"
         ]
+
+    def test_streaming_commands_hold_one_document_at_a_time(self, corpus_file):
+        path = corpus_file(synthetic_corpus(300, seed=1))
+
+        def peak(call):
+            tracemalloc.start()
+            try:
+                call()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        def command(*argv):
+            with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+                assert run(argv) in (EXIT_OK, EXIT_FINDINGS)
+
+        whole = peak(lambda: load_corpus(path))
+        assert peak(lambda: command("stats", path)) < whole / 4
+        assert peak(lambda: command("validate", path)) < whole / 4
+        assert peak(lambda: command("assemble", path)) < whole / 2
 
 
 class TestConsoleEntry:

@@ -11,6 +11,7 @@ from glocon.io import (
     ParseError,
     ParseErrorKind,
     format_event_refs,
+    iter_corpus,
     load_corpus,
     parse_corpus,
     parse_event_refs,
@@ -205,6 +206,17 @@ def test_unknown_keys_rejected():
 def test_undecodable_bytes_raise():
     with pytest.raises(CorpusDecodeError):
         parse_corpus(b'{"doc_id": "\xff"}')
+
+
+def test_iter_corpus_yields_each_line_before_reading_the_next():
+    def lines():
+        yield _line(_doc_obj(doc_id="first"))
+        yield b"not json"
+        raise AssertionError("read past the line being yielded")
+
+    stream = iter_corpus(lines())
+    assert next(stream).doc_id == "first"
+    assert next(stream).line == 2
 
 
 def test_empty_corpus_serializes_to_empty_stream():
