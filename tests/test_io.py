@@ -15,6 +15,7 @@ from glocon.io import (
     load_corpus,
     parse_corpus,
     parse_event_refs,
+    save_corpus,
     serialize_corpus,
 )
 from glocon.lint import validate_document
@@ -267,6 +268,14 @@ def test_demo_corpus_matches_golden_builders(bjp_doc, karnataka):
 
     path = Path(__file__).parent.parent / "data" / "worked_examples.glocon.jsonl"
     assert path.read_bytes() == serialize_corpus([bjp_doc, karnataka])
+
+
+@pytest.mark.parametrize("seed", [None, *range(8)])
+def test_save_corpus_writes_the_serialized_bytes(tmp_path, seed):
+    docs = [] if seed is None else random_corpus(6, seed)
+    path = tmp_path / "corpus.glocon.jsonl"
+    save_corpus(str(path), docs)
+    assert path.read_bytes() == serialize_corpus(docs)
 
 
 @settings(max_examples=40, deadline=None)
