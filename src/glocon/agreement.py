@@ -164,8 +164,8 @@ def cohen_kappa(
     marg_b = {c: sum(confusion[(x, c)] for x in categories) / n for c in categories}
     p_e = sum(marg_a[c] * marg_b[c] for c in categories)
     if p_e == 1.0:
-        # both annotators used a single identical category throughout
-        kappa = 1.0 if p_o == 1.0 else float("nan")
+        # both annotators used one shared category throughout, so p_o is 1.0 too
+        kappa = 1.0
     else:
         kappa = (p_o - p_e) / (1.0 - p_e)
     return KappaResult(level, kappa, p_o, p_e, confusion, n, skipped)
@@ -216,7 +216,6 @@ def _score(tp: int, fp: int, fn: int) -> TagScore:
 @dataclass(frozen=True)
 class PRFReport:
     mode: MatchMode
-    reference: str
     per_tag: Mapping[str, TagScore]
     micro: TagScore
     documents: int
@@ -224,7 +223,7 @@ class PRFReport:
     def to_obj(self) -> dict:
         return {
             "mode": self.mode.value,
-            "reference": self.reference,
+            "reference": "a",  # the first corpus of each pair is the gold side
             "documents": self.documents,
             "micro": asdict(self.micro),
             "per_tag": {tag: asdict(s) for tag, s in sorted(self.per_tag.items())},
@@ -279,20 +278,13 @@ def _match_document(
 def span_prf(
     pairs: Sequence[tuple[DocumentRecord, DocumentRecord]],
     mode: MatchMode = MatchMode.STRICT,
-    reference: str = "a",
 ) -> PRFReport:
-    """Span-level precision/recall/F1 of one corpus against the other.
-
-    ``reference`` selects which corpus of each pair is the gold side
-    ("a" or "b"); the other side is scored as the hypothesis.
-    """
-    if reference not in ("a", "b"):
-        raise ValueError(f"reference must be 'a' or 'b', got {reference!r}")
+    """Span-level precision/recall/F1 of each pair's second document (the
+    hypothesis) against its first (the reference)."""
     tp: dict[TagId, int] = {}
     fp: dict[TagId, int] = {}
     fn: dict[TagId, int] = {}
-    for doc_a, doc_b in pairs:
-        ref_doc, hyp_doc = (doc_a, doc_b) if reference == "a" else (doc_b, doc_a)
+    for ref_doc, hyp_doc in pairs:
         _match_document(hyp_doc.annotations, ref_doc.annotations, mode, tp, fp, fn)
 
     tags = sorted(set(tp) | set(fp) | set(fn), key=attrgetter("value"))
@@ -300,6 +292,4 @@ def span_prf(
         tag.value: _score(tp.get(tag, 0), fp.get(tag, 0), fn.get(tag, 0)) for tag in tags
     }
     micro = _score(sum(tp.values()), sum(fp.values()), sum(fn.values()))
-    return PRFReport(
-        mode=mode, reference=reference, per_tag=per_tag, micro=micro, documents=len(pairs)
-    )
+    return PRFReport(mode=mode, per_tag=per_tag, micro=micro, documents=len(pairs))

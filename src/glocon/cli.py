@@ -98,33 +98,25 @@ def corpus_stats(docs: Iterable[DocumentRecord]) -> Stats:
 
 def _read_corpus(path: str, consume: Callable[[Iterator[DocumentRecord]], object]):
     """Stream the documents of a corpus file into ``consume``, then print
-    the file's parse errors to stderr.
+    the file's parse errors to stderr; returns ``(consume's result,
+    parse_errors)``.
 
-    Returns ``(consume's result, parse_errors, None)``, or ``(None, None,
-    exit_code)`` when the file cannot be read or decoded; the failure's
-    message is then the only output.
+    When the file cannot be read or decoded, its message is the only output
+    and the command exits with EXIT_IO.
     """
     errors: list[ParseError] = []
-
-    def documents(handle) -> Iterator[DocumentRecord]:
-        for item in iter_corpus(handle):
-            if type(item) is ParseError:
-                errors.append(item)
-            else:
-                yield item
-
     try:
         with open(path, "rb") as handle:
-            result = consume(documents(handle))
+            result = consume(iter_corpus(handle, errors))
     except OSError as exc:
         print(f"glocon: cannot read {path}: {exc}", file=sys.stderr)
-        return None, None, EXIT_IO
+        raise SystemExit(EXIT_IO) from None
     except CorpusDecodeError as exc:
         print(f"glocon: {path}: {exc}", file=sys.stderr)
-        return None, None, EXIT_IO
+        raise SystemExit(EXIT_IO) from None
     for err in errors:
         print(f"glocon: {path}: {err}", file=sys.stderr)
-    return result, errors, None
+    return result, errors
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
@@ -138,11 +130,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         except ConfigError as exc:
             print(f"glocon: bad config {args.config}: {exc}", file=sys.stderr)
             return EXIT_USAGE
-    report, parse_errors, failure = _read_corpus(
-        args.corpus, lambda docs: validate_corpus(docs, cfg)
-    )
-    if failure is not None:
-        return failure
+    report, parse_errors = _read_corpus(args.corpus, lambda docs: validate_corpus(docs, cfg))
 
     totals = report.totals
     summary = (
@@ -178,10 +166,7 @@ def _assemble_corpus(docs: Iterable[DocumentRecord]) -> tuple[list[EventRecord],
 
 
 def _cmd_assemble(args: argparse.Namespace) -> int:
-    assembled, parse_errors, failure = _read_corpus(args.corpus, _assemble_corpus)
-    if failure is not None:
-        return failure
-    records, documents = assembled
+    (records, documents), parse_errors = _read_corpus(args.corpus, _assemble_corpus)
     rows = export_rows(records)
     payload = rows_to_csv(rows) if args.format == "csv" else rows_to_jsonl(rows)
     if args.out:
@@ -214,7 +199,7 @@ def _format_kappa_table(results: Sequence[KappaResult]) -> str:
 
 def _format_prf_table(report: PRFReport) -> str:
     lines = [
-        f"span agreement: mode={report.mode.value} reference={report.reference} "
+        f"span agreement: mode={report.mode.value} reference=a "
         "(one-to-one greedy matching in canonical span order, exact matches first)",
         f"{'tag':<28} {'P':>7} {'R':>7} {'F1':>7} {'tp':>6} {'fp':>6} {'fn':>6}",
     ]
@@ -232,12 +217,8 @@ def _format_prf_table(report: PRFReport) -> str:
 
 
 def _cmd_agree(args: argparse.Namespace) -> int:
-    docs_a, errors_a, failure = _read_corpus(args.corpus_a, list)
-    if failure is not None:
-        return failure
-    docs_b, errors_b, failure = _read_corpus(args.corpus_b, list)
-    if failure is not None:
-        return failure
+    docs_a, errors_a = _read_corpus(args.corpus_a, list)
+    docs_b, errors_b = _read_corpus(args.corpus_b, list)
 
     pairing = pair_corpora(docs_a, docs_b)
     for mismatch in pairing.mismatched:
@@ -248,7 +229,7 @@ def _cmd_agree(args: argparse.Namespace) -> int:
     )
 
     if args.level == "token":
-        report = span_prf(pairing.pairs, MatchMode(args.mode), reference="a")
+        report = span_prf(pairing.pairs, MatchMode(args.mode))
         payload_obj: object = report.to_obj()
         text = _format_prf_table(report)
     else:
@@ -297,9 +278,7 @@ def _format_stats_text(stats: Stats) -> str:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    stats, parse_errors, failure = _read_corpus(args.corpus, corpus_stats)
-    if failure is not None:
-        return failure
+    stats, parse_errors = _read_corpus(args.corpus, corpus_stats)
     if args.format == "json":
         json.dump(stats.to_obj(), sys.stdout, indent=2)
         sys.stdout.write("\n")
@@ -349,16 +328,16 @@ def run(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:
-        # argparse exits 2 on usage errors and 0 for --help
+        # argparse exits 2 on usage errors and 0 for --help; _read_corpus exits EXIT_IO
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    return args.func(args)
 
 
-def main(argv: Sequence[str] | None = None) -> None:
+def main() -> None:
     sys.stdout.reconfigure(encoding="utf-8")  # the same bytes as --out writes
     try:
-        code = run(argv)
+        code = run()
         sys.stdout.flush()
     except BrokenPipeError:  # the reader closed stdout; keep the exit-time flush quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

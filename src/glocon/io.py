@@ -18,14 +18,19 @@ as ``[1]``.  Absent optional fields (``labels`` sub-keys, sentence
 ``label``, ``confidence``, ``comment``) are omitted on output.
 
 :func:`iter_corpus` is the one parse loop.  It takes raw byte lines (an
-open binary file will do) and yields one document or parse error at a
-time, so its consumer can hold one document at a time.
+open binary file will do) and yields only documents, one at a time; each
+rejected line's ParseError goes to a list the caller passes in.
 :func:`parse_corpus` (the corpus as bytes) and :func:`load_corpus` (a
-path) collect it into lists, and so hold the whole corpus.
+path) collect it into lists, and so hold the whole corpus.  A rejected
+line nested more than 100 arrays or objects deep is "nesting too deep",
+whatever else is wrong with it, so the result does not depend on the
+caller's stack.
 
 Serialization is canonical: keys in the order shown above, annotations
 sorted by (sentence, start, end, tag, event numbers, id), compact
-separators, LF line endings.
+separators, LF line endings.  :func:`serialize_corpus` and
+:func:`save_corpus` share one line encoder; ``save_corpus`` writes each
+document's line as it is made.
 ``parse_corpus(serialize_corpus(docs))`` reproduces ``docs`` exactly.
 """
 
@@ -33,6 +38,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import accumulate, repeat
 from typing import Iterable, Iterator
 
 from .model import (
@@ -235,23 +241,40 @@ def _decode(line: str) -> object:
     return obj
 
 
-def _rejection(lineno: int, obj: object, exc: Exception) -> ParseError:
+# A well-formed record nests 4 deep.  json.loads raises RecursionError at a
+# depth that depends on the caller's stack, so a rejected line nested past
+# this cap is "nesting too deep" whatever else is wrong with it.
+_MAX_DEPTH = 100
+_TOO_DEEP = "invalid JSON: nesting too deep"
+_DEPTH_STEP = {"[": 1, "{": 1, "]": -1, "}": -1}
+
+
+def _nests_too_deep(line: str) -> bool:
+    """Whether brackets outside strings nest past ``_MAX_DEPTH``; for a line
+    that decodes, that is the nesting of its JSON value."""
+    if line.count("[") + line.count("{") <= _MAX_DEPTH:
+        return False
+    # without escaped backslashes and quotes, every '"' opens or closes a string
+    outside = "".join(line.replace("\\\\", "").replace('\\"', "").split('"')[::2])
+    return max(accumulate(map(_DEPTH_STEP.get, outside, repeat(0)), initial=0)) > _MAX_DEPTH
+
+
+def _rejection(lineno: int, line: str, obj: object, exc: Exception) -> ParseError:
+    if isinstance(exc, RecursionError) or _nests_too_deep(line):
+        return ParseError(lineno, None, ParseErrorKind.MALFORMED_RECORD, _TOO_DEEP)
     doc_id = obj.get("doc_id") if type(obj) is dict else None
-    if isinstance(exc, InvariantError):
-        kind, message = exc.kind, str(exc)
-    else:  # RecursionError: nested deeper than the interpreter's limit
-        kind, message = ParseErrorKind.MALFORMED_RECORD, "invalid JSON: nesting too deep"
-    return ParseError(lineno, doc_id if type(doc_id) is str else None, kind, message)
+    return ParseError(lineno, doc_id if type(doc_id) is str else None, exc.kind, str(exc))
 
 
-def iter_corpus(lines: Iterable[bytes]) -> Iterator[DocumentRecord | ParseError]:
+def iter_corpus(lines: Iterable[bytes], errors: list[ParseError]) -> Iterator[DocumentRecord]:
     """Parse a corpus line by line, holding one document at a time.
 
     ``lines`` are raw byte lines, such as an open binary file yields; one
     trailing ``\\n`` is stripped from each.  Yields a DocumentRecord per
-    well-formed line and at least one ParseError per malformed line, in
-    input order, with 1-based line numbers.  Blank lines are skipped, and a
-    repeated ``doc_id`` is a DUPLICATE_ID error.  Undecodable bytes raise
+    well-formed line, in input order, and appends at least one ParseError
+    per malformed line to ``errors`` before it reads the next line; errors
+    carry 1-based line numbers.  Blank lines are skipped, and a repeated
+    ``doc_id`` is a DUPLICATE_ID error.  Undecodable bytes raise
     CorpusDecodeError.
     """
     seen_doc_ids: set[str] = set()
@@ -269,34 +292,21 @@ def iter_corpus(lines: Iterable[bytes]) -> Iterator[DocumentRecord | ParseError]
             obj = _decode(line)
             doc = _parse_document(obj)
         except (InvariantError, RecursionError) as exc:
-            yield _rejection(lineno, obj, exc)
+            errors.append(_rejection(lineno, line, obj, exc))
             continue
         if doc.doc_id in seen_doc_ids:
-            yield ParseError(
-                line=lineno,
-                doc_id=doc.doc_id,
-                kind=ParseErrorKind.DUPLICATE_ID,
-                message=f"duplicate doc_id {doc.doc_id!r}",
-            )
+            message = f"duplicate doc_id {doc.doc_id!r}"
+            errors.append(ParseError(lineno, doc.doc_id, ParseErrorKind.DUPLICATE_ID, message))
             continue
         seen_doc_ids.add(doc.doc_id)
         yield doc
 
 
-def _collect(
-    items: Iterable[DocumentRecord | ParseError],
-) -> tuple[list[DocumentRecord], list[ParseError]]:
-    docs: list[DocumentRecord] = []
-    errors: list[ParseError] = []
-    for item in items:
-        (errors if type(item) is ParseError else docs).append(item)
-    return docs, errors
-
-
 def parse_corpus(data: bytes) -> tuple[list[DocumentRecord], list[ParseError]]:
     """Parse a whole corpus from its UTF-8 bytes: :func:`iter_corpus` over
-    its lines, collected into ``(documents, parse errors)``."""
-    return _collect(iter_corpus(data.split(b"\n")))
+    its lines, as ``(documents, parse errors)``."""
+    errors: list[ParseError] = []
+    return list(iter_corpus(data.split(b"\n"), errors)), errors
 
 
 def document_to_obj(doc: DocumentRecord) -> dict:
@@ -341,23 +351,25 @@ def document_to_obj(doc: DocumentRecord) -> dict:
     }
 
 
+def _document_line(doc: DocumentRecord) -> bytes:
+    """One document as a canonical UTF-8 JSON line, ending in LF."""
+    text = json.dumps(document_to_obj(doc), ensure_ascii=False, separators=(",", ":"))
+    return (text + "\n").encode("utf-8")
+
+
 def serialize_corpus(docs: Iterable[DocumentRecord]) -> bytes:
     """Serialize documents to canonical UTF-8 JSON Lines."""
-    out: list[str] = []
-    for doc in docs:
-        out.append(
-            json.dumps(document_to_obj(doc), ensure_ascii=False, separators=(",", ":"))
-        )
-        out.append("\n")
-    return "".join(out).encode("utf-8")
+    return b"".join(map(_document_line, docs))
 
 
 def load_corpus(path: str) -> tuple[list[DocumentRecord], list[ParseError]]:
     """Parse a whole corpus file, reading it line by line."""
+    errors: list[ParseError] = []
     with open(path, "rb") as handle:
-        return _collect(iter_corpus(handle))
+        return list(iter_corpus(handle, errors)), errors
 
 
 def save_corpus(path: str, docs: Iterable[DocumentRecord]) -> None:
+    """Write documents as :func:`serialize_corpus` does, one line at a time."""
     with open(path, "wb") as handle:
-        handle.write(serialize_corpus(docs))
+        handle.writelines(map(_document_line, docs))

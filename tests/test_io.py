@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from glocon.io import (
 )
 from glocon.lint import validate_document
 from glocon.model import TagId
+from glocon.synth import synthetic_corpus
 from randdocs import random_corpus
 
 
@@ -210,14 +212,19 @@ def test_undecodable_bytes_raise():
 
 
 def test_iter_corpus_yields_each_line_before_reading_the_next():
+    errors = []
+
     def lines():
         yield _line(_doc_obj(doc_id="first"))
         yield b"not json"
+        assert [e.line for e in errors] == [2]  # line 2's error is in before line 3 is read
+        yield _line(_doc_obj(doc_id="third"))
         raise AssertionError("read past the line being yielded")
 
-    stream = iter_corpus(lines())
+    stream = iter_corpus(lines(), errors)
     assert next(stream).doc_id == "first"
-    assert next(stream).line == 2
+    assert errors == []
+    assert next(stream).doc_id == "third"
 
 
 def test_empty_corpus_serializes_to_empty_stream():
@@ -276,6 +283,18 @@ def test_save_corpus_writes_the_serialized_bytes(tmp_path, seed):
     path = tmp_path / "corpus.glocon.jsonl"
     save_corpus(str(path), docs)
     assert path.read_bytes() == serialize_corpus(docs)
+
+
+def test_save_corpus_writes_one_line_at_a_time(tmp_path):
+    path = tmp_path / "corpus.glocon.jsonl"
+    docs = synthetic_corpus(300, seed=1)
+    tracemalloc.start()
+    try:
+        save_corpus(str(path), docs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size / 4
 
 
 @settings(max_examples=40, deadline=None)
@@ -508,6 +527,32 @@ def test_deep_nesting_is_malformed():
         (2, ParseErrorKind.MALFORMED_RECORD, "invalid JSON: nesting too deep"),
         (3, ParseErrorKind.DUPLICATE_ID, "duplicate doc_id 'ok'"),
     ]
+
+
+def _frames_deeper(frames, call):
+    return call() if frames == 0 else _frames_deeper(frames - 1, call)
+
+
+@pytest.mark.parametrize("depth", [99, 100, 101, 500, 900])
+@pytest.mark.parametrize("closed", [True, False], ids=["valid", "unterminated"])
+def test_nesting_cap_does_not_depend_on_the_stack(depth, closed):
+    # the record is one level deep and "x" holds depth - 1 nested arrays
+    line = b'{"doc_id": "d", "x": ' + b"[" * (depth - 1)
+    if closed:
+        line += b"]" * (depth - 1) + b"}"
+    result = parse_corpus(line)
+    assert _frames_deeper(60, lambda: parse_corpus(line)) == result
+    docs, (error,) = result
+    too_deep = (None, ParseErrorKind.MALFORMED_RECORD, "invalid JSON: nesting too deep")
+    if depth > 100:
+        assert (error.doc_id, error.kind, error.message) == too_deep
+    else:
+        assert error.message != too_deep[2]
+
+
+def test_brackets_inside_strings_do_not_nest():
+    error = _only_error(b'{"doc_id": "d", "x": "' + b"[{" * 200 + b'\\"]"}')
+    assert (error.doc_id, error.message) == ("d", "unknown record keys: ['x']")
 
 
 def test_integer_past_digit_limit_is_malformed():
