@@ -543,6 +543,7 @@ def test_nesting_cap_does_not_depend_on_the_stack(depth, closed):
     result = parse_corpus(line)
     assert _frames_deeper(60, lambda: parse_corpus(line)) == result
     docs, (error,) = result
+    assert docs == []
     too_deep = (None, ParseErrorKind.MALFORMED_RECORD, "invalid JSON: nesting too deep")
     if depth > 100:
         assert (error.doc_id, error.kind, error.message) == too_deep
