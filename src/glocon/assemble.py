@@ -204,7 +204,7 @@ def _location(record: EventRecord) -> TokenSpan:
         *record.targets, *record.unattached_attributes,
         *heads, *(attr for head in heads for attr in head.attributes),
     )
-    return min((a.span for a in arguments), key=lambda s: (s.sentence, s.start, s.end))
+    return min(a.span for a in arguments)
 
 
 def _axes(record: EventRecord) -> tuple:

@@ -241,27 +241,27 @@ def _decode(line: str) -> object:
     return obj
 
 
-# A well-formed record nests 4 deep.  json.loads raises RecursionError at a
-# depth that depends on the caller's stack, so a rejected line nested past
-# this cap is "nesting too deep" whatever else is wrong with it.
+# A well-formed record nests 4 deep and a lint config 3.  json.loads raises
+# RecursionError at a depth that depends on the caller's stack, so a rejected
+# line or config nested past this cap is "nesting too deep" whatever else is wrong.
 _MAX_DEPTH = 100
-_TOO_DEEP = "invalid JSON: nesting too deep"
+TOO_DEEP = "invalid JSON: nesting too deep"
 _DEPTH_STEP = {"[": 1, "{": 1, "]": -1, "}": -1}
 
 
-def _nests_too_deep(line: str) -> bool:
-    """Whether brackets outside strings nest past ``_MAX_DEPTH``; for a line
+def nests_too_deep(text: str) -> bool:
+    """Whether brackets outside strings nest past ``_MAX_DEPTH``; for text
     that decodes, that is the nesting of its JSON value."""
-    if line.count("[") + line.count("{") <= _MAX_DEPTH:
+    if text.count("[") + text.count("{") <= _MAX_DEPTH:
         return False
     # without escaped backslashes and quotes, every '"' opens or closes a string
-    outside = "".join(line.replace("\\\\", "").replace('\\"', "").split('"')[::2])
+    outside = "".join(text.replace("\\\\", "").replace('\\"', "").split('"')[::2])
     return max(accumulate(map(_DEPTH_STEP.get, outside, repeat(0)), initial=0)) > _MAX_DEPTH
 
 
 def _rejection(lineno: int, line: str, obj: object, exc: Exception) -> ParseError:
-    if isinstance(exc, RecursionError) or _nests_too_deep(line):
-        return ParseError(lineno, None, ParseErrorKind.MALFORMED_RECORD, _TOO_DEEP)
+    if isinstance(exc, RecursionError) or nests_too_deep(line):
+        return ParseError(lineno, None, ParseErrorKind.MALFORMED_RECORD, TOO_DEEP)
     doc_id = obj.get("doc_id") if type(obj) is dict else None
     return ParseError(lineno, doc_id if type(doc_id) is str else None, exc.kind, str(exc))
 

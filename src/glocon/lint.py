@@ -28,6 +28,7 @@ from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Mapping
 
+from .io import TOO_DEEP, nests_too_deep
 from .model import (
     ACTORS,
     Annotation,
@@ -42,7 +43,6 @@ from .model import (
     TagId,
     TARGET_TAGS,
     TokenSpan,
-    annotation_sort_key,
     coterminous,
     holds_attribute,
     overlaps,
@@ -248,13 +248,16 @@ DEFAULT_CONFIG = LintConfig()
 def load_config(path: str) -> LintConfig:
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            obj = json.load(handle)
+            text = handle.read()
         except UnicodeDecodeError as exc:
             raise ConfigError(f"not UTF-8: {exc}") from None
-        except (ValueError, RecursionError) as exc:
-            # invalid JSON, an integer past int()'s digit limit, or nesting
-            # past the recursion limit
-            raise ConfigError(str(exc)) from None
+    if nests_too_deep(text):  # as for corpus lines, whatever the caller's stack depth
+        raise ConfigError(TOO_DEEP)
+    try:
+        obj = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        # invalid JSON, an integer past int()'s digit limit, or nesting past the recursion limit
+        raise ConfigError(str(exc)) from None
     return LintConfig.from_obj(obj)
 
 
@@ -645,7 +648,7 @@ def _differing_trigger_categories(idx: _DocIndex) -> Iterator[Finding]:
         cats = categories_by_event[number]
         if len(cats) > 1:
             yield _at(
-                min(cats.values(), key=annotation_sort_key),
+                next(iter(cats.values())),  # the first trigger in canonical order
                 f"triggers of event {number} carry differing semantic categories: "
                 f"{sorted(cats)}",
                 tuple(sorted(t.id for t in cats.values())),
@@ -663,7 +666,7 @@ def _participant_surface_variants(idx: _DocIndex) -> Iterator[Finding]:
     for surface in sorted(by_surface):
         variants = by_surface[surface]
         if len(variants) > 1:
-            heads = sorted(variants.values(), key=annotation_sort_key)
+            heads = list(variants.values())  # in canonical order, as the hosts are
             yield _at(
                 heads[1],
                 f"participant surface {' '.join(surface)!r} carries differing "

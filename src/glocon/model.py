@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterable, NamedTuple
@@ -307,26 +308,28 @@ class DemandLabel(str, enum.Enum):
     ECONOMIC_WELFARE = "economic_welfare"
 
 
-@dataclass(frozen=True)
-class TokenSpan:
+class TokenSpan(namedtuple("TokenSpan", "sentence start end")):
     """A contiguous token range within a single sentence.
 
     ``start`` is inclusive, ``end`` exclusive, both 0-based.  Spans never
     cross sentence boundaries by construction; the upper bound against the
     sentence's token count is enforced when a DocumentRecord is built.
+    A span is the tuple ``(sentence, start, end)``: it equals, hashes and
+    orders as that tuple, in C.  No glocon code mixes spans with plain tuples.
     """
 
-    sentence: int
-    start: int
-    end: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.sentence < 0:
-            raise SpanError(f"negative sentence index: {self.sentence}")
-        if not 0 <= self.start < self.end:
-            raise SpanError(
-                f"degenerate span [{self.start}, {self.end}) in sentence {self.sentence}"
-            )
+    def __new__(cls, sentence: int, start: int, end: int) -> TokenSpan:
+        if sentence < 0:
+            raise SpanError(f"negative sentence index: {sentence}")
+        if not 0 <= start < end:
+            raise SpanError(f"degenerate span [{start}, {end}) in sentence {sentence}")
+        return tuple.__new__(cls, (sentence, start, end))
+
+    @classmethod
+    def _make(cls, iterable: Iterable[int]) -> TokenSpan:
+        return cls(*iterable)  # namedtuple's, which _replace calls, skips __new__
 
 
 def span_error(
@@ -442,8 +445,11 @@ class SentenceRecord:
             raise InvariantError(
                 f"sentence {self.index}: tokens must be a non-empty list of non-empty strings"
             )
-        if self.label is not None and not isinstance(self.label, SentenceLabel):
-            object.__setattr__(self, "label", SentenceLabel(self.label))
+        label = self.label
+        if label is not None and not isinstance(label, SentenceLabel):
+            if label not in (0, 1, 2):
+                raise LabelError(f"sentence {self.index}: label must be 0, 1 or 2, got {label}")
+            object.__setattr__(self, "label", SentenceLabel(label))
 
 
 @dataclass(frozen=True)
@@ -522,15 +528,8 @@ class DocumentRecord:
 
 
 def annotation_sort_key(ann: Annotation) -> tuple:
-    """Canonical ordering of annotations: (sentence, start, end, tag, events, id)."""
-    return (
-        ann.span.sentence,
-        ann.span.start,
-        ann.span.end,
-        ann.tag,
-        tuple(sorted(ann.events)),
-        ann.id,
-    )
+    """Canonical ordering of annotations: (span, tag, events, id)."""
+    return (ann.span, ann.tag, tuple(sorted(ann.events)), ann.id)
 
 
 class DocumentView:
@@ -569,14 +568,11 @@ class DocumentView:
                 semantics[tag.focus].append(ann)
         self.partners: dict[str, list[Annotation]] = {}
         for focus, sems in semantics.items():
-            # spans keyed as plain tuples, which hash in C
-            at_span: dict[tuple[int, int, int], list[Annotation]] = {}
+            at_span: dict[TokenSpan, list[Annotation]] = {}
             for sem in sems:
-                span = sem.span
-                at_span.setdefault((span.sentence, span.start, span.end), []).append(sem)
+                at_span.setdefault(sem.span, []).append(sem)
             for host in hosts[focus]:
-                span = host.span
-                found = at_span.get((span.sentence, span.start, span.end), ())
+                found = at_span.get(host.span, ())
                 self.partners[host.id] = [s for s in found if not s.events.isdisjoint(host.events)]
 
     def in_title(self, ann: Annotation) -> bool:

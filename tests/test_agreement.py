@@ -222,6 +222,13 @@ class TestSpanPRF:
         for score in report.per_tag.values():
             assert (score.precision, score.recall, score.f1) == (1.0, 1.0, 1.0)
 
+    def test_pairs_without_annotations_are_perfect(self):
+        docs = [_span_doc("d", []), _span_doc("e", [])]
+        report = span_prf(pair_corpora(docs, docs).pairs, MatchMode.LENIENT)
+        assert report.per_tag == {}
+        m = report.micro
+        assert (m.tp, m.fp, m.fn, m.precision, m.recall, m.f1) == (0, 0, 0, 1.0, 1.0, 1.0)
+
     def test_partial_recall(self):
         refs = _span_doc(
             "d",

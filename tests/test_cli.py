@@ -86,6 +86,12 @@ class TestValidateCommand:
         assert run(["validate", "no-such-file.glocon.jsonl"]) == EXIT_IO
         assert "cannot read" in capsys.readouterr().err
 
+    def test_unreadable_config_exits_three(self, corpus_file, tmp_path, capsys):
+        corpus = corpus_file([bjp_square_doc()])
+        missing = tmp_path / "no-such-config.json"
+        assert run(["validate", corpus, "--config", str(missing)]) == EXIT_IO
+        assert capsys.readouterr().err.startswith(f"glocon: cannot read config {missing}: ")
+
     def test_parse_errors_exit_three(self, tmp_path, capsys):
         path = tmp_path / "broken.glocon.jsonl"
         path.write_text('{"doc_id": "ok", "sentences": []}\nnot json\n')
@@ -117,13 +123,16 @@ class TestValidateCommand:
             (b'{"lexicons": {"estimation_qualifiers": [""]}}',
              "lexicon estimation_qualifiers must be a list"),
             (b'{"disabled_rules": ["W103\xff"]}', "not UTF-8"),
-            # the messages of these two depend on the Python version
-            (b"[" * 100_000 + b"]" * 100_000, ""),
+            (b"[" * 100_000 + b"]" * 100_000, "invalid JSON: nesting too deep"),
+            # the message of this one depends on the Python version
             (b'{"disabled_rules": [' + b"1" * 5_000 + b"]}", ""),
+            (b'["W103"]', "config must be a JSON object"),
+            (b'{"lexicons": {"colours": []}}', "unknown lexicon keys: ['colours']"),
         ],
         ids=["overrides-list", "lexicons-list", "disabled-object", "nested-rule-list",
              "non-string-word", "string-lexicon", "blank-word", "not-utf8",
-             "nested-past-recursion-limit", "integer-past-digit-limit"],
+             "nested-past-recursion-limit", "integer-past-digit-limit", "config-list",
+             "unknown-lexicon-key"],
     )
     def test_ill_typed_config_is_usage_error(self, corpus_file, tmp_path, capsys, content,
                                              message):
@@ -152,8 +161,27 @@ class TestAssembleCommand:
         assert [r["places"] for r in rows] == ["Karnataka", "Bangalore", "Mysore"]
         assert capsys.readouterr().out == ""  # payload went to the file
 
+    def test_unwritable_out_exits_three(self, corpus_file, tmp_path, capsys):
+        path = corpus_file([karnataka_doc()])
+        out_path = tmp_path / "missing" / "events.csv"
+        assert run(["assemble", path, "--out", str(out_path)]) == EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"glocon: cannot write {out_path}: ")
+
 
 class TestAgreeCommand:
+    def test_diverging_tokens_are_reported(self, corpus_file, capsys):
+        path_a = corpus_file([bjp_square_doc()], name="a.glocon.jsonl")
+        path_b = corpus_file(
+            [DocumentRecord("bjp-square", sentences=(sent(0, "Other tokens"),))],
+            name="b.glocon.jsonl",
+        )
+        assert run(["agree", path_a, path_b]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert "glocon: doc bjp-square: tokenization diverges at sentence 0\n" in captured.err
+        assert "token mismatches=1" in captured.out
+
     def test_doc_level_self_agreement(self, corpus_file, capsys):
         path = corpus_file([bjp_square_doc(), karnataka_doc()])
         assert run(["agree", path, path]) == EXIT_OK

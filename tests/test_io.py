@@ -19,7 +19,7 @@ from glocon.io import (
     save_corpus,
     serialize_corpus,
 )
-from glocon.lint import validate_document
+from glocon.lint import ConfigError, load_config, validate_document
 from glocon.model import TagId
 from glocon.synth import synthetic_corpus
 from randdocs import random_corpus
@@ -549,6 +549,20 @@ def test_nesting_cap_does_not_depend_on_the_stack(depth, closed):
         assert (error.doc_id, error.kind, error.message) == too_deep
     else:
         assert error.message != too_deep[2]
+
+
+@pytest.mark.parametrize("depth", [101, 500, 950])
+def test_config_nesting_cap_does_not_depend_on_the_stack(tmp_path, depth):
+    # the config nests 2 deep around depth - 2 nested arrays
+    path = tmp_path / "lint.json"
+    path.write_text('{"disabled_rules": {"x": ' + "[" * (depth - 2) + "]" * (depth - 2) + "}}")
+
+    def message():
+        with pytest.raises(ConfigError) as raised:
+            load_config(str(path))
+        return str(raised.value)
+
+    assert message() == _frames_deeper(60, message) == "invalid JSON: nesting too deep"
 
 
 def test_brackets_inside_strings_do_not_nest():

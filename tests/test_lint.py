@@ -192,6 +192,27 @@ class TestRuleDetails:
         )
         assert validate_document(doc) == []
 
+    def test_i150_names_the_heads_in_canonical_order(self):
+        # ids and category names both sort against the canonical order
+        semantics = [TagId.WORKER, TagId.STUDENT, TagId.PROFESSIONAL, TagId.WORKER]
+        doc = _doc(
+            "three-variants",
+            [sent(n, "Teachers marched .") for n in range(4)],
+            [
+                annotation
+                for n, (head, semantic) in enumerate(zip(["p3", "p1", "p2", "p0"], semantics))
+                for annotation in (
+                    ann(f"e{n}", TagId.EVENT_TYPE, n, 1, 2),
+                    ann(f"e{n}s", TagId.DEMONSTRATION, n, 1, 2),
+                    ann(head, TagId.PARTICIPANT_TYPE, n, 0, 1),
+                    ann(f"{head}s", semantic, n, 0, 1),
+                )
+            ],
+        )
+        [diag] = [d for d in validate_document(doc) if d.rule == "I150"]
+        assert (diag.span, diag.annotation_ids) == (TokenSpan(1, 0, 1), ("p3", "p1", "p2"))
+        assert diag.message.endswith("semantic tags: ['professional', 'student', 'worker']")
+
     def test_capitalized_the_not_flagged(self):
         doc = _doc(
             "official-the",

@@ -1,3 +1,4 @@
+import pickle
 from dataclasses import fields
 
 import pytest
@@ -125,6 +126,29 @@ def test_span_rejects_degenerate():
         TokenSpan(-1, 0, 1)
 
 
+def test_span_is_its_tuple():
+    span = TokenSpan(0, 1, 2)
+    assert span == (0, 1, 2) and hash(span) == hash((0, 1, 2))
+    assert repr(span) == "TokenSpan(sentence=0, start=1, end=2)"
+    assert TokenSpan(0, 1, 3) < TokenSpan(0, 2, 3) < TokenSpan(1, 0, 1)
+    assert type(pickle.loads(pickle.dumps(span))) is TokenSpan
+    with pytest.raises(AttributeError):
+        span.start = 0
+    with pytest.raises(AttributeError):
+        span.note = "x"
+
+
+@pytest.mark.parametrize("sentence,start,end", [(0, 3, 3), (0, 5, 2), (-1, 0, 1)])
+def test_make_and_replace_check_as_the_constructor_does(sentence, start, end):
+    with pytest.raises(SpanError) as built:
+        TokenSpan(sentence, start, end)
+    with pytest.raises(SpanError) as made:
+        TokenSpan._make((sentence, start, end))
+    with pytest.raises(SpanError) as replaced:
+        TokenSpan(0, 0, 1)._replace(sentence=sentence, start=start, end=end)
+    assert str(made.value) == str(replaced.value) == str(built.value)
+
+
 def test_annotation_defaults_to_event_one():
     ann = Annotation(id="x", tag=TagId.EVENT_TYPE, span=TokenSpan(0, 0, 1))
     assert ann.events == frozenset({1})
@@ -181,6 +205,14 @@ def test_sentence_record_rejects_empty_tokens():
         SentenceRecord(index=0, tokens=())
     with pytest.raises(InvariantError):
         SentenceRecord(index=0, tokens=("ok", ""))
+
+
+@pytest.mark.parametrize("label", [5, -1, "1"])
+def test_sentence_record_rejects_a_label_outside_the_vocabulary(label):
+    with pytest.raises(LabelError) as raised:
+        SentenceRecord(0, ("a",), label)
+    assert str(raised.value) == f"sentence 0: label must be 0, 1 or 2, got {label}"
+    assert raised.value.kind is ParseErrorKind.BAD_LABEL
 
 
 def test_direct_construction_coerces_sequences_and_labels():
@@ -267,12 +299,20 @@ def test_span_text(bjp_doc):
         ),
         (lambda: resolve_tag("mood"), UnknownTagError, ParseErrorKind.UNKNOWN_TAG),
         (
+            lambda: Annotation(id="x", tag="event_type", span=TokenSpan(0, 0, 1)),
+            InvariantError,
+            ParseErrorKind.MALFORMED_RECORD,
+        ),
+        (
             lambda: SentenceRecord(index=0, tokens=("",)),
             InvariantError,
             ParseErrorKind.MALFORMED_RECORD,
         ),
     ],
-    ids=["span", "span_in_document", "events", "duplicate_id", "labels", "tag", "tokens"],
+    ids=[
+        "span", "span_in_document", "events", "duplicate_id", "labels", "tag", "tag_as_string",
+        "tokens",
+    ],
 )
 def test_invariant_errors_carry_their_parse_error_kind(build, error, kind):
     with pytest.raises(error) as raised:
