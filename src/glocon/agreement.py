@@ -1,5 +1,9 @@
 """Inter-annotator agreement between two parallel corpora.
 
+Documents are paired by doc_id in a streaming join (``CorpusJoin``) that
+holds only the documents still waiting for their partner; the scores
+read each pair once, as it completes.
+
 Label levels (document protest / violence / demand, sentence labels) are
 scored with Cohen's kappa; the token-level span task is scored with
 precision/recall/F1 under strict (coterminous span) or lenient (any
@@ -17,9 +21,10 @@ from __future__ import annotations
 
 import enum
 import math
+from collections import Counter
 from dataclasses import asdict, dataclass
-from operator import attrgetter
-from typing import Mapping, Sequence
+from operator import attrgetter, itemgetter
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .model import (
     DOC_LABELS,
@@ -46,6 +51,9 @@ class TokenMismatch:
 
 @dataclass(frozen=True)
 class PairingResult:
+    """A drained ``CorpusJoin``: its pairs, in the order they completed,
+    and its unmatched ids and token mismatches."""
+
     pairs: tuple[tuple[DocumentRecord, DocumentRecord], ...]
     unmatched_a: tuple[str, ...]
     unmatched_b: tuple[str, ...]
@@ -61,29 +69,77 @@ def _first_divergent_sentence(a: DocumentRecord, b: DocumentRecord) -> int | Non
     return None
 
 
-def pair_corpora(
-    a: Sequence[DocumentRecord], b: Sequence[DocumentRecord]
-) -> PairingResult:
+class CorpusJoin:
+    """Pair two document streams by doc_id as they are read.
+
+    Iterating pulls a document from ``a``, then one from ``b``, in turn, and
+    yields ``(doc_a, doc_b)`` the moment both halves of a pair have arrived,
+    unless their tokens differ.  Only documents whose partner has not
+    arrived yet are held, so two corpora in the same order cost about one
+    document per side, and the worst case (``b`` reversed) one corpus.
+    Once one side runs out, a document of the other that finds no partner
+    waiting is unmatched at once and only its id is kept.
+
+    When the iteration ends, ``paired`` counts the pairs yielded,
+    ``unmatched_a`` and ``unmatched_b`` list the ids without a partner in
+    ``a`` and ``b`` order, and ``mismatched`` lists the token mismatches in
+    ``a`` order.  A doc_id repeated within one side raises ``ValueError``.
+    Each side is read once.
+    """
+
+    def __init__(self, a: Iterable[DocumentRecord], b: Iterable[DocumentRecord]) -> None:
+        self._sides = (a, b)
+        self.paired = 0
+        self.unmatched_a: tuple[str, ...] = ()
+        self.unmatched_b: tuple[str, ...] = ()
+        self.mismatched: tuple[TokenMismatch, ...] = ()
+
+    def __iter__(self) -> Iterator[tuple[DocumentRecord, DocumentRecord]]:
+        streams = [iter(side) for side in self._sides]
+        # per side: doc_id -> (position in that side, document), in arrival order
+        waiting: tuple[dict[str, tuple[int, DocumentRecord]], ...] = ({}, {})
+        seen: tuple[set[str], set[str]] = (set(), set())
+        # per side: ids that arrived after the other side ran out
+        late: tuple[list[str], list[str]] = ([], [])
+        mismatched: list[tuple[int, TokenMismatch]] = []
+        live = [0, 1]
+        while live:
+            for side in tuple(live):
+                doc = next(streams[side], None)
+                if doc is None:
+                    live.remove(side)
+                    continue
+                doc_id = doc.doc_id
+                if doc_id in seen[side]:
+                    raise ValueError(f"doc_id {doc_id!r} repeats in corpus {'ab'[side]}")
+                seen[side].add(doc_id)
+                arrived = (len(seen[side]) - 1, doc)
+                partner = waiting[1 - side].pop(doc_id, None)
+                if partner is None:
+                    if 1 - side in live:
+                        waiting[side][doc_id] = arrived
+                    else:
+                        late[side].append(doc_id)
+                    continue
+                if side == 1:
+                    arrived, partner = partner, arrived
+                (position, doc_a), (_, doc_b) = arrived, partner
+                divergent = _first_divergent_sentence(doc_a, doc_b)
+                if divergent is None:
+                    self.paired += 1
+                    yield doc_a, doc_b
+                else:
+                    mismatched.append((position, TokenMismatch(doc_id, divergent)))
+        self.unmatched_a = (*waiting[0], *late[0])
+        self.unmatched_b = (*waiting[1], *late[1])
+        self.mismatched = tuple(m for _, m in sorted(mismatched, key=itemgetter(0)))
+
+
+def pair_corpora(a: Iterable[DocumentRecord], b: Iterable[DocumentRecord]) -> PairingResult:
     """Match documents by doc_id; reject pairs whose tokens differ."""
-    b_by_id = {doc.doc_id: doc for doc in b}
-    a_ids = {doc.doc_id for doc in a}
-    pairs = []
-    mismatched = []
-    for doc_a in a:
-        doc_b = b_by_id.get(doc_a.doc_id)
-        if doc_b is None:
-            continue
-        divergent = _first_divergent_sentence(doc_a, doc_b)
-        if divergent is None:
-            pairs.append((doc_a, doc_b))
-        else:
-            mismatched.append(TokenMismatch(doc_a.doc_id, divergent))
-    return PairingResult(
-        pairs=tuple(pairs),
-        unmatched_a=tuple(doc.doc_id for doc in a if doc.doc_id not in b_by_id),
-        unmatched_b=tuple(doc.doc_id for doc in b if doc.doc_id not in a_ids),
-        mismatched=tuple(mismatched),
-    )
+    join = CorpusJoin(a, b)
+    pairs = tuple(join)
+    return PairingResult(pairs, join.unmatched_a, join.unmatched_b, join.mismatched)
 
 
 class AgreementLevel(str, enum.Enum):
@@ -146,16 +202,21 @@ def _labels(doc: DocumentRecord, level: AgreementLevel) -> Sequence:
 
 
 def cohen_kappa(
-    level: AgreementLevel, labeled_pairs: Sequence[tuple[str, str]], skipped: int = 0
+    level: AgreementLevel, labeled_pairs: Iterable[tuple[str, str]], skipped: int = 0
 ) -> KappaResult:
-    """Kappa from a list of (annotator A label, annotator B label) pairs."""
+    """Kappa from (annotator A label, annotator B label) pairs."""
+    return _kappa(level, Counter(labeled_pairs), skipped)
+
+
+def _kappa(level: AgreementLevel, counts: Counter, skipped: int) -> KappaResult:
+    """Kappa from the count of each (label_a, label_b) pair."""
     categories = _LEVEL_CATEGORIES[level]
     confusion: dict[tuple[str, str], int] = {
         (x, y): 0 for x in categories for y in categories
     }
-    for la, lb in labeled_pairs:
-        confusion[(la, lb)] += 1
-    n = len(labeled_pairs)
+    for pair, count in counts.items():
+        confusion[pair] += count
+    n = sum(counts.values())
     if n == 0:
         nan = float("nan")
         return KappaResult(level, nan, nan, nan, confusion, 0, skipped)
@@ -171,21 +232,32 @@ def cohen_kappa(
     return KappaResult(level, kappa, p_o, p_e, confusion, n, skipped)
 
 
-def label_kappa(
-    pairs: Sequence[tuple[DocumentRecord, DocumentRecord]], level: AgreementLevel
-) -> KappaResult:
-    """Cohen's kappa over paired documents at the given level.
+def label_kappas(
+    pairs: Iterable[tuple[DocumentRecord, DocumentRecord]], levels: Sequence[AgreementLevel]
+) -> list[KappaResult]:
+    """Cohen's kappa over paired documents at each of ``levels``, reading
+    ``pairs`` once.
 
     Items where either annotator left the label unset are skipped (and
     counted in the result).
     """
-    items = [
-        item for doc_a, doc_b in pairs for item in zip(_labels(doc_a, level), _labels(doc_b, level))
-    ]
-    labeled = [
-        (label_text(la), label_text(lb)) for la, lb in items if la is not None and lb is not None
-    ]
-    return cohen_kappa(level, labeled, len(items) - len(labeled))
+    counts = {level: Counter() for level in levels}
+    skipped = dict.fromkeys(levels, 0)
+    for doc_a, doc_b in pairs:
+        for level in levels:
+            for la, lb in zip(_labels(doc_a, level), _labels(doc_b, level)):
+                if la is None or lb is None:
+                    skipped[level] += 1
+                else:
+                    counts[level][label_text(la), label_text(lb)] += 1
+    return [_kappa(level, counts[level], skipped[level]) for level in levels]
+
+
+def label_kappa(
+    pairs: Iterable[tuple[DocumentRecord, DocumentRecord]], level: AgreementLevel
+) -> KappaResult:
+    """Cohen's kappa over paired documents at the given level."""
+    return label_kappas(pairs, (level,))[0]
 
 
 class MatchMode(str, enum.Enum):
@@ -276,15 +348,17 @@ def _match_document(
 
 
 def span_prf(
-    pairs: Sequence[tuple[DocumentRecord, DocumentRecord]],
+    pairs: Iterable[tuple[DocumentRecord, DocumentRecord]],
     mode: MatchMode = MatchMode.STRICT,
 ) -> PRFReport:
     """Span-level precision/recall/F1 of each pair's second document (the
-    hypothesis) against its first (the reference)."""
+    hypothesis) against its first (the reference), reading ``pairs`` once."""
     tp: dict[TagId, int] = {}
     fp: dict[TagId, int] = {}
     fn: dict[TagId, int] = {}
+    documents = 0
     for ref_doc, hyp_doc in pairs:
+        documents += 1
         _match_document(hyp_doc.annotations, ref_doc.annotations, mode, tp, fp, fn)
 
     tags = sorted(set(tp) | set(fp) | set(fn), key=attrgetter("value"))
@@ -292,4 +366,4 @@ def span_prf(
         tag.value: _score(tp.get(tag, 0), fp.get(tag, 0), fn.get(tag, 0)) for tag in tags
     }
     micro = _score(sum(tp.values()), sum(fp.values()), sum(fn.values()))
-    return PRFReport(mode=mode, per_tag=per_tag, micro=micro, documents=len(pairs))
+    return PRFReport(mode=mode, per_tag=per_tag, micro=micro, documents=documents)

@@ -24,11 +24,11 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .agreement import (
     AgreementLevel,
+    CorpusJoin,
     KappaResult,
     MatchMode,
     PRFReport,
-    label_kappa,
-    pair_corpora,
+    label_kappas,
     span_prf,
 )
 from .assemble import EventRecord, assemble_events, export_rows, rows_to_csv, rows_to_jsonl
@@ -96,27 +96,48 @@ def corpus_stats(docs: Iterable[DocumentRecord]) -> Stats:
     return stats
 
 
-def _read_corpus(path: str, consume: Callable[[Iterator[DocumentRecord]], object]):
-    """Stream the documents of a corpus file into ``consume``, then print
-    the file's parse errors to stderr; returns ``(consume's result,
-    parse_errors)``.
+class _CorpusStream:
+    """The documents of one corpus file, read as they are iterated (once).
+
+    A read or decode failure ends the stream and is kept as its message
+    instead of raised; ``report`` prints it, or else the file's parse errors.
+    """
+
+    def __init__(self, path: str) -> None:
+        self.path = path
+        self.errors: list[ParseError] = []
+        self.failure: str | None = None
+
+    def __iter__(self) -> Iterator[DocumentRecord]:
+        try:
+            with open(self.path, "rb") as handle:
+                yield from iter_corpus(handle, self.errors)
+        except OSError as exc:
+            self.failure = f"glocon: cannot read {self.path}: {exc}"
+        except CorpusDecodeError as exc:
+            self.failure = f"glocon: {self.path}: {exc}"
+
+    def report(self) -> None:
+        """After the stream is used up: print its failure alone and exit with
+        EXIT_IO, or else print its parse errors."""
+        if self.failure is not None:
+            print(self.failure, file=sys.stderr)
+            raise SystemExit(EXIT_IO)
+        for err in self.errors:
+            print(f"glocon: {self.path}: {err}", file=sys.stderr)
+
+
+def _read_corpus(path: str, consume: Callable[[Iterable[DocumentRecord]], object]):
+    """Stream the documents of a corpus file into ``consume``, then report
+    the file; returns ``(consume's result, parse_errors)``.
 
     When the file cannot be read or decoded, its message is the only output
     and the command exits with EXIT_IO.
     """
-    errors: list[ParseError] = []
-    try:
-        with open(path, "rb") as handle:
-            result = consume(iter_corpus(handle, errors))
-    except OSError as exc:
-        print(f"glocon: cannot read {path}: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_IO) from None
-    except CorpusDecodeError as exc:
-        print(f"glocon: {path}: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_IO) from None
-    for err in errors:
-        print(f"glocon: {path}: {err}", file=sys.stderr)
-    return result, errors
+    corpus = _CorpusStream(path)
+    result = consume(corpus)
+    corpus.report()
+    return result, corpus.errors
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
@@ -217,19 +238,11 @@ def _format_prf_table(report: PRFReport) -> str:
 
 
 def _cmd_agree(args: argparse.Namespace) -> int:
-    docs_a, errors_a = _read_corpus(args.corpus_a, list)
-    docs_b, errors_b = _read_corpus(args.corpus_b, list)
-
-    pairing = pair_corpora(docs_a, docs_b)
-    for mismatch in pairing.mismatched:
-        print(f"glocon: {mismatch}", file=sys.stderr)
-    pairing_note = (
-        f"{len(pairing.pairs)} pairs, unmatched a={list(pairing.unmatched_a)}, "
-        f"b={list(pairing.unmatched_b)}, token mismatches={len(pairing.mismatched)}"
-    )
-
+    corpus_a, corpus_b = _CorpusStream(args.corpus_a), _CorpusStream(args.corpus_b)
+    join = CorpusJoin(corpus_a, corpus_b)
+    results: list[KappaResult] = []
     if args.level == "token":
-        report = span_prf(pairing.pairs, MatchMode(args.mode))
+        report = span_prf(join, MatchMode(args.mode))
         payload_obj: object = report.to_obj()
         text = _format_prf_table(report)
     else:
@@ -238,16 +251,24 @@ def _cmd_agree(args: argparse.Namespace) -> int:
             if args.level == "sentence"
             else [level for level in AgreementLevel if level is not AgreementLevel.SENTENCE]
         )
-        results = [label_kappa(pairing.pairs, level) for level in levels]
-        for res in results:
-            if res.degenerate:
-                print(
-                    f"glocon: no items labeled on both sides at level {res.level.value}",
-                    file=sys.stderr,
-                )
+        results = label_kappas(join, levels)
         payload_obj = [r.to_obj() for r in results]
         text = _format_kappa_table(results)
+    corpus_a.report()
+    corpus_b.report()
 
+    for mismatch in join.mismatched:
+        print(f"glocon: {mismatch}", file=sys.stderr)
+    for res in results:
+        if res.degenerate:
+            print(
+                f"glocon: no items labeled on both sides at level {res.level.value}",
+                file=sys.stderr,
+            )
+    pairing_note = (
+        f"{join.paired} pairs, unmatched a={list(join.unmatched_a)}, "
+        f"b={list(join.unmatched_b)}, token mismatches={len(join.mismatched)}"
+    )
     if args.format == "json":
         json.dump(payload_obj, sys.stdout, indent=2)
         sys.stdout.write("\n")
@@ -255,7 +276,7 @@ def _cmd_agree(args: argparse.Namespace) -> int:
     else:
         print(text)
         print(pairing_note)
-    return EXIT_IO if (errors_a or errors_b) else EXIT_OK
+    return EXIT_IO if (corpus_a.errors or corpus_b.errors) else EXIT_OK
 
 
 def _format_stats_text(stats: Stats) -> str:
@@ -330,7 +351,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
         return args.func(args)
     except SystemExit as exc:
-        # argparse exits 2 on usage errors and 0 for --help; _read_corpus exits EXIT_IO
+        # argparse exits 2 on usage errors and 0 for --help; a corpus report exits EXIT_IO
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
 
 

@@ -1,9 +1,10 @@
 """Independent brute-force checkers: overlap licensing (rule E030),
-greedy span matching (token-level agreement) and the semantic category
-and title flag of assembled events.
+greedy span matching (token-level agreement), document pairing by doc_id
+and the semantic category and title flag of assembled events.
 
 This module deliberately re-states the licensing clauses one by one,
-the matcher's two passes and the manual's semantic pairing, and never
+the matcher's two passes, pairing through a dict of the whole second
+corpus and the manual's semantic pairing, and never
 calls into glocon.lint, glocon.agreement or glocon.assemble: it is the
 oracle those modules are compared against.  Only the shared data model
 is imported.
@@ -247,3 +248,36 @@ def greedy_span_match(
     return {
         tag: (tp.get(tag, 0), fp[tag], fn[tag]) for tag in sorted(set(tp) | set(fp) | set(fn))
     }
+
+
+def dict_pair_corpora(a: Sequence[DocumentRecord], b: Sequence[DocumentRecord]) -> tuple:
+    """Documents of ``a`` and ``b`` paired by doc_id through a dict of all of ``b``.
+
+    Returns the pairs with equal tokens (in ``a`` order), the unmatched ids
+    of ``a`` and of ``b`` (each in its own order), and ``(doc_id, sentence)``
+    for each pair whose tokens differ (in ``a`` order), naming the first
+    sentence that differs or, when one side has fewer sentences, the first
+    sentence it lacks.
+    """
+    b_by_id = {doc.doc_id: doc for doc in b}
+    a_ids = {doc.doc_id for doc in a}
+    pairs, mismatched = [], []
+    for doc_a in a:
+        doc_b = b_by_id.get(doc_a.doc_id)
+        if doc_b is None:
+            continue
+        tokens_a = [sent.tokens for sent in doc_a.sentences]
+        tokens_b = [sent.tokens for sent in doc_b.sentences]
+        if tokens_a == tokens_b:
+            pairs.append((doc_a, doc_b))
+            continue
+        differ = [i for i, (x, y) in enumerate(zip(tokens_a, tokens_b)) if x != y]
+        mismatched.append(
+            (doc_a.doc_id, differ[0] if differ else min(len(tokens_a), len(tokens_b)))
+        )
+    return (
+        pairs,
+        [doc.doc_id for doc in a if doc.doc_id not in b_by_id],
+        [doc.doc_id for doc in b if doc.doc_id not in a_ids],
+        mismatched,
+    )

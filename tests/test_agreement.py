@@ -6,9 +6,11 @@ import pytest
 
 from glocon.agreement import (
     AgreementLevel,
+    CorpusJoin,
     MatchMode,
     cohen_kappa,
     label_kappa,
+    label_kappas,
     pair_corpora,
     span_prf,
 )
@@ -24,7 +26,7 @@ from glocon.model import (
     TokenSpan,
 )
 from golden_docs import ann, sent
-from oracle import greedy_span_match
+from oracle import dict_pair_corpora, greedy_span_match
 from randdocs import random_corpus, random_document
 
 
@@ -84,6 +86,74 @@ class TestPairing:
         )
         result = pair_corpora([a], [b])
         assert result.mismatched[0].sentence == 1
+
+    @pytest.mark.parametrize("side", ["a", "b"])
+    def test_repeated_doc_id_raises(self, side):
+        # the first copy is paired and dropped before the second arrives
+        repeated = [_labeled_doc("1"), _labeled_doc("2"), _labeled_doc("1")]
+        once = [_labeled_doc("1"), _labeled_doc("2")]
+        a, b = (repeated, once) if side == "a" else (once, repeated)
+        with pytest.raises(ValueError, match=f"doc_id '1' repeats in corpus {side}"):
+            pair_corpora(a, b)
+
+    @staticmethod
+    def _annotator_b(doc, rng):
+        """Another annotator's copy of ``doc``: other labels, some spans dropped."""
+        return DocumentRecord(
+            doc.doc_id,
+            DocumentLabels(protest=rng.choice([None, *ProtestLabel])),
+            tuple(
+                SentenceRecord(s.index, s.tokens, rng.choice([None, *SentenceLabel]))
+                for s in doc.sentences
+            ),
+            tuple(a for a in doc.annotations if rng.random() < 0.7),
+        )
+
+    @staticmethod
+    def _diverged(doc, rng):
+        """``doc`` with one token changed, or with its last sentence dropped."""
+        sentences = list(doc.sentences)
+        if len(sentences) > 1 and rng.random() < 0.3:
+            last = len(sentences) - 1
+            annotations = tuple(a for a in doc.annotations if a.span.sentence != last)
+            return DocumentRecord(doc.doc_id, doc.labels, tuple(sentences[:last]), annotations)
+        i = rng.randrange(len(sentences))
+        sentences[i] = SentenceRecord(i, ("diverged", *sentences[i].tokens[1:]))
+        return DocumentRecord(doc.doc_id, doc.labels, tuple(sentences), doc.annotations)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize(
+        "arrangement", ["same", "shuffled", "reversed", "a_missing", "b_missing", "twins", "all"]
+    )
+    def test_join_matches_the_dict_oracle(self, arrangement, seed):
+        rng = random.Random(seed)
+        a = random_corpus(40, seed=seed)
+        b = [self._annotator_b(doc, rng) for doc in a]
+        if arrangement in ("twins", "all"):
+            b = [self._diverged(doc, rng) if rng.random() < 0.25 else doc for doc in b]
+        if arrangement in ("a_missing", "all"):
+            a = [doc for doc in a if rng.random() < 0.7]
+        if arrangement in ("b_missing", "all"):
+            b = [doc for doc in b if rng.random() < 0.7]
+        if arrangement in ("shuffled", "all"):
+            rng.shuffle(b)
+        if arrangement == "reversed":
+            b.reverse()
+        pairs, unmatched_a, unmatched_b, mismatched = dict_pair_corpora(a, b)
+
+        result = pair_corpora(iter(a), iter(b))
+        assert len(result.pairs) == len(pairs)
+        assert {(id(x), id(y)) for x, y in result.pairs} == {(id(x), id(y)) for x, y in pairs}
+        assert result.unmatched_a == tuple(unmatched_a)
+        assert result.unmatched_b == tuple(unmatched_b)
+        assert [(m.doc_id, m.sentence) for m in result.mismatched] == mismatched
+        for mode in MatchMode:
+            assert span_prf(CorpusJoin(iter(a), iter(b)), mode) == span_prf(tuple(pairs), mode)
+        levels = list(AgreementLevel)
+        streamed = label_kappas(CorpusJoin(iter(a), iter(b)), levels)
+        for level, kappa in zip(levels, streamed):
+            assert kappa.to_obj() == label_kappa(tuple(pairs), level).to_obj()
+            assert label_kappa(CorpusJoin(iter(a), iter(b)), level).to_obj() == kappa.to_obj()
 
 
 class TestKappa:

@@ -231,17 +231,58 @@ class TestUsage:
 
 
 class TestCorpusReading:
-    @pytest.mark.parametrize("command", ["validate", "assemble", "stats"])
-    def test_late_decode_error_prints_only_itself(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate", "late"],
+            ["assemble", "late"],
+            ["stats", "late"],
+            ["agree", "late", "good"],
+            ["agree", "good", "late"],
+        ],
+        ids=["validate", "assemble", "stats", "agree-late-a", "agree-late-b"],
+    )
+    def test_late_decode_error_prints_only_itself(self, tmp_path, capsys, argv):
         path = tmp_path / "late.glocon.jsonl"
         path.write_bytes(serialize_corpus([bjp_square_doc()]) + b"not json\n\xff\n")
-        assert run([command, str(path)]) == EXIT_IO
+        good = tmp_path / "good.glocon.jsonl"
+        good.write_bytes(serialize_corpus([bjp_square_doc()]))
+        files = {"late": str(path), "good": str(good)}
+        assert run([files.get(arg, arg) for arg in argv]) == EXIT_IO
         out, err = capsys.readouterr()
         assert out == ""
         assert err.splitlines() == [
             f"glocon: {path}: line 3: undecodable bytes ('utf-8' codec can't decode byte 0xff "
             "in position 0: invalid start byte)"
         ]
+
+    def test_agree_reports_a_before_b(self, tmp_path, capsys):
+        """A's failure alone, else A's parse errors; then B's failure."""
+        missing_a, missing_b = tmp_path / "missing-a", tmp_path / "missing-b"
+        rejected = tmp_path / "rejected.glocon.jsonl"
+        rejected.write_bytes(serialize_corpus([bjp_square_doc()]) + b"not json\n{}\n")
+        good = tmp_path / "good.glocon.jsonl"
+        good.write_bytes(serialize_corpus([bjp_square_doc()]))
+
+        assert run(["agree", str(missing_a), str(missing_b)]) == EXIT_IO
+        assert capsys.readouterr() == (
+            "",
+            f"glocon: cannot read {missing_a}: [Errno 2] No such file or directory: "
+            f"'{missing_a}'\n",
+        )
+        assert run(["agree", str(rejected), str(missing_b)]) == EXIT_IO
+        assert capsys.readouterr() == (
+            "",
+            f"glocon: {rejected}: line 2 [?] malformed_record: invalid JSON: Expecting value\n"
+            f"glocon: {rejected}: line 3 [?] malformed_record: doc_id must be a non-empty string\n"
+            f"glocon: cannot read {missing_b}: [Errno 2] No such file or directory: "
+            f"'{missing_b}'\n",
+        )
+        assert run(["agree", str(good), str(tmp_path)]) == EXIT_IO
+        assert capsys.readouterr() == (
+            "",
+            f"glocon: cannot read {tmp_path}: [Errno 21] Is a directory: '{tmp_path}'\n",
+        )
 
     def test_streaming_commands_hold_one_document_at_a_time(self, corpus_file):
         path = corpus_file(synthetic_corpus(300, seed=1))
@@ -262,6 +303,11 @@ class TestCorpusReading:
         assert peak(lambda: command("stats", path)) < whole / 4
         assert peak(lambda: command("validate", path)) < whole / 4
         assert peak(lambda: command("assemble", path)) < whole / 2
+        for level in ("token", "doc", "sentence"):
+            assert peak(lambda: command("agree", path, path, "--level", level)) < whole / 4
+        # once B has run out, each document of A is unmatched at once and dropped
+        empty = corpus_file([], name="empty.glocon.jsonl")
+        assert peak(lambda: command("agree", path, empty)) < whole / 4
 
 
 class TestConsoleEntry:
