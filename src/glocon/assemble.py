@@ -301,14 +301,20 @@ def export_rows(records: Iterable[EventRecord]) -> list[dict[str, str]]:
     return rows
 
 
+# The header row as csv writes it: the column names need no quoting.
+CSV_HEADER = ",".join(EXPORT_COLUMNS) + "\n"
+
+
+def csv_rows(rows: Iterable[dict[str, str]]) -> str:
+    """RFC 4180 CSV lines of export rows, without the header."""
+    buf = _stdio.StringIO()
+    csv.DictWriter(buf, fieldnames=EXPORT_COLUMNS, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
 def rows_to_csv(rows: Iterable[dict[str, str]]) -> str:
     """RFC 4180 CSV with a header row (header-only for an empty export)."""
-    buf = _stdio.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=EXPORT_COLUMNS, lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
-    return buf.getvalue()
+    return CSV_HEADER + csv_rows(rows)
 
 
 def rows_to_jsonl(rows: Iterable[dict[str, str]]) -> str:

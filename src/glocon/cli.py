@@ -20,7 +20,7 @@ import os
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 from .agreement import (
     AgreementLevel,
@@ -31,9 +31,18 @@ from .agreement import (
     label_kappas,
     span_prf,
 )
-from .assemble import EventRecord, assemble_events, export_rows, rows_to_csv, rows_to_jsonl
+from .assemble import CSV_HEADER, assemble_events, csv_rows, export_rows, rows_to_jsonl
 from .io import CorpusDecodeError, ParseError, iter_corpus
-from .lint import ConfigError, DEFAULT_CONFIG, Severity, load_config, validate_corpus
+from .lint import (
+    ConfigError,
+    DEFAULT_CONFIG,
+    Diagnostic,
+    LintConfig,
+    Severity,
+    count_at_or_above,
+    load_config,
+    validate_document,
+)
 from .model import DOC_LABELS, DocumentRecord, label_text
 
 EXIT_OK = 0
@@ -140,6 +149,42 @@ def _read_corpus(path: str, consume: Callable[[Iterable[DocumentRecord]], object
     return result, corpus.errors
 
 
+def _validate_corpus(
+    docs: Iterable[DocumentRecord], cfg: LintConfig, render: Callable[[list[Diagnostic]], str]
+) -> tuple[list[str], Counter, int]:
+    """Each document's diagnostics as rendered text (none for a clean
+    document), their severity totals, and the number of documents."""
+    held: list[str] = []
+    totals: Counter = Counter()
+    documents = 0
+    for doc in docs:
+        documents += 1
+        diagnostics = validate_document(doc, cfg)
+        if diagnostics:
+            totals.update(d.severity for d in diagnostics)
+            held.append(render(diagnostics))
+    return held, totals, documents
+
+
+def _render_text(diagnostics: list[Diagnostic]) -> str:
+    return "".join(d.render() + "\n" for d in diagnostics)
+
+
+def _render_json(diagnostics: list[Diagnostic]) -> str:
+    return ",\n".join(d.to_json() for d in diagnostics)
+
+
+def write_json_array(items: Iterable[str], out: TextIO) -> None:
+    """Write array elements rendered by ``Diagnostic.to_json`` (several to a
+    piece, joined by ",\\n") as ``json.dump(..., indent=2)`` writes the list."""
+    opening = "[\n"
+    for item in items:
+        out.write(opening)
+        out.write(item)
+        opening = ",\n"
+    out.write("[]" if opening == "[\n" else "\n]")
+
+
 def _cmd_validate(args: argparse.Namespace) -> int:
     cfg = DEFAULT_CONFIG
     if args.config:
@@ -151,55 +196,70 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         except ConfigError as exc:
             print(f"glocon: bad config {args.config}: {exc}", file=sys.stderr)
             return EXIT_USAGE
-    report, parse_errors = _read_corpus(args.corpus, lambda docs: validate_corpus(docs, cfg))
+    render = _render_json if args.format == "json" else _render_text
+    (held, totals, documents), parse_errors = _read_corpus(
+        args.corpus, lambda docs: _validate_corpus(docs, cfg, render)
+    )
 
-    totals = report.totals
     summary = (
-        f"{report.documents} documents: "
+        f"{documents} documents: "
         f"{totals[Severity.ERROR]} errors, {totals[Severity.WARNING]} warnings, "
         f"{totals[Severity.INFO]} info"
     )
     if args.format == "json":
-        json.dump([d.to_obj() for d in report.diagnostics], sys.stdout, indent=2)
+        write_json_array(held, sys.stdout)
         sys.stdout.write("\n")
         print(summary, file=sys.stderr)
     else:
-        for diag in report.diagnostics:
-            print(diag.render())
+        sys.stdout.writelines(held)
         print(summary)
 
     if parse_errors:
         return EXIT_IO
-    threshold = Severity.ERROR if args.fail_on == "error" else Severity.WARNING
-    if report.count_at_or_above(threshold) > 0:
+    if count_at_or_above(totals, Severity(args.fail_on)) > 0:
         return EXIT_FINDINGS
     return EXIT_OK
 
 
-def _assemble_corpus(docs: Iterable[DocumentRecord]) -> tuple[list[EventRecord], int]:
-    """Every document's event records, and the number of documents."""
-    records: list[EventRecord] = []
-    documents = 0
+def _assemble_corpus(
+    docs: Iterable[DocumentRecord], render: Callable[[list[dict[str, str]]], str]
+) -> tuple[dict[str, str], int, int]:
+    """Each document's export rows as rendered text, by doc_id (none for a
+    document without events), the number of rows, and the number of documents."""
+    held: dict[str, str] = {}
+    events = documents = 0
     for doc in docs:
         documents += 1
-        records.extend(assemble_events(doc))
-    return records, documents
+        rows = export_rows(assemble_events(doc))
+        if rows:
+            events += len(rows)
+            held[doc.doc_id] = render(rows)
+    return held, events, documents
+
+
+def _write_assembled(held: dict[str, str], header: str, out: TextIO) -> None:
+    """The header, then the documents' rows in doc_id order: a corpus' doc_ids
+    are unique and a document's rows come sorted by event number, so this is
+    ``export_rows``' (doc_id, event_number) order."""
+    out.write(header)
+    out.writelines(held[doc_id] for doc_id in sorted(held))
 
 
 def _cmd_assemble(args: argparse.Namespace) -> int:
-    (records, documents), parse_errors = _read_corpus(args.corpus, _assemble_corpus)
-    rows = export_rows(records)
-    payload = rows_to_csv(rows) if args.format == "csv" else rows_to_jsonl(rows)
+    render, header = (csv_rows, CSV_HEADER) if args.format == "csv" else (rows_to_jsonl, "")
+    (held, events, documents), parse_errors = _read_corpus(
+        args.corpus, lambda docs: _assemble_corpus(docs, render)
+    )
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8", newline="") as handle:
-                handle.write(payload)
+                _write_assembled(held, header, handle)
         except OSError as exc:
             print(f"glocon: cannot write {args.out}: {exc}", file=sys.stderr)
             return EXIT_IO
     else:
-        sys.stdout.write(payload)
-    print(f"{len(rows)} events from {documents} documents", file=sys.stderr)
+        _write_assembled(held, header, sys.stdout)
+    print(f"{events} events from {documents} documents", file=sys.stderr)
     return EXIT_IO if parse_errors else EXIT_OK
 
 

@@ -26,6 +26,7 @@ import unicodedata
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii as _json_string
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .io import TOO_DEEP, nests_too_deep
@@ -56,6 +57,13 @@ class Severity(str, enum.Enum):
 
 
 _SEVERITY_ORDER = {Severity.INFO: 0, Severity.WARNING: 1, Severity.ERROR: 2}
+
+
+def count_at_or_above(totals: Mapping[Severity, int], threshold: Severity) -> int:
+    """How many of the diagnostics tallied in ``totals`` (severity -> count)
+    are at ``threshold`` or more severe."""
+    floor = _SEVERITY_ORDER[threshold]
+    return sum(n for sev, n in totals.items() if _SEVERITY_ORDER[sev] >= floor)
 
 
 @dataclass(frozen=True)
@@ -124,6 +132,28 @@ class Diagnostic:
             "annotations": list(self.annotation_ids),
             "message": self.message,
         }
+
+    def to_json(self) -> str:
+        """``to_obj()`` as ``json.dumps(..., indent=2)`` lays it out as an
+        element of a list: indented one level, without a separator.
+
+        Strings go through the C string encoder; ``json.dumps`` with an
+        indent runs the pure-Python encoder for everything.
+        """
+        q = _json_string
+        span = self.span
+        start, end = ("null", "null") if span is None else (span.start, span.end)
+        anns = (
+            "[\n      " + ",\n      ".join(map(q, self.annotation_ids)) + "\n    ]"
+            if self.annotation_ids
+            else "[]"
+        )
+        return (
+            f'  {{\n    "rule": {q(self.rule)},\n    "severity": {q(self.severity.value)},'
+            f'\n    "doc_id": {q(self.doc_id)},\n    "sentence": {self.sentence},'
+            f'\n    "start": {start},\n    "end": {end},\n    "annotations": {anns},'
+            f'\n    "message": {q(self.message)}\n  }}'
+        )
 
 
 DEFAULT_INDEFINITE_ARTICLES = frozenset({"a", "an"})
@@ -703,10 +733,7 @@ class CorpusReport:
     documents: int
 
     def count_at_or_above(self, threshold: Severity) -> int:
-        floor = _SEVERITY_ORDER[threshold]
-        return sum(
-            n for sev, n in self.totals.items() if _SEVERITY_ORDER[sev] >= floor
-        )
+        return count_at_or_above(self.totals, threshold)
 
 
 def validate_corpus(

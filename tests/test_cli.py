@@ -1,6 +1,9 @@
 import contextlib
+import dataclasses
+import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -8,11 +11,21 @@ from pathlib import Path
 
 import pytest
 
-from glocon.cli import EXIT_FINDINGS, EXIT_IO, EXIT_OK, EXIT_USAGE, corpus_stats, run
+from glocon.cli import (
+    EXIT_FINDINGS,
+    EXIT_IO,
+    EXIT_OK,
+    EXIT_USAGE,
+    corpus_stats,
+    run,
+    write_json_array,
+)
 from glocon.io import load_corpus, serialize_corpus
+from glocon.lint import Diagnostic, validate_document
 from glocon.model import DocumentLabels, DocumentRecord, TagId
 from glocon.synth import synthetic_corpus
 from golden_docs import ann, bjp_square_doc, karnataka_doc, sent
+from randdocs import random_corpus
 from rule_fixtures import RULE_FIXTURES
 
 
@@ -170,6 +183,50 @@ class TestAssembleCommand:
         assert captured.err.startswith(f"glocon: cannot write {out_path}: ")
 
 
+class TestDiagnosticWriter:
+    """``write_json_array`` over ``Diagnostic.to_json`` pieces, against the
+    ``json.dumps(..., indent=2)`` it stands in for."""
+
+    # W112 and W130 put span text into messages, so a message can hold any character
+    AWKWARD = (
+        'say "no"', "back\\slash", "tab\tline\nnul\x00\x1f\x7f", "São 示威 \u2028 \U0001F600",
+        "",
+    )
+
+    @staticmethod
+    def _written(per_doc):
+        buf = io.StringIO()
+        write_json_array((",\n".join(map(Diagnostic.to_json, ds)) for ds in per_doc if ds), buf)
+        return buf.getvalue()
+
+    def test_empty_list(self):
+        assert self._written([]) == json.dumps([], indent=2)
+        assert self._written([[], []]) == json.dumps([], indent=2)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_json_dumps(self, seed):
+        rng = random.Random(seed)
+
+        def awkward(diag):
+            changes = {}
+            if rng.random() < 0.3:
+                changes["span"] = None
+            if rng.random() < 0.3:
+                changes["annotation_ids"] = ()
+            if rng.random() < 0.5:
+                changes["message"] = rng.choice(self.AWKWARD) + diag.message
+            if rng.random() < 0.2:
+                changes["doc_id"] = rng.choice(self.AWKWARD) or "d"
+                changes["annotation_ids"] = (*diag.annotation_ids, rng.choice(self.AWKWARD))
+            return dataclasses.replace(diag, **changes)
+
+        per_doc = [[awkward(d) for d in validate_document(doc)] for doc in random_corpus(30, seed)]
+        diags = [d for ds in per_doc for d in ds]
+        assert any(d.span is None for d in diags) and any(not d.annotation_ids for d in diags)
+        assert any(len(ds) > 1 for ds in per_doc) and any(not ds for ds in per_doc)
+        assert self._written(per_doc) == json.dumps([d.to_obj() for d in diags], indent=2)
+
+
 class TestAgreeCommand:
     def test_diverging_tokens_are_reported(self, corpus_file, capsys):
         path_a = corpus_file([bjp_square_doc()], name="a.glocon.jsonl")
@@ -235,22 +292,29 @@ class TestCorpusReading:
         "argv",
         [
             ["validate", "late"],
+            ["validate", "late", "--format", "json"],
             ["assemble", "late"],
+            ["assemble", "late", "--format", "jsonl", "--out", "FILE"],
             ["stats", "late"],
             ["agree", "late", "good"],
             ["agree", "good", "late"],
         ],
-        ids=["validate", "assemble", "stats", "agree-late-a", "agree-late-b"],
+        ids=[
+            "validate", "validate-json", "assemble", "assemble-jsonl-out", "stats",
+            "agree-late-a", "agree-late-b",
+        ],
     )
     def test_late_decode_error_prints_only_itself(self, tmp_path, capsys, argv):
         path = tmp_path / "late.glocon.jsonl"
         path.write_bytes(serialize_corpus([bjp_square_doc()]) + b"not json\n\xff\n")
         good = tmp_path / "good.glocon.jsonl"
         good.write_bytes(serialize_corpus([bjp_square_doc()]))
-        files = {"late": str(path), "good": str(good)}
+        out_file = tmp_path / "events.jsonl"
+        files = {"late": str(path), "good": str(good), "FILE": str(out_file)}
         assert run([files.get(arg, arg) for arg in argv]) == EXIT_IO
         out, err = capsys.readouterr()
         assert out == ""
+        assert not out_file.exists()
         assert err.splitlines() == [
             f"glocon: {path}: line 3: undecodable bytes ('utf-8' codec can't decode byte 0xff "
             "in position 0: invalid start byte)"
@@ -299,10 +363,21 @@ class TestCorpusReading:
             with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
                 assert run(argv) in (EXIT_OK, EXIT_FINDINGS)
 
+        def output_bytes(*argv):
+            with io.StringIO() as buf, contextlib.redirect_stdout(buf):
+                run(argv)
+                return len(buf.getvalue().encode("utf-8"))
+
         whole = peak(lambda: load_corpus(path))
         assert peak(lambda: command("stats", path)) < whole / 4
-        assert peak(lambda: command("validate", path)) < whole / 4
-        assert peak(lambda: command("assemble", path)) < whole / 2
+        # validate and assemble hold their rendered output until the stream is used up
+        for argv in (
+            ("validate", path),
+            ("validate", path, "--format", "json"),
+            ("assemble", path),
+            ("assemble", path, "--format", "jsonl"),
+        ):
+            assert peak(lambda: command(*argv)) - output_bytes(*argv) < whole / 10, argv
         for level in ("token", "doc", "sentence"):
             assert peak(lambda: command("agree", path, path, "--level", level)) < whole / 4
         # once B has run out, each document of A is unmatched at once and dropped
