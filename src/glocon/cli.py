@@ -86,22 +86,25 @@ class Stats:
 def corpus_stats(docs: Iterable[DocumentRecord]) -> Stats:
     """Deterministic counts over a corpus."""
     stats = Stats()
+    # counted by member, then named once per member: enum .value is slow
+    sentence_labels, tags = Counter(), Counter()
     for doc in docs:
         stats.documents += 1
         stats.sentences += len(doc.sentences)
         stats.annotations += len(doc.annotations)
-        for sent in doc.sentences:
-            key = "unlabeled" if sent.label is None else label_text(sent.label)
-            stats.sentence_labels[key] += 1
+        sentence_labels.update(sent.label for sent in doc.sentences)
         for key, counts in stats.doc_labels.items():
             label = getattr(doc.labels, key)
             counts["unlabeled" if label is None else label_text(label)] += 1
         events = set()
         for ann in doc.annotations:
-            stats.tag_counts[ann.tag.value] += 1
+            tags[ann.tag] += 1
             events |= ann.events
         stats.events_per_doc[doc.doc_id] = len(events)
         stats.events_total += len(events)
+    for label, n in sentence_labels.items():
+        stats.sentence_labels["unlabeled" if label is None else label_text(label)] = n
+    stats.tag_counts.update({tag.value: n for tag, n in tags.items()})
     return stats
 
 

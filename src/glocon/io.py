@@ -54,6 +54,7 @@ from .model import (
     SentenceLabel,
     SentenceRecord,
     SpanError,
+    TagId,
     TokenSpan,
     UnknownTagError,
     format_event_refs,
@@ -102,6 +103,7 @@ _DOC_LABEL_VOCABS = {
     key: {label.value: label for label in vocab} for key, vocab in DOC_LABELS.items()
 }
 _SENTENCE_LABELS = {label.value: label for label in SentenceLabel}
+_TAG_TEXT = {tag: tag.value for tag in TagId}  # a lookup is faster than .value
 _EVENT_ONE = frozenset({1})
 
 
@@ -328,7 +330,7 @@ def document_to_obj(doc: DocumentRecord) -> dict:
     for ann in doc.annotations:  # kept in canonical order by DocumentRecord
         obj = {
             "id": ann.id,
-            "tag": ann.tag.value,
+            "tag": _TAG_TEXT[ann.tag],
             "sentence": ann.span.sentence,
             "start": ann.span.start,
             "end": ann.span.end,

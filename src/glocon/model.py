@@ -373,83 +373,89 @@ def holds_attribute(head: Annotation, attr: Annotation) -> bool:
     return head.tag in ATTRIBUTE_HOSTS.get(attr.tag, ()) and span_contains(head.span, attr.span)
 
 
-@dataclass(frozen=True)
-class Annotation:
+class Annotation(
+    namedtuple("Annotation", "id tag span events confidence comment events_from_comment")
+):
     """One tagged token span.
 
     ``events`` is a non-empty set of positive event numbers; annotations
     without an explicit number belong to event 1.  ``events_from_comment``
     records that the numbers were supplied as an "Event N, ..." comment
     string rather than as plain integers, which matters for lint rule W122
-    and for faithful re-serialization.
+    and for faithful re-serialization.  An annotation is the tuple of its
+    fields and equals and hashes as that tuple; tuple ``<`` is not the
+    canonical order, :func:`annotation_sort_key` is.
     """
 
-    id: str
-    tag: TagId
-    span: TokenSpan
-    events: frozenset[int] = frozenset({1})
-    confidence: float | None = None
-    comment: str | None = None
-    events_from_comment: bool = False
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.id:
+    def __new__(
+        cls,
+        id: str,
+        tag: TagId,
+        span: TokenSpan,
+        events: Iterable[int] = frozenset({1}),
+        confidence: float | None = None,
+        comment: str | None = None,
+        events_from_comment: bool = False,
+    ) -> Annotation:
+        if not id:
             raise InvariantError("annotation id must be a non-empty string")
-        if not isinstance(self.tag, TagId):
-            raise InvariantError(f"tag must be a TagId, got {self.tag!r}")
-        events = self.events
+        if not isinstance(tag, TagId):
+            raise InvariantError(f"tag must be a TagId, got {tag!r}")
         if type(events) is not frozenset:
-            # validate before hashing: a list may hold unhashable values
-            events = tuple(events)
+            events = tuple(events)  # validated before hashing: a list may hold unhashables
         if not events or not all(type(n) is int and n > 0 for n in events):
             raise EventRefError(
-                f"annotation {self.id}: events must be a non-empty list of positive integers"
+                f"annotation {id}: events must be a non-empty list of positive integers"
             )
         if type(events) is tuple:
-            object.__setattr__(self, "events", frozenset(events))
-        if self.confidence is not None:
+            events = frozenset(events)
+        if confidence is not None:
             try:
-                c = float(self.confidence)
+                confidence = float(confidence)
             except OverflowError:  # an integer past the float range
-                raise InvariantError(f"annotation {self.id}: confidence outside [0, 1]") from None
-            if not 0.0 <= c <= 1.0:
-                raise InvariantError(
-                    f"annotation {self.id}: confidence {c} outside [0, 1]"
-                )
+                raise InvariantError(f"annotation {id}: confidence outside [0, 1]") from None
+            if not 0.0 <= confidence <= 1.0:
+                raise InvariantError(f"annotation {id}: confidence {confidence} outside [0, 1]")
             # The corpus format carries at most 6 fractional digits.
-            if round(c, 6) != c:
+            if round(confidence, 6) != confidence:
                 raise InvariantError(
-                    f"annotation {self.id}: confidence {c!r} has more than 6 fractional digits"
+                    f"annotation {id}: confidence {confidence!r} has more than 6 fractional digits"
                 )
-            object.__setattr__(self, "confidence", c)
+        return tuple.__new__(cls, (id, tag, span, events, confidence, comment, events_from_comment))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> Annotation:
+        return cls(*iterable)  # namedtuple's, which _replace calls, skips __new__
 
 
-@dataclass(frozen=True)
-class SentenceRecord:
+class SentenceRecord(namedtuple("SentenceRecord", "index tokens label")):
     """One pre-tokenized sentence with an optional event label.
 
     ``index`` must equal the sentence's position; the DocumentRecord that
-    holds it checks that.
+    holds it checks that.  A sentence is the tuple ``(index, tokens,
+    label)`` and equals and hashes as that tuple.
     """
 
-    index: int
-    tokens: tuple[str, ...]
-    label: SentenceLabel | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        tokens = self.tokens
+    def __new__(cls, index: int, tokens: Iterable[str], label: int | None = None) -> SentenceRecord:
         if type(tokens) is not tuple:
             tokens = tuple(tokens)
-            object.__setattr__(self, "tokens", tokens)
         if not tokens or "" in tokens or not all(map(isinstance, tokens, repeat(str))):
             raise InvariantError(
-                f"sentence {self.index}: tokens must be a non-empty list of non-empty strings"
+                f"sentence {index}: tokens must be a non-empty list of non-empty strings"
             )
-        label = self.label
         if label is not None and not isinstance(label, SentenceLabel):
             if label not in (0, 1, 2):
-                raise LabelError(f"sentence {self.index}: label must be 0, 1 or 2, got {label}")
-            object.__setattr__(self, "label", SentenceLabel(label))
+                raise LabelError(f"sentence {index}: label must be 0, 1 or 2, got {label}")
+            label = SentenceLabel(label)
+        return tuple.__new__(cls, (index, tokens, label))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> SentenceRecord:
+        return cls(*iterable)
 
 
 @dataclass(frozen=True)
@@ -528,8 +534,11 @@ class DocumentRecord:
 
 
 def annotation_sort_key(ann: Annotation) -> tuple:
-    """Canonical ordering of annotations: (span, tag, events, id)."""
-    return (ann.span, ann.tag, tuple(sorted(ann.events)), ann.id)
+    """Canonical ordering of annotations: (span, tag, events, id), where
+    events compare as their sorted tuple."""
+    events = ann.events  # a set of one, as nearly every annotation's is, needs no sort
+    numbers = tuple(events) if len(events) == 1 else tuple(sorted(events))
+    return (ann.span, ann.tag, numbers, ann.id)
 
 
 class DocumentView:

@@ -1,9 +1,12 @@
 import pickle
+import random
 from dataclasses import fields
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+
+from randdocs import random_document
 
 from glocon.model import (
     DOC_LABELS,
@@ -24,6 +27,7 @@ from glocon.model import (
     TokenSpan,
     UnknownTagError,
     ViolenceLabel,
+    annotation_sort_key,
     coterminous,
     label_text,
     overlaps,
@@ -152,6 +156,102 @@ def test_make_and_replace_check_as_the_constructor_does(sentence, start, end):
 def test_annotation_defaults_to_event_one():
     ann = Annotation(id="x", tag=TagId.EVENT_TYPE, span=TokenSpan(0, 0, 1))
     assert ann.events == frozenset({1})
+    assert ann.confidence is None and ann.comment is None
+    assert ann.events_from_comment is False
+
+
+def test_annotation_is_its_tuple():
+    ann = Annotation(
+        id="x", tag=TagId.EVENT_TYPE, span=TokenSpan(0, 0, 1), events=[2, 1], confidence=1,
+        comment="c", events_from_comment=True,
+    )
+    as_tuple = ("x", TagId.EVENT_TYPE, (0, 0, 1), frozenset({1, 2}), 1.0, "c", True)
+    assert ann == as_tuple and hash(ann) == hash(as_tuple)
+    assert type(ann.events) is frozenset and type(ann.confidence) is float
+    copy = pickle.loads(pickle.dumps(ann))
+    assert type(copy) is Annotation and copy == ann
+    assert type(copy.span) is TokenSpan
+    with pytest.raises(AttributeError):
+        ann.id = "y"
+    with pytest.raises(AttributeError):
+        ann.note = "x"
+
+
+def test_sentence_record_is_its_tuple():
+    sentence = SentenceRecord(index=0, tokens=["a", "b"], label=2)
+    assert sentence == (0, ("a", "b"), 2) and hash(sentence) == hash((0, ("a", "b"), 2))
+    assert sentence.label is SentenceLabel.PLANNED
+    assert SentenceRecord(0, ("a",)).label is None
+    copy = pickle.loads(pickle.dumps(sentence))
+    assert type(copy) is SentenceRecord and copy == sentence
+    assert copy.label is SentenceLabel.PLANNED
+    with pytest.raises(AttributeError):
+        sentence.index = 1
+    with pytest.raises(AttributeError):
+        sentence.note = "x"
+
+
+_ANN = Annotation("x", TagId.EVENT_TYPE, TokenSpan(0, 0, 1))
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"id": ""},
+        {"tag": "event_type"},
+        {"events": frozenset()},
+        {"events": [0]},
+        {"events": [True]},
+        {"events": [[1]]},
+        {"confidence": 1.5},
+        {"confidence": 0.1234567},
+        {"confidence": 10**400},
+    ],
+    ids=repr,
+)
+def test_annotation_make_and_replace_check_as_the_constructor_does(changes):
+    kwargs = _ANN._asdict() | changes
+    with pytest.raises(InvariantError) as built:
+        Annotation(**kwargs)
+    with pytest.raises(InvariantError) as made:
+        Annotation._make(kwargs.values())
+    with pytest.raises(InvariantError) as replaced:
+        _ANN._replace(**changes)
+    assert type(made.value) is type(replaced.value) is type(built.value)
+    assert str(made.value) == str(replaced.value) == str(built.value)
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [{"tokens": ()}, {"tokens": ("ok", "")}, {"tokens": ("ok", 1)}, {"label": 5}, {"label": "1"}],
+    ids=repr,
+)
+def test_sentence_record_make_and_replace_check_as_the_constructor_does(changes):
+    sentence = SentenceRecord(0, ("a",))
+    kwargs = sentence._asdict() | changes
+    with pytest.raises(InvariantError) as built:
+        SentenceRecord(**kwargs)
+    with pytest.raises(InvariantError) as made:
+        SentenceRecord._make(kwargs.values())
+    with pytest.raises(InvariantError) as replaced:
+        sentence._replace(**changes)
+    assert type(made.value) is type(replaced.value) is type(built.value)
+    assert str(made.value) == str(replaced.value) == str(built.value)
+
+
+def _reference_sort_key(ann):
+    return (ann.span, ann.tag, tuple(sorted(ann.events)), ann.id)
+
+
+@given(st.integers(min_value=0, max_value=2**32))
+def test_annotation_sort_key_orders_as_the_sorted_events_tuple(seed):
+    doc = random_document(random.Random(seed), max_annotations=30)
+    anns = list(doc.annotations)
+    # on one span and tag, only the events and the id decide the order
+    stacked = [ann._replace(span=anns[0].span, tag=anns[0].tag) for ann in anns]
+    for group in (anns, stacked):
+        random.Random(seed).shuffle(group)
+        assert sorted(group, key=annotation_sort_key) == sorted(group, key=_reference_sort_key)
 
 
 def test_annotation_rejects_bad_events():
