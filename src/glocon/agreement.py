@@ -201,11 +201,9 @@ def _labels(doc: DocumentRecord, level: AgreementLevel) -> Sequence:
     return (getattr(doc.labels, key),)
 
 
-def cohen_kappa(
-    level: AgreementLevel, labeled_pairs: Iterable[tuple[str, str]], skipped: int = 0
-) -> KappaResult:
+def cohen_kappa(level: AgreementLevel, labeled_pairs: Iterable[tuple[str, str]]) -> KappaResult:
     """Kappa from (annotator A label, annotator B label) pairs."""
-    return _kappa(level, Counter(labeled_pairs), skipped)
+    return _kappa(level, Counter(labeled_pairs), 0)
 
 
 def _kappa(level: AgreementLevel, counts: Counter, skipped: int) -> KappaResult:

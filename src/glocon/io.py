@@ -51,7 +51,6 @@ from .model import (
     InvariantError,
     LabelError,
     ParseErrorKind,
-    SentenceLabel,
     SentenceRecord,
     SpanError,
     TagId,
@@ -102,7 +101,6 @@ _ANNOTATION_KEYS = frozenset(
 _DOC_LABEL_VOCABS = {
     key: {label.value: label for label in vocab} for key, vocab in DOC_LABELS.items()
 }
-_SENTENCE_LABELS = {label.value: label for label in SentenceLabel}
 _TAG_TEXT = {tag: tag.value for tag in TagId}  # a lookup is faster than .value
 _EVENT_ONE = frozenset({1})
 
@@ -145,12 +143,8 @@ def _parse_sentence(obj: object, position: int) -> SentenceRecord:
             f"sentence {position}: tokens must be a non-empty list of non-empty strings"
         )
     label = obj.get("label")
-    if label is not None:
-        if type(label) is not int:
-            raise LabelError(f"sentence {position}: label must be 0, 1 or 2")
-        if label not in _SENTENCE_LABELS:
-            raise LabelError(f"sentence {position}: label must be 0, 1 or 2, got {label}")
-        label = _SENTENCE_LABELS[label]
+    if label is not None and type(label) is not int:
+        raise LabelError(f"sentence {position}: label must be 0, 1 or 2")
     return SentenceRecord(index, tuple(tokens), label)
 
 

@@ -292,6 +292,10 @@ class SentenceLabel(enum.IntEnum):
     PLANNED = 2
 
 
+# a member hashes and equals as its int, so one lookup takes an int or a member
+_SENTENCE_LABELS = {label: label for label in SentenceLabel}
+
+
 class ProtestLabel(str, enum.Enum):
     PROTEST = "protest"
     NO_PROTEST = "no_protest"
@@ -447,10 +451,13 @@ class SentenceRecord(namedtuple("SentenceRecord", "index tokens label")):
             raise InvariantError(
                 f"sentence {index}: tokens must be a non-empty list of non-empty strings"
             )
-        if label is not None and not isinstance(label, SentenceLabel):
-            if label not in (0, 1, 2):
-                raise LabelError(f"sentence {index}: label must be 0, 1 or 2, got {label}")
-            label = SentenceLabel(label)
+        if label is not None:
+            try:
+                label = _SENTENCE_LABELS[label]
+            except (KeyError, TypeError):
+                raise LabelError(
+                    f"sentence {index}: label must be 0, 1 or 2, got {label}"
+                ) from None
         return tuple.__new__(cls, (index, tokens, label))
 
     @classmethod

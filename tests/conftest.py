@@ -1,13 +1,25 @@
+import functools
 import sys
 from pathlib import Path
 
 import pytest
 
 # make the test-support modules (golden_docs, oracle, randdocs, rule_fixtures)
-# importable regardless of how pytest was invoked
+# and the benchmark's generator and checks importable regardless of how
+# pytest was invoked
 sys.path.insert(0, str(Path(__file__).parent))
+sys.path.insert(0, str(Path(__file__).parent.parent / "perfbench"))
 
+import gen  # noqa: E402
 from golden_docs import bjp_square_doc, karnataka_doc  # noqa: E402
+
+
+@pytest.fixture(scope="session")
+def workload():
+    """``gen.generate(name, seed)``, built once per session and shared read-only:
+    corpus bytes ``a`` and ``b`` and the ``expected`` results the generator
+    derives without glocon."""
+    return functools.cache(gen.generate)
 
 
 @pytest.fixture

@@ -23,7 +23,6 @@ from glocon.cli import (
 from glocon.io import load_corpus, serialize_corpus
 from glocon.lint import Diagnostic, validate_document
 from glocon.model import DocumentLabels, DocumentRecord, TagId
-from glocon.synth import synthetic_corpus
 from golden_docs import ann, bjp_square_doc, karnataka_doc, sent
 from randdocs import random_corpus
 from rule_fixtures import RULE_FIXTURES
@@ -348,8 +347,12 @@ class TestCorpusReading:
             f"glocon: cannot read {tmp_path}: [Errno 21] Is a directory: '{tmp_path}'\n",
         )
 
-    def test_streaming_commands_hold_one_document_at_a_time(self, corpus_file):
-        path = corpus_file(synthetic_corpus(300, seed=1))
+    def test_streaming_commands_hold_one_document_at_a_time(
+        self, corpus_file, workload, tmp_path
+    ):
+        path = str(tmp_path / "bulk.glocon.jsonl")
+        with open(path, "wb") as handle:
+            handle.writelines(workload("bulk", 1)["a"].splitlines(keepends=True)[:300])
 
         def peak(call):
             tracemalloc.start()
@@ -397,8 +400,9 @@ class TestConsoleEntry:
             **popen,
         )
 
-    def test_closed_pipe_exits_three_without_traceback(self, corpus_file, tmp_path):
-        path = corpus_file(synthetic_corpus(2000))  # far more output than a pipe buffers
+    def test_closed_pipe_exits_three_without_traceback(self, workload, tmp_path):
+        path = tmp_path / "bulk.glocon.jsonl"
+        path.write_bytes(workload("bulk", 1)["a"])  # far more output than a pipe buffers
         with open(tmp_path / "stderr", "wb") as err:
             proc = self._cli(["validate", path], stdout=subprocess.PIPE, stderr=err)
             assert proc.stdout.readline()

@@ -21,7 +21,6 @@ from glocon.io import (
 )
 from glocon.lint import ConfigError, load_config, validate_document
 from glocon.model import TagId
-from glocon.synth import synthetic_corpus
 from randdocs import random_corpus
 
 
@@ -285,9 +284,9 @@ def test_save_corpus_writes_the_serialized_bytes(tmp_path, seed):
     assert path.read_bytes() == serialize_corpus(docs)
 
 
-def test_save_corpus_writes_one_line_at_a_time(tmp_path):
+def test_save_corpus_writes_one_line_at_a_time(tmp_path, workload):
     path = tmp_path / "corpus.glocon.jsonl"
-    docs = synthetic_corpus(300, seed=1)
+    docs, _ = parse_corpus(b"".join(workload("bulk", 1)["a"].splitlines(keepends=True)[:300]))
     tracemalloc.start()
     try:
         save_corpus(str(path), docs)
@@ -386,6 +385,11 @@ SINGLE_DEFECT_LINES = [
      "sentence 0: label must be 0, 1 or 2"),
     ("sentence_label_out_of_range", _sent(label=3), "d1", "bad_label",
      "sentence 0: label must be 0, 1 or 2, got 3"),
+    # the model checks the vocabulary, naming the sentence's index, after its tokens
+    ("sentence_label_out_of_range_at_index_1", _sent(index=1, label=3), "d1", "bad_label",
+     "sentence 1: label must be 0, 1 or 2, got 3"),
+    ("token_empty_and_label_out_of_range", _sent(tokens=["Workers", ""], label=3), "d1",
+     MALFORMED, TOKENS),
     ("annotations_not_array", _doc(annotations={"id": "a1"}), "d1", MALFORMED,
      "annotations must be an array"),
     ("annotation_not_object", _doc(annotations=["a1"]), "d1", MALFORMED,
