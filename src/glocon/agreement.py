@@ -83,43 +83,43 @@ class CorpusJoin:
     When the iteration ends, ``paired`` counts the pairs yielded,
     ``unmatched_a`` and ``unmatched_b`` list the ids without a partner in
     ``a`` and ``b`` order, and ``mismatched`` lists the token mismatches in
-    ``a`` order.  A doc_id repeated within one side raises ``ValueError``.
-    Each side is read once.
+    ``a`` order.  Each side is read once.  A doc_id repeated within one side
+    raises ``ValueError``; with ``unique_ids`` the caller vouches that none
+    repeats, as ``iter_corpus`` ensures, and the join keeps no set of ids.
     """
 
-    def __init__(self, a: Iterable[DocumentRecord], b: Iterable[DocumentRecord]) -> None:
+    def __init__(
+        self, a: Iterable[DocumentRecord], b: Iterable[DocumentRecord], unique_ids: bool = False
+    ) -> None:
         self._sides = (a, b)
+        self._check_ids = not unique_ids
         self.paired = 0
         self.unmatched_a: tuple[str, ...] = ()
         self.unmatched_b: tuple[str, ...] = ()
         self.mismatched: tuple[TokenMismatch, ...] = ()
 
     def __iter__(self) -> Iterator[tuple[DocumentRecord, DocumentRecord]]:
-        streams = [iter(side) for side in self._sides]
-        # per side: doc_id -> (position in that side, document), in arrival order
-        waiting: tuple[dict[str, tuple[int, DocumentRecord]], ...] = ({}, {})
+        streams = [enumerate(side) for side in self._sides]
+        # per side, in arrival order: doc_id -> (position in that side, document),
+        # or -> None once the other side, the only one that looks it up, ran out
+        waiting: tuple[dict[str, tuple[int, DocumentRecord] | None], ...] = ({}, {})
         seen: tuple[set[str], set[str]] = (set(), set())
-        # per side: ids that arrived after the other side ran out
-        late: tuple[list[str], list[str]] = ([], [])
         mismatched: list[tuple[int, TokenMismatch]] = []
         live = [0, 1]
         while live:
             for side in tuple(live):
-                doc = next(streams[side], None)
-                if doc is None:
+                arrived = next(streams[side], None)
+                if arrived is None:
                     live.remove(side)
                     continue
-                doc_id = doc.doc_id
-                if doc_id in seen[side]:
-                    raise ValueError(f"doc_id {doc_id!r} repeats in corpus {'ab'[side]}")
-                seen[side].add(doc_id)
-                arrived = (len(seen[side]) - 1, doc)
+                doc_id = arrived[1].doc_id
+                if self._check_ids:
+                    if doc_id in seen[side]:
+                        raise ValueError(f"doc_id {doc_id!r} repeats in corpus {'ab'[side]}")
+                    seen[side].add(doc_id)
                 partner = waiting[1 - side].pop(doc_id, None)
                 if partner is None:
-                    if 1 - side in live:
-                        waiting[side][doc_id] = arrived
-                    else:
-                        late[side].append(doc_id)
+                    waiting[side][doc_id] = arrived if 1 - side in live else None
                     continue
                 if side == 1:
                     arrived, partner = partner, arrived
@@ -130,8 +130,8 @@ class CorpusJoin:
                     yield doc_a, doc_b
                 else:
                     mismatched.append((position, TokenMismatch(doc_id, divergent)))
-        self.unmatched_a = (*waiting[0], *late[0])
-        self.unmatched_b = (*waiting[1], *late[1])
+        self.unmatched_a = tuple(waiting[0])
+        self.unmatched_b = tuple(waiting[1])
         self.mismatched = tuple(m for _, m in sorted(mismatched, key=itemgetter(0)))
 
 

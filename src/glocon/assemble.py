@@ -23,9 +23,8 @@ import io as _stdio
 import json
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .lint import Diagnostic, diagnostic
 from .model import (
     ACTORS,
     ARGUMENT_TAGS,
@@ -44,6 +43,9 @@ from .model import (
     holds_attribute,
     label_text,
 )
+
+if TYPE_CHECKING:
+    from .lint import Diagnostic
 
 
 @dataclass(frozen=True)
@@ -228,6 +230,8 @@ def check_separation(records: Sequence[EventRecord]) -> list[Diagnostic]:
     separation axes (time, place, facility, actors, semantic category),
     and E020 + W141 for events realized without any trigger.
     """
+    from .lint import Diagnostic, diagnostic  # here, so `glocon assemble` never loads lint
+
     diagnostics: list[Diagnostic] = []
 
     def emit(rule_id: str, record: EventRecord, message: str) -> None:

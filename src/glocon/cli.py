@@ -20,30 +20,17 @@ import os
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence, TextIO
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, TextIO
 
-from .agreement import (
-    AgreementLevel,
-    CorpusJoin,
-    KappaResult,
-    MatchMode,
-    PRFReport,
-    label_kappas,
-    span_prf,
-)
-from .assemble import CSV_HEADER, assemble_events, csv_rows, export_rows, rows_to_jsonl
 from .io import CorpusDecodeError, ParseError, iter_corpus
-from .lint import (
-    ConfigError,
-    DEFAULT_CONFIG,
-    Diagnostic,
-    LintConfig,
-    Severity,
-    count_at_or_above,
-    load_config,
-    validate_document,
-)
 from .model import DOC_LABELS, DocumentRecord, label_text
+
+# lint, assemble and agreement are imported inside the functions of the
+# commands that run them: each command is a fresh process, and a module-level
+# import would make every command, `stats` too, compile all three.
+if TYPE_CHECKING:
+    from .agreement import KappaResult, PRFReport
+    from .lint import Diagnostic, LintConfig
 
 EXIT_OK = 0
 EXIT_FINDINGS = 1
@@ -157,6 +144,8 @@ def _validate_corpus(
 ) -> tuple[list[str], Counter, int]:
     """Each document's diagnostics as rendered text (none for a clean
     document), their severity totals, and the number of documents."""
+    from .lint import validate_document
+
     held: list[str] = []
     totals: Counter = Counter()
     documents = 0
@@ -189,6 +178,8 @@ def write_json_array(items: Iterable[str], out: TextIO) -> None:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
+    from .lint import DEFAULT_CONFIG, ConfigError, Severity, count_at_or_above, load_config
+
     cfg = DEFAULT_CONFIG
     if args.config:
         try:
@@ -229,6 +220,8 @@ def _assemble_corpus(
 ) -> tuple[dict[str, str], int, int]:
     """Each document's export rows as rendered text, by doc_id (none for a
     document without events), the number of rows, and the number of documents."""
+    from .assemble import assemble_events, export_rows
+
     held: dict[str, str] = {}
     events = documents = 0
     for doc in docs:
@@ -249,6 +242,8 @@ def _write_assembled(held: dict[str, str], header: str, out: TextIO) -> None:
 
 
 def _cmd_assemble(args: argparse.Namespace) -> int:
+    from .assemble import CSV_HEADER, csv_rows, rows_to_jsonl
+
     render, header = (csv_rows, CSV_HEADER) if args.format == "csv" else (rows_to_jsonl, "")
     (held, events, documents), parse_errors = _read_corpus(
         args.corpus, lambda docs: _assemble_corpus(docs, render)
@@ -301,8 +296,10 @@ def _format_prf_table(report: PRFReport) -> str:
 
 
 def _cmd_agree(args: argparse.Namespace) -> int:
+    from .agreement import AgreementLevel, CorpusJoin, MatchMode, label_kappas, span_prf
+
     corpus_a, corpus_b = _CorpusStream(args.corpus_a), _CorpusStream(args.corpus_b)
-    join = CorpusJoin(corpus_a, corpus_b)
+    join = CorpusJoin(corpus_a, corpus_b, unique_ids=True)  # iter_corpus drops repeated ids
     results: list[KappaResult] = []
     if args.level == "token":
         report = span_prf(join, MatchMode(args.mode))

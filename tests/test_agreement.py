@@ -14,6 +14,7 @@ from glocon.agreement import (
     pair_corpora,
     span_prf,
 )
+from glocon.io import ParseErrorKind, iter_corpus, serialize_corpus
 from glocon.model import (
     DOC_LABELS,
     Annotation,
@@ -96,6 +97,17 @@ class TestPairing:
         with pytest.raises(ValueError, match=f"doc_id '1' repeats in corpus {side}"):
             pair_corpora(a, b)
 
+    def test_unique_ids_leaves_the_check_to_iter_corpus(self):
+        # iter_corpus drops the repeat as a duplicate_id parse error, so a join
+        # told its sides are unique pairs the first copy and never raises
+        first = _labeled_doc("1", ProtestLabel.PROTEST)
+        data = serialize_corpus([first, _labeled_doc("2"), _labeled_doc("1")])
+        errors = []
+        join = CorpusJoin(iter_corpus(data.splitlines(True), errors), [first], unique_ids=True)
+        assert list(join) == [(first, first)]
+        assert [(e.line, e.kind) for e in errors] == [(3, ParseErrorKind.DUPLICATE_ID)]
+        assert (join.unmatched_a, join.unmatched_b) == (("2",), ())
+
     @staticmethod
     def _annotator_b(doc, rng):
         """Another annotator's copy of ``doc``: other labels, some spans dropped."""
@@ -147,6 +159,11 @@ class TestPairing:
         assert result.unmatched_a == tuple(unmatched_a)
         assert result.unmatched_b == tuple(unmatched_b)
         assert [(m.doc_id, m.sentence) for m in result.mismatched] == mismatched
+        trusted = CorpusJoin(iter(a), iter(b), unique_ids=True)
+        assert [(id(x), id(y)) for x, y in trusted] == [(id(x), id(y)) for x, y in result.pairs]
+        assert (trusted.paired, trusted.unmatched_a, trusted.unmatched_b, trusted.mismatched) == (
+            len(result.pairs), result.unmatched_a, result.unmatched_b, result.mismatched
+        )
         for mode in MatchMode:
             assert span_prf(CorpusJoin(iter(a), iter(b)), mode) == span_prf(tuple(pairs), mode)
         levels = list(AgreementLevel)

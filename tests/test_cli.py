@@ -262,6 +262,16 @@ class TestAgreeCommand:
         assert run(["agree", path, path, "--level", "token", "--mode", "lenient"]) == EXIT_OK
         assert "mode=lenient" in capsys.readouterr().out
 
+    def test_repeated_doc_id_is_a_parse_error(self, corpus_file, capsys):
+        # the reader drops the second copy; the join pairs the first
+        doc = bjp_square_doc()
+        path_a = corpus_file([doc, karnataka_doc(), doc], name="a.glocon.jsonl")
+        path_b = corpus_file([doc], name="b.glocon.jsonl")
+        assert run(["agree", path_a, path_b]) == EXIT_IO
+        captured = capsys.readouterr()
+        assert f"glocon: {path_a}: line 3 [bjp-square] duplicate_id: " in captured.err
+        assert "1 pairs, unmatched a=['karnataka-wave'], b=[]" in captured.out
+
 
 class TestUsage:
     def test_unknown_flag_is_usage_error(self, corpus_file, capsys):
