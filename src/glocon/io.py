@@ -38,12 +38,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate, repeat
 from typing import Iterable, Iterator
 
 from .model import (
     DOC_LABELS,
     EMPTY_LABELS,
+    TAG_BY_NAME,
     Annotation,
     DocumentLabels,
     DocumentRecord,
@@ -102,7 +104,13 @@ _DOC_LABEL_VOCABS = {
     key: {label.value: label for label in vocab} for key, vocab in DOC_LABELS.items()
 }
 _TAG_TEXT = {tag: tag.value for tag in TagId}  # a lookup is faster than .value
-_EVENT_ONE = frozenset({1})
+# A corpus repeats a few label triples and event comments, so each parses to
+# one shared object.  Both caches are bounded, whatever the corpus: the label
+# vocabularies are closed (at most 36 triples) and the comment cache keeps
+# 256.  A comment that raises is not cached, so it raises each time.
+_LABELS: dict[tuple, DocumentLabels] = {(None, None, None): EMPTY_LABELS}
+_comment_events = lru_cache(maxsize=256)(parse_event_refs)
+_EVENT_ONE = parse_event_refs(None)
 
 
 def _label(obj: dict, key: str, vocab: dict):
@@ -122,9 +130,11 @@ def _parse_labels(obj: object) -> DocumentLabels:
         raise InvariantError("labels must be an object")
     if not obj.keys() <= _LABEL_KEYS:
         raise InvariantError(f"unknown label keys: {sorted(obj.keys() - _LABEL_KEYS)}")
-    return DocumentLabels(
-        **{key: _label(obj, key, vocab) for key, vocab in _DOC_LABEL_VOCABS.items()}
-    )
+    triple = tuple([_label(obj, key, vocab) for key, vocab in _DOC_LABEL_VOCABS.items()])
+    labels = _LABELS.get(triple)
+    if labels is None:  # kept only once DocumentLabels has accepted it
+        labels = _LABELS[triple] = DocumentLabels(*triple)
+    return labels
 
 
 def _parse_sentence(obj: object, position: int) -> SentenceRecord:
@@ -155,45 +165,50 @@ def _parse_annotation(obj: object, sentences: tuple[SentenceRecord, ...]) -> Ann
         raise InvariantError(
             f"annotation: unknown keys {sorted(obj.keys() - _ANNOTATION_KEYS)}"
         )
-    ann_id = obj.get("id")
+    get = obj.get
+    ann_id = get("id")
     if type(ann_id) is not str:
         raise InvariantError("annotation id must be a non-empty string")
-    tag = obj.get("tag")
-    if type(tag) is not str:
+    name = get("tag")
+    if type(name) is not str:
         raise InvariantError(f"annotation {ann_id}: tag must be a string")
-    try:
-        tag = resolve_tag(tag)
-    except UnknownTagError as exc:
-        raise UnknownTagError(f"annotation {ann_id}: {exc}") from None
+    tag = TAG_BY_NAME.get(name)
+    if tag is None:
+        try:
+            resolve_tag(name)  # raises: the name is outside the tagset
+        except UnknownTagError as exc:
+            raise UnknownTagError(f"annotation {ann_id}: {exc}") from None
 
-    sentence, start, end = obj.get("sentence"), obj.get("start"), obj.get("end")
+    sentence, start, end = get("sentence"), get("start"), get("end")
     if not type(sentence) is type(start) is type(end) is int:
         for key in ("sentence", "start", "end"):
-            if type(obj.get(key)) is not int:
+            if type(get(key)) is not int:
                 raise InvariantError(f"annotation {ann_id}: {key} must be an integer")
     try:
         span = TokenSpan(sentence, start, end)
     except SpanError:
         raise span_error(ann_id, sentence, start, end, sentences) from None
 
-    events = obj.get("events")
-    from_comment = type(events) is str and events.strip() != ""
-    if events is None or type(events) is str and not from_comment:
-        events = _EVENT_ONE  # absent, or a blank comment that numbers nothing
-    elif from_comment:
-        try:
-            events = parse_event_refs(events)
-        except EventRefError as exc:
-            raise EventRefError(f"annotation {ann_id}: {exc}") from None
-    elif type(events) is not list:
-        raise EventRefError(
-            f"annotation {ann_id}: events must be an integer array or an 'Event N' string"
-        )
+    events = get("events")
+    from_comment = False
+    if type(events) is not list:
+        if type(events) is str and events.strip():
+            from_comment = True
+            try:
+                events = _comment_events(events)
+            except EventRefError as exc:
+                raise EventRefError(f"annotation {ann_id}: {exc}") from None
+        elif events is None or type(events) is str:
+            events = _EVENT_ONE  # absent, or a blank comment that numbers nothing
+        else:
+            raise EventRefError(
+                f"annotation {ann_id}: events must be an integer array or an 'Event N' string"
+            )
 
-    confidence = obj.get("confidence")
+    confidence = get("confidence")
     if confidence is not None and type(confidence) is not float and type(confidence) is not int:
         raise InvariantError(f"annotation {ann_id}: confidence must be a number")
-    comment = obj.get("comment")
+    comment = get("comment")
     if comment is not None and type(comment) is not str:
         raise InvariantError(f"annotation {ann_id}: comment must be a string")
     return Annotation(ann_id, tag, span, events, confidence, comment, from_comment)

@@ -251,6 +251,11 @@ def resolve_tag(name: str) -> TagId:
 
 _EVENT_REF = re.compile(r"Event\s*([0-9]+)\Z")
 
+# One shared set per event number.  A corpus repeats a few event sets
+# thousands of times, so an annotation and a comment take theirs from here;
+# keys are looked up only once validated, since (True,) and (1.0,) equal (1,).
+_EVENT_SETS: dict[tuple, frozenset[int]] = {(n,): frozenset({n}) for n in range(1, 65)}
+
 # Keyword is case-sensitive: "event 2" is not an event reference.
 def parse_event_refs(raw: str | None) -> frozenset[int]:
     """Parse a FLAT-style event comment into a set of event numbers.
@@ -260,10 +265,10 @@ def parse_event_refs(raw: str | None) -> frozenset[int]:
     of ``Event <positive integer>`` items, whitespace-insensitive.
     """
     if raw is None:
-        return frozenset({1})
+        return _EVENT_SETS[(1,)]
     text = raw.strip()
     if not text:
-        return frozenset({1})
+        return _EVENT_SETS[(1,)]
     numbers: set[int] = set()
     for part in text.split(","):
         m = _EVENT_REF.fullmatch(part.strip())
@@ -276,7 +281,7 @@ def parse_event_refs(raw: str | None) -> frozenset[int]:
         if n < 1:
             raise EventRefError(f"event numbers start at 1, got {n}")
         numbers.add(n)
-    return frozenset(numbers)
+    return _EVENT_SETS.get(tuple(numbers)) or frozenset(numbers)
 
 
 def format_event_refs(events: Iterable[int]) -> str:
@@ -383,12 +388,14 @@ class Annotation(
     """One tagged token span.
 
     ``events`` is a non-empty set of positive event numbers; annotations
-    without an explicit number belong to event 1.  ``events_from_comment``
-    records that the numbers were supplied as an "Event N, ..." comment
-    string rather than as plain integers, which matters for lint rule W122
-    and for faithful re-serialization.  An annotation is the tuple of its
-    fields and equals and hashes as that tuple; tuple ``<`` is not the
-    canonical order, :func:`annotation_sort_key` is.
+    without an explicit number belong to event 1.  Equal ``events`` may be
+    one shared object, so a held corpus keeps few sets.
+    ``events_from_comment`` records that the numbers were supplied as an
+    "Event N, ..." comment string rather than as plain integers, which
+    matters for lint rule W122 and for faithful re-serialization.  An
+    annotation is the tuple of its fields and equals and hashes as that
+    tuple; tuple ``<`` is not the canonical order, :func:`annotation_sort_key`
+    is.
     """
 
     __slots__ = ()
@@ -398,7 +405,7 @@ class Annotation(
         id: str,
         tag: TagId,
         span: TokenSpan,
-        events: Iterable[int] = frozenset({1}),
+        events: Iterable[int] = (1,),
         confidence: float | None = None,
         comment: str | None = None,
         events_from_comment: bool = False,
@@ -409,12 +416,17 @@ class Annotation(
             raise InvariantError(f"tag must be a TagId, got {tag!r}")
         if type(events) is not frozenset:
             events = tuple(events)  # validated before hashing: a list may hold unhashables
-        if not events or not all(type(n) is int and n > 0 for n in events):
+        valid = len(events) > 0
+        for n in events:
+            if type(n) is not int or n < 1:
+                valid = False
+                break
+        if not valid:
             raise EventRefError(
                 f"annotation {id}: events must be a non-empty list of positive integers"
             )
         if type(events) is tuple:
-            events = frozenset(events)
+            events = _EVENT_SETS.get(events) or frozenset(events)
         if confidence is not None:
             try:
                 confidence = float(confidence)

@@ -433,6 +433,8 @@ SINGLE_DEFECT_LINES = [
     ("events_bool", _ann(events=[True]), "d1", "bad_event_ref", EVENTS),
     ("events_float", _ann(events=[1.0]), "d1", "bad_event_ref", EVENTS),
     ("events_nested", _ann(events=[[1]]), "d1", "bad_event_ref", EVENTS),
+    ("events_null", _ann(events=[None]), "d1", "bad_event_ref", EVENTS),
+    ("events_one_then_null", _ann(events=[1, None]), "d1", "bad_event_ref", EVENTS),
     ("events_object", _ann(events={"1": 1}), "d1", "bad_event_ref", EVENTS_TYPE),
     ("events_number", _ann(events=1), "d1", "bad_event_ref", EVENTS_TYPE),
     ("confidence_string", _ann(confidence="0.5"), "d1", MALFORMED,
@@ -473,6 +475,32 @@ def test_single_defect_line_rejection(line, doc_id, kind, message):
     assert [(e.line, e.doc_id, e.kind.value, e.message) for e in errors] == [
         (1, doc_id, kind, message)
     ]
+
+
+@pytest.mark.parametrize("name", ["dense", "flat"])
+def test_equal_events_and_labels_are_one_shared_object(workload, name):
+    docs, _ = parse_corpus(workload(name, 1)["a"])
+    events, labels = {}, {}
+    for doc in docs:
+        assert labels.setdefault(doc.labels, doc.labels) is doc.labels
+        for ann in doc.annotations:
+            assert events.setdefault(ann.events, ann.events) is ann.events
+    assert len(events) > 1 and len(labels) > 1
+
+
+def test_repeated_event_comment_parses_alike_and_a_bad_one_raises_each_time():
+    line = json.dumps(_ann(events="Event 2, Event 3")).encode() + b"\n"
+    (first,), _ = parse_corpus(line)
+    (second,), _ = parse_corpus(line)
+    assert first.annotations[0].events == second.annotations[0].events == {2, 3}
+    assert serialize_corpus([first]) == serialize_corpus([second])
+    assert b'"events":"Event 2, Event 3"' in serialize_corpus([second])
+    bad = json.dumps(_ann(events="Event 0")).encode()
+    for _ in range(2):
+        docs, errors = parse_corpus(bad)
+        assert docs == [] and [(e.kind.value, e.message) for e in errors] == [
+            ("bad_event_ref", "annotation a1: event numbers start at 1, got 0")
+        ]
 
 
 # one rejected line of each ParseErrorKind, from the single-defect cases

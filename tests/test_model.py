@@ -160,6 +160,15 @@ def test_annotation_defaults_to_event_one():
     assert ann.events_from_comment is False
 
 
+def test_equal_event_lists_share_one_set_and_a_callers_set_is_kept():
+    span = TokenSpan(0, 0, 1)
+    first, second = (Annotation("x", TagId.EVENT_TYPE, span, events=[1]) for _ in range(2))
+    assert first.events is second.events is Annotation("y", TagId.EVENT_TYPE, span).events
+    own = frozenset({1})
+    kept = Annotation("x", TagId.EVENT_TYPE, span, events=own)
+    assert kept.events is own and kept == first
+
+
 def test_annotation_is_its_tuple():
     ann = Annotation(
         id="x", tag=TagId.EVENT_TYPE, span=TokenSpan(0, 0, 1), events=[2, 1], confidence=1,
@@ -203,6 +212,9 @@ _ANN = Annotation("x", TagId.EVENT_TYPE, TokenSpan(0, 0, 1))
         {"events": [0]},
         {"events": [True]},
         {"events": [[1]]},
+        {"events": [None]},
+        {"events": [1, None]},
+        {"events": [1.0]},
         {"confidence": 1.5},
         {"confidence": 0.1234567},
         {"confidence": 10**400},
