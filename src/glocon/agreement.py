@@ -21,10 +21,9 @@ from __future__ import annotations
 
 import enum
 import math
-from collections import Counter
-from dataclasses import asdict, dataclass
+from collections import Counter, namedtuple
+from collections.abc import Iterable, Iterator, Sequence
 from operator import attrgetter, itemgetter
-from typing import Iterable, Iterator, Mapping, Sequence
 
 from .model import (
     DOC_LABELS,
@@ -38,26 +37,20 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
-class TokenMismatch:
+class TokenMismatch(namedtuple("TokenMismatch", "doc_id sentence")):
     """A doc_id present in both corpora whose token sequences diverge."""
 
-    doc_id: str
-    sentence: int
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"doc {self.doc_id}: tokenization diverges at sentence {self.sentence}"
 
 
-@dataclass(frozen=True)
-class PairingResult:
+class PairingResult(namedtuple("PairingResult", "pairs unmatched_a unmatched_b mismatched")):
     """A drained ``CorpusJoin``: its pairs, in the order they completed,
     and its unmatched ids and token mismatches."""
 
-    pairs: tuple[tuple[DocumentRecord, DocumentRecord], ...]
-    unmatched_a: tuple[str, ...]
-    unmatched_b: tuple[str, ...]
-    mismatched: tuple[TokenMismatch, ...]
+    __slots__ = ()
 
 
 def _first_divergent_sentence(a: DocumentRecord, b: DocumentRecord) -> int | None:
@@ -159,8 +152,7 @@ _LEVEL_CATEGORIES: dict[AgreementLevel, tuple[str, ...]] = {
 }
 
 
-@dataclass(frozen=True)
-class KappaResult:
+class KappaResult(namedtuple("KappaResult", "level kappa p_o p_e confusion n skipped")):
     """Cohen's kappa for one labeling level.
 
     ``confusion`` counts (label_a, label_b) pairs over the level's full
@@ -169,13 +161,7 @@ class KappaResult:
     p_o and p_e are NaN.
     """
 
-    level: AgreementLevel
-    kappa: float
-    p_o: float
-    p_e: float
-    confusion: Mapping[tuple[str, str], int]
-    n: int
-    skipped: int
+    __slots__ = ()
 
     @property
     def degenerate(self) -> bool:
@@ -263,14 +249,7 @@ class MatchMode(str, enum.Enum):
     LENIENT = "lenient"
 
 
-@dataclass(frozen=True)
-class TagScore:
-    tp: int
-    fp: int
-    fn: int
-    precision: float
-    recall: float
-    f1: float
+TagScore = namedtuple("TagScore", "tp fp fn precision recall f1")
 
 
 def _score(tp: int, fp: int, fn: int) -> TagScore:
@@ -283,20 +262,16 @@ def _score(tp: int, fp: int, fn: int) -> TagScore:
     return TagScore(tp, fp, fn, precision, recall, f1)
 
 
-@dataclass(frozen=True)
-class PRFReport:
-    mode: MatchMode
-    per_tag: Mapping[str, TagScore]
-    micro: TagScore
-    documents: int
+class PRFReport(namedtuple("PRFReport", "mode per_tag micro documents")):
+    __slots__ = ()
 
     def to_obj(self) -> dict:
         return {
             "mode": self.mode.value,
             "reference": "a",  # the first corpus of each pair is the gold side
             "documents": self.documents,
-            "micro": asdict(self.micro),
-            "per_tag": {tag: asdict(s) for tag, s in sorted(self.per_tag.items())},
+            "micro": self.micro._asdict(),
+            "per_tag": {tag: s._asdict() for tag, s in sorted(self.per_tag.items())},
         }
 
 

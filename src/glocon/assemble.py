@@ -21,16 +21,14 @@ from __future__ import annotations
 import csv
 import io as _stdio
 import json
-from collections import defaultdict
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from collections import defaultdict, namedtuple
+from collections.abc import Iterable, Sequence
 
 from .model import (
     ACTORS,
     ARGUMENT_TAGS,
     DOC_LABELS,
     Annotation,
-    DocumentLabels,
     DocumentRecord,
     DocumentView,
     FACILITY_TAGS,
@@ -44,56 +42,40 @@ from .model import (
     label_text,
 )
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .lint import Diagnostic
 
 
-@dataclass(frozen=True)
-class ArgumentRef:
+class ArgumentRef(namedtuple("ArgumentRef", "tag span text")):
     """One argument annotation as it appears in an event record."""
 
-    tag: TagId
-    span: TokenSpan
-    text: str
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class TriggerRef:
-    span: TokenSpan
-    text: str
-    is_type: bool
-    in_title: bool
+TriggerRef = namedtuple("TriggerRef", "span text is_type in_title")
 
 
-@dataclass(frozen=True)
-class ParticipantRecord:
+class ParticipantRecord(
+    namedtuple("ParticipantRecord", "tag span text semantic attributes", defaults=(None, ()))
+):
     """A participant or organizer head (type or name) with its semantic
     class and attributes."""
 
-    tag: TagId
-    span: TokenSpan
-    text: str
-    semantic: str | None = None
-    attributes: tuple[ArgumentRef, ...] = ()
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class EventRecord:
+class EventRecord(
+    namedtuple(
+        "EventRecord",
+        "doc_id event_number semantic_category triggers times places facilities"
+        " urban_rural_markers targets participants organizers unattached_attributes"
+        " doc_labels",
+    )
+):
     """One normalized protest event extracted from a document."""
 
-    doc_id: str
-    event_number: int
-    semantic_category: str | None
-    triggers: tuple[TriggerRef, ...]
-    times: tuple[ArgumentRef, ...]
-    places: tuple[ArgumentRef, ...]
-    facilities: tuple[ArgumentRef, ...]
-    urban_rural_markers: tuple[ArgumentRef, ...]
-    targets: tuple[ArgumentRef, ...]
-    participants: tuple[ParticipantRecord, ...]
-    organizers: tuple[ParticipantRecord, ...]
-    unattached_attributes: tuple[ArgumentRef, ...]
-    doc_labels: DocumentLabels
+    __slots__ = ()
 
 
 # Record field of each event argument tag.

@@ -19,8 +19,7 @@ import json
 import os
 import sys
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, TextIO
+from collections.abc import Callable, Iterable, Iterator, Sequence
 
 from .io import CorpusDecodeError, ParseError, iter_corpus
 from .model import DOC_LABELS, DocumentRecord, label_text
@@ -28,7 +27,10 @@ from .model import DOC_LABELS, DocumentRecord, label_text
 # lint, assemble and agreement are imported inside the functions of the
 # commands that run them: each command is a fresh process, and a module-level
 # import would make every command, `stats` too, compile all three.
+TYPE_CHECKING = False
 if TYPE_CHECKING:
+    from typing import TextIO
+
     from .agreement import KappaResult, PRFReport
     from .lint import Diagnostic, LintConfig
 
@@ -38,21 +40,21 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 
-@dataclass
 class Stats:
     """Corpus-level counts: tags, labels, events."""
 
-    documents: int = 0
-    sentences: int = 0
-    annotations: int = 0
-    tag_counts: Counter = field(default_factory=Counter)
-    # DOC_LABELS key -> label text (or "unlabeled") -> documents
-    doc_labels: dict[str, Counter] = field(
-        default_factory=lambda: {key: Counter() for key in DOC_LABELS}
+    __slots__ = (
+        "documents", "sentences", "annotations", "tag_counts", "doc_labels",
+        "sentence_labels", "events_total", "events_per_doc",
     )
-    sentence_labels: Counter = field(default_factory=Counter)
-    events_total: int = 0
-    events_per_doc: dict[str, int] = field(default_factory=dict)
+
+    def __init__(self) -> None:
+        self.documents = self.sentences = self.annotations = self.events_total = 0
+        self.tag_counts = Counter()
+        # DOC_LABELS key -> label text (or "unlabeled") -> documents
+        self.doc_labels = {key: Counter() for key in DOC_LABELS}
+        self.sentence_labels = Counter()
+        self.events_per_doc: dict[str, int] = {}
 
     def to_obj(self) -> dict:
         return {

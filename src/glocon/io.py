@@ -37,10 +37,10 @@ document's line as it is made.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Iterator
 from functools import lru_cache
 from itertools import accumulate, repeat
-from typing import Iterable, Iterator
 
 from .model import (
     DOC_LABELS,
@@ -66,14 +66,10 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
-class ParseError:
+class ParseError(namedtuple("ParseError", "line doc_id kind message")):
     """One rejected input line (or one problem within it)."""
 
-    line: int
-    doc_id: str | None
-    kind: ParseErrorKind
-    message: str
+    __slots__ = ()
 
     def __str__(self) -> str:
         doc = self.doc_id or "?"

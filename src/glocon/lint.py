@@ -23,11 +23,10 @@ from __future__ import annotations
 import enum
 import json
 import unicodedata
-from collections import Counter, defaultdict
-from dataclasses import dataclass, field, fields
+from collections import Counter, defaultdict, namedtuple
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _json_string
-from typing import Callable, Iterable, Iterator, Mapping
 
 from .io import TOO_DEEP, nests_too_deep
 from .model import (
@@ -66,11 +65,7 @@ def count_at_or_above(totals: Mapping[Severity, int], threshold: Severity) -> in
     return sum(n for sev, n in totals.items() if _SEVERITY_ORDER[sev] >= floor)
 
 
-@dataclass(frozen=True)
-class Rule:
-    id: str
-    severity: Severity
-    title: str
+Rule = namedtuple("Rule", "id severity title")
 
 
 # What a rule yields: (sentence, span or None, annotation ids, message).
@@ -98,17 +93,12 @@ def rule(rule_id: str, severity: Severity, title: str) -> Callable[[Check], Chec
     return register
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(
+    namedtuple("Diagnostic", "rule severity doc_id sentence span annotation_ids message")
+):
     """One rule violation at a resolvable position in a document."""
 
-    rule: str
-    severity: Severity
-    doc_id: str
-    sentence: int
-    span: TokenSpan | None
-    annotation_ids: tuple[str, ...]
-    message: str
+    __slots__ = ()
 
     def sort_key(self) -> tuple:
         start = self.span.start if self.span is not None else -1
@@ -164,36 +154,31 @@ DEFAULT_TOKEN_EVENT_WORDS = frozenset({"incident", "event", "protest", "agitatio
 DEFAULT_COUNTRIES = frozenset({"india", "china", "south africa", "argentina", "brazil"})
 
 
-@dataclass(frozen=True)
 class Lexicons:
     """Per-language word lists used by the span-shape rules."""
 
-    articles_indefinite: frozenset[str] = DEFAULT_INDEFINITE_ARTICLES
-    articles_definite: frozenset[str] = DEFAULT_DEFINITE_ARTICLES
-    estimation_qualifiers: tuple[str, ...] = DEFAULT_ESTIMATION_QUALIFIERS
-    token_event_words: frozenset[str] = DEFAULT_TOKEN_EVENT_WORDS
-    countries: frozenset[str] = DEFAULT_COUNTRIES
+    # the word lists, which are also the keyword names and a config's lexicon keys
+    _fields = (
+        "articles_indefinite", "articles_definite", "estimation_qualifiers",
+        "token_event_words", "countries",
+    )
+    __slots__ = (*_fields, "_qualifier_seqs")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "articles_indefinite", frozenset(w.casefold() for w in self.articles_indefinite)
-        )
-        object.__setattr__(
-            self, "articles_definite", frozenset(self.articles_definite)
-        )
-        object.__setattr__(
-            self, "estimation_qualifiers", tuple(self.estimation_qualifiers)
-        )
-        object.__setattr__(
-            self, "token_event_words", frozenset(w.casefold() for w in self.token_event_words)
-        )
-        object.__setattr__(
-            self, "countries", frozenset(c.casefold() for c in self.countries)
-        )
-        object.__setattr__(
-            self,
-            "_qualifier_seqs",
-            tuple(tuple(q.casefold().split()) for q in self.estimation_qualifiers),
+    def __init__(
+        self,
+        articles_indefinite: Iterable[str] = DEFAULT_INDEFINITE_ARTICLES,
+        articles_definite: Iterable[str] = DEFAULT_DEFINITE_ARTICLES,
+        estimation_qualifiers: Iterable[str] = DEFAULT_ESTIMATION_QUALIFIERS,
+        token_event_words: Iterable[str] = DEFAULT_TOKEN_EVENT_WORDS,
+        countries: Iterable[str] = DEFAULT_COUNTRIES,
+    ) -> None:
+        self.articles_indefinite = frozenset(w.casefold() for w in articles_indefinite)
+        self.articles_definite = frozenset(articles_definite)
+        self.estimation_qualifiers = tuple(estimation_qualifiers)
+        self.token_event_words = frozenset(w.casefold() for w in token_event_words)
+        self.countries = frozenset(c.casefold() for c in countries)
+        self._qualifier_seqs = tuple(
+            tuple(q.casefold().split()) for q in self.estimation_qualifiers
         )
 
     def qualifier_token_sequences(self) -> tuple[tuple[str, ...], ...]:
@@ -204,7 +189,7 @@ class ConfigError(ValueError):
     """A lint configuration references unknown rules or keys, or has ill-typed values."""
 
 
-_LEXICON_KEYS = frozenset(f.name for f in fields(Lexicons))
+_LEXICON_KEYS = frozenset(Lexicons._fields)
 
 
 def _config_value(obj: dict, key: str, kind: type):
@@ -223,24 +208,29 @@ def _word_list(key: str, value) -> list[str]:
     return value
 
 
-@dataclass(frozen=True)
 class LintConfig:
-    severity_overrides: Mapping[str, Severity] = field(default_factory=dict)
-    disabled_rules: frozenset[str] = frozenset()
-    lexicons: Lexicons = Lexicons()
+    """Severity overrides, disabled rules and lexicons for one run."""
 
-    def __post_init__(self) -> None:
+    __slots__ = ("severity_overrides", "disabled_rules", "lexicons")
+
+    def __init__(
+        self,
+        severity_overrides: Mapping[str, Severity | str] = {},  # read, never kept
+        disabled_rules: Iterable[str] = frozenset(),
+        lexicons: Lexicons = Lexicons(),
+    ) -> None:
         overrides = {}
-        for rule_id, sev in self.severity_overrides.items():
+        for rule_id, sev in severity_overrides.items():
             try:
                 overrides[rule_id] = Severity(sev)
             except ValueError:
                 raise ConfigError(f"bad severity {sev!r} for rule {rule_id!r}") from None
-        object.__setattr__(self, "severity_overrides", overrides)
+        self.severity_overrides = overrides
         for rule_id in overrides:
             if rule_id not in CATALOG:
                 raise ConfigError(f"severity override for unknown rule {rule_id!r}")
-        object.__setattr__(self, "disabled_rules", frozenset(self.disabled_rules))
+        self.disabled_rules = frozenset(disabled_rules)
+        self.lexicons = lexicons
         for rule_id in self.disabled_rules:
             if rule_id not in CATALOG:
                 raise ConfigError(f"cannot disable unknown rule {rule_id!r}")
@@ -724,13 +714,10 @@ def validate_document(
     return found
 
 
-@dataclass(frozen=True)
-class CorpusReport:
+class CorpusReport(namedtuple("CorpusReport", "diagnostics totals documents")):
     """Diagnostics for a whole corpus plus severity totals."""
 
-    diagnostics: tuple[Diagnostic, ...]
-    totals: Mapping[Severity, int]
-    documents: int
+    __slots__ = ()
 
     def count_at_or_above(self, threshold: Severity) -> int:
         return count_at_or_above(self.totals, threshold)

@@ -15,9 +15,8 @@ from __future__ import annotations
 import enum
 import re
 from collections import namedtuple
-from dataclasses import dataclass
+from collections.abc import Iterable
 from itertools import repeat
-from typing import Iterable, NamedTuple
 
 
 class ParseErrorKind(str, enum.Enum):
@@ -189,15 +188,12 @@ LOCATION_IDENTIFIER_TAGS = frozenset(
 )
 
 
-class Actor(NamedTuple):
+class Actor(namedtuple("Actor", "heads hosts attributes semantic")):
     """Tag roles of an actor focus: its type and name ``heads``, the ``hosts``
     among them that take the ``semantic`` focus's tag and hold the
     ``attributes`` inside them.  Other tags of the focus are plain arguments."""
 
-    heads: frozenset[TagId]
-    hosts: frozenset[TagId]
-    attributes: frozenset[TagId]
-    semantic: Focus
+    __slots__ = ()
 
 
 # participant_count is a participant argument, never an attribute.
@@ -477,24 +473,32 @@ class SentenceRecord(namedtuple("SentenceRecord", "index tokens label")):
         return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class DocumentLabels:
+class DocumentLabels(namedtuple("DocumentLabels", "protest violent demand")):
     """Document-level labels.
 
     Violence and demand judgments presuppose the document contains a
     protest event, so either may be set only when ``protest`` is
-    ``protest``.  A demand label holds exactly one category.
+    ``protest``.  A demand label holds exactly one category.  The labels
+    are the tuple ``(protest, violent, demand)`` and equal and hash as it.
     """
 
-    protest: ProtestLabel | None = None
-    violent: ViolenceLabel | None = None
-    demand: DemandLabel | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.violent is not None and self.protest is not ProtestLabel.PROTEST:
+    def __new__(
+        cls,
+        protest: ProtestLabel | None = None,
+        violent: ViolenceLabel | None = None,
+        demand: DemandLabel | None = None,
+    ) -> DocumentLabels:
+        if violent is not None and protest is not ProtestLabel.PROTEST:
             raise LabelError("violence label requires protest = protest")
-        if self.demand is not None and self.protest is not ProtestLabel.PROTEST:
+        if demand is not None and protest is not ProtestLabel.PROTEST:
             raise LabelError("demand label requires protest = protest")
+        return tuple.__new__(cls, (protest, violent, demand))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> DocumentLabels:
+        return cls(*iterable)
 
 
 EMPTY_LABELS = DocumentLabels()
@@ -512,29 +516,35 @@ def label_text(label: enum.Enum) -> str:
     return str(label.value)
 
 
-@dataclass(frozen=True)
-class DocumentRecord:
-    """One annotated news article."""
+class DocumentRecord(namedtuple("DocumentRecord", "doc_id labels sentences annotations")):
+    """One annotated news article.
 
-    doc_id: str
-    labels: DocumentLabels = EMPTY_LABELS
-    sentences: tuple[SentenceRecord, ...] = ()
-    annotations: tuple[Annotation, ...] = ()
+    A document is the tuple of its four fields and equals and hashes as
+    that tuple.  Its annotations are kept in canonical order.
+    """
 
-    def __post_init__(self) -> None:
-        if not self.doc_id:
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        doc_id: str,
+        labels: DocumentLabels = EMPTY_LABELS,
+        sentences: Iterable[SentenceRecord] = (),
+        annotations: Iterable[Annotation] = (),
+    ) -> DocumentRecord:
+        if not doc_id:
             raise InvariantError("doc_id must be a non-empty string")
-        sentences = self.sentences
         if type(sentences) is not tuple:
             sentences = tuple(sentences)
-            object.__setattr__(self, "sentences", sentences)
         for pos, sent in enumerate(sentences):
             if sent.index != pos:
                 raise InvariantError(f"sentence index {sent.index} at position {pos}")
+        if type(annotations) is not tuple:
+            annotations = tuple(annotations)  # read twice: checked, then sorted
         # checked in input order, so the first offending annotation is reported
         n_sentences = len(sentences)
         seen: set[str] = set()
-        for ann in self.annotations:
+        for ann in annotations:
             span = ann.span
             if span.sentence >= n_sentences or span.end > len(sentences[span.sentence].tokens):
                 raise span_error(ann.id, span.sentence, span.start, span.end, sentences)
@@ -543,9 +553,12 @@ class DocumentRecord:
             seen.add(ann.id)
         # annotations are kept in canonical order so that documents have a
         # single representation and serialization round-trips exactly
-        object.__setattr__(
-            self, "annotations", tuple(sorted(self.annotations, key=annotation_sort_key))
-        )
+        annotations = tuple(sorted(annotations, key=annotation_sort_key))
+        return tuple.__new__(cls, (doc_id, labels, sentences, annotations))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> DocumentRecord:
+        return cls(*iterable)
 
     def span_text(self, span: TokenSpan) -> str:
         """Surface text of a span, tokens joined with single spaces."""

@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import io
 import json
 import os
@@ -217,7 +216,7 @@ class TestDiagnosticWriter:
             if rng.random() < 0.2:
                 changes["doc_id"] = rng.choice(self.AWKWARD) or "d"
                 changes["annotation_ids"] = (*diag.annotation_ids, rng.choice(self.AWKWARD))
-            return dataclasses.replace(diag, **changes)
+            return diag._replace(**changes)
 
         per_doc = [[awkward(d) for d in validate_document(doc)] for doc in random_corpus(30, seed)]
         diags = [d for ds in per_doc for d in ds]

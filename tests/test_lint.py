@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import random
 
@@ -437,7 +436,7 @@ class TestEngineProperties:
             other = Severity.ERROR if CATALOG[rule_id].severity is Severity.INFO else Severity.INFO
             cfg = LintConfig(severity_overrides={rule_id: other})
             assert validate_document(doc, cfg) == [
-                dataclasses.replace(d, severity=other) if d.rule == rule_id else d for d in base
+                d._replace(severity=other) if d.rule == rule_id else d for d in base
             ]
 
     def test_oracle_equivalence_small(self):

@@ -1,6 +1,5 @@
 import pickle
 import random
-from dataclasses import fields
 
 import pytest
 from hypothesis import given
@@ -11,6 +10,7 @@ from randdocs import random_document
 from glocon.model import (
     DOC_LABELS,
     Annotation,
+    DemandLabel,
     DocumentLabels,
     DocumentRecord,
     Focus,
@@ -303,7 +303,7 @@ def test_document_labels_dependency():
 
 
 def test_doc_labels_are_the_document_label_fields():
-    assert tuple(DOC_LABELS) == tuple(f.name for f in fields(DocumentLabels))
+    assert tuple(DOC_LABELS) == DocumentLabels._fields
 
 
 def test_label_text():
@@ -369,6 +369,65 @@ def test_document_rejects_misindexed_sentences():
             doc_id="d",
             sentences=(SentenceRecord(index=1, tokens=("a",)),),
         )
+
+
+_DOC = _one_sentence_doc(
+    (
+        Annotation("b", TagId.EVENT_MENTION, TokenSpan(0, 1, 2)),
+        Annotation("a", TagId.EVENT_TYPE, TokenSpan(0, 0, 1)),
+    )
+)
+_VIOLENT = DocumentLabels(ProtestLabel.PROTEST, ViolenceLabel.VIOLENT, DemandLabel.NON_ECONOMIC)
+
+
+@pytest.mark.parametrize(
+    "value, changes",
+    [
+        (_DOC, {"doc_id": ""}),
+        (_DOC, {"sentences": (SentenceRecord(1, ("a",)),)}),
+        (_DOC, {"annotations": (*_DOC.annotations, _DOC.annotations[0]._replace(tag=TagId.WORKER))}),
+        (_DOC, {"annotations": (Annotation("x", TagId.EVENT_TYPE, TokenSpan(0, 2, 4)),)}),
+        (_VIOLENT, {"protest": None, "demand": None}),
+        (_VIOLENT, {"protest": ProtestLabel.NO_PROTEST, "violent": None}),
+    ],
+    ids=[
+        "empty-doc-id", "sentence-out-of-position", "repeated-annotation-id",
+        "span-past-its-sentence", "violent-without-protest", "demand-without-protest",
+    ],
+)
+def test_document_make_and_replace_check_as_the_constructor_does(value, changes):
+    cls = type(value)
+    kwargs = value._asdict() | changes
+    with pytest.raises(InvariantError) as built:
+        cls(**kwargs)
+    with pytest.raises(InvariantError) as made:
+        cls._make(kwargs.values())
+    with pytest.raises(InvariantError) as replaced:
+        value._replace(**changes)
+    assert type(made.value) is type(replaced.value) is type(built.value)
+    assert str(made.value) == str(replaced.value) == str(built.value)
+
+
+def test_document_replace_and_any_iterable_keep_canonical_order():
+    assert [ann.id for ann in _DOC.annotations] == ["a", "b"]
+    for annotations in (_DOC.annotations[::-1], list(_DOC.annotations[::-1])):
+        assert _DOC._replace(annotations=annotations).annotations == _DOC.annotations
+    # read twice, to check and to sort: a one-shot iterator loses nothing
+    rebuilt = _DOC._replace(annotations=iter(_DOC.annotations[::-1]))
+    assert rebuilt == _DOC and type(rebuilt.annotations) is tuple
+
+
+@pytest.mark.parametrize("value", [_DOC, _VIOLENT], ids=["document", "labels"])
+def test_document_and_labels_are_their_tuples(value):
+    as_tuple = tuple(value)
+    assert value == as_tuple and hash(value) == hash(as_tuple)
+    copy = pickle.loads(pickle.dumps(value))
+    assert type(copy) is type(value) and copy == value
+    assert [type(field) for field in copy] == [type(field) for field in value]
+    with pytest.raises(AttributeError):
+        setattr(value, value._fields[0], None)
+    with pytest.raises(AttributeError):
+        value.note = "x"
 
 
 def test_span_text(bjp_doc):

@@ -3,6 +3,7 @@
 import importlib
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -67,17 +68,17 @@ class TestSurface:
         assert glocon.__version__ == "0.1.0"
 
 
-def _loaded_after(code: str) -> list[str]:
-    """The glocon modules a fresh interpreter holds after running ``code``
-    with its stdout discarded."""
+def _loaded_after(code: str, *flags: str) -> list[str]:
+    """The modules a fresh interpreter, started with ``flags``, holds after
+    running ``code`` with its stdout discarded."""
     script = (
         "import contextlib, io, json, sys\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    {code}\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'glocon')))\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", script],
+        [sys.executable, *flags, "-c", script],
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
         capture_output=True,
         text=True,
@@ -90,6 +91,18 @@ def _loaded_after(code: str) -> list[str]:
 BASE = ["glocon", "glocon.io", "glocon.model"]
 
 
+def _command(*argv: str) -> str:
+    return f"from glocon import cli; cli.run({list(argv)!r})"
+
+
+COMMANDS = {
+    "stats": _command("stats", CORPUS),
+    "agree": _command("agree", CORPUS, CORPUS),
+    "assemble": _command("assemble", CORPUS),
+    "validate": _command("validate", CORPUS),
+}
+
+
 @pytest.mark.parametrize(
     "code, loaded",
     [
@@ -97,21 +110,49 @@ BASE = ["glocon", "glocon.io", "glocon.model"]
         ("import glocon.io", BASE),
         ("import glocon; glocon.Severity", sorted([*BASE, "glocon.lint"])),
         ("import glocon; glocon.lint.CATALOG", sorted([*BASE, "glocon.lint"])),
-        (f"from glocon import cli; cli.run(['stats', {CORPUS!r}])", sorted([*BASE, "glocon.cli"])),
-        (
-            f"from glocon import cli; cli.run(['agree', {CORPUS!r}, {CORPUS!r}])",
-            sorted([*BASE, "glocon.cli", "glocon.agreement"]),
-        ),
-        (
-            f"from glocon import cli; cli.run(['assemble', {CORPUS!r}])",
-            sorted([*BASE, "glocon.cli", "glocon.assemble"]),
-        ),
-        (
-            f"from glocon import cli; cli.run(['validate', {CORPUS!r}])",
-            sorted([*BASE, "glocon.cli", "glocon.lint"]),
-        ),
+        (COMMANDS["stats"], sorted([*BASE, "glocon.cli"])),
+        (COMMANDS["agree"], sorted([*BASE, "glocon.cli", "glocon.agreement"])),
+        (COMMANDS["assemble"], sorted([*BASE, "glocon.cli", "glocon.assemble"])),
+        (COMMANDS["validate"], sorted([*BASE, "glocon.cli", "glocon.lint"])),
     ],
     ids=["package", "io", "name", "submodule", "stats", "agree", "assemble", "validate"],
 )
 def test_each_command_loads_only_what_it_runs(code, loaded):
-    assert _loaded_after(code) == loaded
+    assert [m for m in _loaded_after(code) if m.split(".")[0] == "glocon"] == loaded
+
+
+@pytest.mark.parametrize(
+    "code", ["import glocon.io", *COMMANDS.values()], ids=["io", *COMMANDS]
+)
+def test_no_command_loads_dataclasses_inspect_or_typing(code):
+    # -S: without site, whose .pth files may import typing themselves
+    loaded = set(_loaded_after(code, "-S"))
+    assert "glocon.io" in loaded
+    assert not {"dataclasses", "inspect", "typing"} & loaded
+
+
+@pytest.mark.parametrize(
+    "build, changes",
+    [
+        (
+            lambda: glocon.Diagnostic(
+                "E010", glocon.Severity.ERROR, "d", 0, glocon.TokenSpan(0, 0, 1), ("a",), "m"
+            ),
+            {"message": "n", "span": None},
+        ),
+        (lambda: glocon.ParseError(3, None, glocon.ParseErrorKind.BAD_SPAN, "m"), {"line": 4}),
+        (
+            lambda: glocon.assemble_events(glocon.load_corpus(CORPUS)[0][0])[0],
+            {"event_number": 9},
+        ),
+    ],
+    ids=["Diagnostic", "ParseError", "EventRecord"],
+)
+def test_values_pickle_and_replace(build, changes):
+    value = build()
+    copy = pickle.loads(pickle.dumps(value))
+    assert type(copy) is type(value) and copy == value and hash(copy) == hash(value)
+    changed = value._replace(**changes)
+    assert type(changed) is type(value) and changed._asdict() == value._asdict() | changes
+    with pytest.raises(AttributeError):
+        value.note = "x"
