@@ -1,10 +1,10 @@
 """Independent brute-force checkers: overlap licensing (rule E030),
 greedy span matching (token-level agreement), document pairing by doc_id
-and the semantic category and title flag of assembled events.
+and event assembly, down to every field of every event record.
 
 This module deliberately re-states the licensing clauses one by one,
 the matcher's two passes, pairing through a dict of the whole second
-corpus and the manual's semantic pairing, and never
+corpus, the manual's semantic pairing and attribute attachment, and never
 calls into glocon.lint, glocon.agreement or glocon.assemble: it is the
 oracle those modules are compared against.  Only the shared data model
 is imported.
@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Callable, Sequence
 
-from glocon.model import Annotation, DocumentRecord, TagId
+from glocon.model import Annotation, DocumentRecord, Focus, TagId
 
 PARTICIPANT_ATTRIBUTES = {
     TagId.PARTICIPANT_IDEOLOGY,
@@ -77,6 +77,15 @@ TARGET = {TagId.TARGET_TYPE, TagId.TARGET_NAME}
 LOCATION_IDENTIFIERS = {
     TagId.URBAN_LOCATION_IDENTIFIER,
     TagId.RURAL_LOCATION_IDENTIFIER,
+}
+# The tags that join event records: triggers and arguments, not document
+# information or semantic tags.
+EVENT_FOCI = {Focus.EVENT, Focus.PARTICIPANT, Focus.ORGANIZER, Focus.TARGET}
+# The heads that hold each attribute tag: a participant attribute sits in a
+# participant_type, an organizer attribute in an organizer_type or _name.
+ATTRIBUTE_HOLDERS = {
+    **{tag: {TagId.PARTICIPANT_TYPE} for tag in PARTICIPANT_ATTRIBUTES},
+    **{tag: {TagId.ORGANIZER_TYPE, TagId.ORGANIZER_NAME} for tag in ORGANIZER_ATTRIBUTES},
 }
 
 
@@ -211,6 +220,81 @@ def brute_force_in_title(doc: DocumentRecord, ann: Annotation) -> bool:
     return any(
         title.tag == TagId.DOCUMENT_TITLE and _contained(ann, title) for title in doc.annotations
     )
+
+
+def _text(doc: DocumentRecord, ann: Annotation) -> str:
+    span = ann.span
+    return " ".join(doc.sentences[span.sentence].tokens[span.start : span.end])
+
+
+def brute_force_records(doc: DocumentRecord) -> list[dict]:
+    """The event records of ``doc``, one dict of record fields per event number.
+
+    Every number carried by a trigger or an argument makes one record, in
+    number order.  Each field lists the event's annotations of its tags in
+    canonical order: triggers as ``(span, text, is_type, in_title)``,
+    arguments as ``(tag, span, text)`` and actor heads as ``(tag, span,
+    text, semantic, attributes)``.  An attribute attaches to the single head
+    of its event and focus that holds it and contains it; any other
+    attribute, and every participant_count, goes to
+    ``unattached_attributes``, participants' before organizers'.
+    """
+    numbers = sorted(
+        {n for a in doc.annotations if a.tag.focus in EVENT_FOCI for n in a.events}
+    )
+    records = []
+    for number in numbers:
+        members = [a for a in doc.annotations if number in a.events]
+
+        def refs(tags: set[TagId]) -> tuple:
+            return tuple((a.tag, a.span, _text(doc, a)) for a in members if a.tag in tags)
+
+        unattached = []
+
+        def actors(focus: Focus, head_tags: set[TagId]) -> tuple:
+            heads = [a for a in members if a.tag in head_tags]
+            attached: dict[str, list] = {head.id: [] for head in heads}
+            for a in members:
+                if a.tag.focus is not focus or a.tag in head_tags:
+                    continue
+                holders = [
+                    h for h in heads
+                    if h.tag in ATTRIBUTE_HOLDERS.get(a.tag, ()) and _contained(a, h)
+                ]
+                ref = (a.tag, a.span, _text(doc, a))
+                if len(holders) == 1:
+                    attached[holders[0].id].append(ref)
+                else:
+                    unattached.append(ref)
+            return tuple(
+                (h.tag, h.span, _text(doc, h), brute_force_semantic(doc, h, number),
+                 tuple(attached[h.id]))
+                for h in heads
+            )
+
+        triggers = [a for a in members if a.tag in TRIGGERS]
+        categories = {brute_force_semantic(doc, t, number) for t in triggers}
+        participants = actors(Focus.PARTICIPANT, PARTICIPANT_HEADS)
+        organizers = actors(Focus.ORGANIZER, ORGANIZER_HEADS)
+        records.append({
+            "doc_id": doc.doc_id,
+            "event_number": number,
+            "semantic_category": categories.pop() if len(categories) == 1 else None,
+            "triggers": tuple(
+                (t.span, _text(doc, t), t.tag == TagId.EVENT_TYPE, brute_force_in_title(doc, t))
+                for t in triggers
+            ),
+            "times": refs({TagId.EVENT_TIME}),
+            "places": refs({TagId.EVENT_PLACE}),
+            "facilities": refs(FACILITY),
+            "urban_rural_markers": refs(LOCATION_IDENTIFIERS),
+            "targets": refs(TARGET),
+            "participants": participants,
+            "organizers": organizers,
+            "unattached_attributes": tuple(unattached),
+            "doc_labels": doc.labels,
+        })
+    return records
 
 
 def greedy_span_match(

@@ -1,8 +1,14 @@
+import csv
+import io
+import json
 import random
+
+import pytest
 
 from glocon.assemble import (
     assemble_events,
     check_separation,
+    csv_rows,
     export_rows,
     rows_to_csv,
     rows_to_jsonl,
@@ -15,6 +21,7 @@ from glocon.model import (
     DocumentLabels,
     DocumentRecord,
     Focus,
+    SentenceRecord,
     TagId,
 )
 from golden_docs import ann, sent
@@ -23,6 +30,7 @@ from oracle import (
     PARTICIPANT_HEADS,
     TRIGGERS,
     brute_force_in_title,
+    brute_force_records,
     brute_force_semantic,
 )
 from randdocs import random_document
@@ -376,9 +384,6 @@ class TestExport:
         assert keys == sorted(keys)
 
     def test_csv_quoting_round_trip(self):
-        import csv
-        import io
-
         doc = _doc(
             "quoting",
             [sent(0, 'Protesters marched , shouting " enough " .')],
@@ -392,6 +397,54 @@ class TestExport:
         text = rows_to_csv(export_rows(assemble_events(doc)))
         parsed = list(csv.DictReader(io.StringIO(text)))
         assert parsed[0]["triggers"] == 'marched|shouting " enough "'
+
+    def test_csv_rows_takes_missing_keys_as_empty_and_rejects_unknown_ones(self):
+        assert csv_rows([{"doc_id": "d"}]) == "d" + "," * (len(EXPORT_COLUMNS) - 1) + "\n"
+        assert csv_rows([{"event_number": "2", "doc_demand": "x"}]) == ",2" + "," * 14 + "x\n"
+        assert csv_rows([]) == ""
+        row = {**dict.fromkeys(EXPORT_COLUMNS, ""), "extra": ""}
+        with pytest.raises(ValueError, match="dict contains fields not in fieldnames: 'extra'"):
+            csv_rows([{"doc_id": "d"}, row])
+
+
+def _reference_csv(rows):
+    """CSV lines of export rows as ``csv.DictWriter`` writes them."""
+    buf = io.StringIO()
+    csv.DictWriter(buf, fieldnames=EXPORT_COLUMNS, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+def _reference_jsonl(rows):
+    return "".join(json.dumps(row, ensure_ascii=False, separators=(",", ":")) + "\n" for row in rows)
+
+
+def _assert_reference_bytes(rows):
+    assert csv_rows(rows) == _reference_csv(rows)
+    assert rows_to_csv(rows) == ",".join(EXPORT_COLUMNS) + "\n" + _reference_csv(rows)
+    assert rows_to_jsonl(rows) == _reference_jsonl(rows)
+
+
+class TestExportBytes:
+    """The writers print exactly what ``csv.DictWriter`` and ``json.dumps`` print."""
+
+    @pytest.mark.parametrize("name", ["bulk", "dense", "flat"])
+    def test_bench_rows(self, workload, name):
+        docs, _ = parse_corpus(workload(name, 1)["a"])
+        rows = export_rows([r for doc in docs for r in assemble_events(doc)])
+        assert rows
+        _assert_reference_bytes(rows)
+
+    def test_random_rows_with_csv_and_json_specials(self):
+        specials = (",", '"', "|", "\r", "\n", "a,b", 'say "no"', "x|y", "\r\n", "köyü", "示威", "é\u2028")
+        for seed in range(300):
+            rng = random.Random(seed)
+            doc = random_document(rng)
+            sentences = tuple(
+                SentenceRecord(s.index, tuple(rng.choice(specials + s.tokens) for _ in s.tokens), s.label)
+                for s in doc.sentences
+            )
+            rows = export_rows(assemble_events(doc._replace(sentences=sentences)))
+            _assert_reference_bytes(rows)
 
 
 class TestAssemblyProperties:
@@ -456,6 +509,14 @@ class TestAssemblyProperties:
                     assert [p.semantic for p in records] == [
                         brute_force_semantic(doc, a, number) for a in heads
                     ], f"seed {seed}"
+
+    def test_records_match_the_oracle(self):
+        """Every field of every record: routing by tag, attachment of
+        attributes, texts, categories and title flags."""
+        for seed in range(2_000):
+            doc = random_document(random.Random(seed))
+            records = [r._asdict() for r in assemble_events(doc)]
+            assert records == brute_force_records(doc), f"seed {seed}"
 
     def test_records_strictly_sorted(self):
         for seed in range(50):
