@@ -2,15 +2,18 @@
 
 Every event number that carries at least one trigger or argument yields
 one :class:`EventRecord`.  The triggers and arguments of the document's
-:class:`~glocon.model.DocumentView` are routed into record fields by one
-tag-to-field table; document-information tags stay out of events
-entirely.  A trigger or head takes as its semantic category in event *n*
-its first semantic partner carrying *n*, the pairing E021-E023 check,
-and a trigger's ``in_title`` is the view's title test, the one E010 and
-E021 use.  An actor attribute attaches to the one head that holds it
-(``holds_attribute``, the overlap E030 licenses); any other non-head tag
-of an actor focus stays in ``unattached_attributes``.  An annotation
-numbered for several events contributes to each of their records.
+:class:`~glocon.model.DocumentView` are routed once, into a slot of each
+of their events by one tag-to-slot table; document-information tags stay
+out of events entirely.  Each annotation's text and reference are built
+once, so the records of a document may share equal ``ArgumentRef`` and
+``TriggerRef`` objects.  A trigger or head takes as its semantic
+category in event *n* its first semantic partner carrying *n*, the
+pairing E021-E023 check, and a trigger's ``in_title`` is the view's
+title test, the one E010 and E021 use.  An actor attribute attaches to
+the one head that holds it (``holds_attribute``, the overlap E030
+licenses); any other non-head tag of an actor focus stays in
+``unattached_attributes``.  An annotation numbered for several events
+contributes to each of their records.
 
 Assembly is best-effort: documents with lint errors still produce
 records (trigger-less events are flagged by :func:`check_separation`).
@@ -21,8 +24,9 @@ from __future__ import annotations
 import csv
 import io as _stdio
 import json
-from collections import defaultdict, namedtuple
+from collections import namedtuple
 from collections.abc import Iterable, Sequence
+from operator import attrgetter, itemgetter
 
 from .model import (
     ACTORS,
@@ -78,102 +82,112 @@ class EventRecord(
     __slots__ = ()
 
 
-# Record field of each event argument tag.
-_ARGUMENT_FIELD: dict[TagId, str] = {
-    TagId.EVENT_TIME: "times",
-    TagId.EVENT_PLACE: "places",
-    **dict.fromkeys(FACILITY_TAGS, "facilities"),
-    **dict.fromkeys(LOCATION_IDENTIFIER_TAGS, "urban_rural_markers"),
-    **dict.fromkeys(TARGET_TAGS, "targets"),
+# Slot of each event tag in an event's routing list: the arguments that join
+# a record field as they are, the triggers, and per actor focus a slot for its
+# heads and, right after it, one for its other tags.
+_TIMES, _PLACES, _FACILITIES, _MARKERS, _TARGETS, _TRIGGERS = range(6)
+_PARTICIPANT_HEADS, _ORGANIZER_HEADS = 6, 8
+_ACTOR_SLOT = {Focus.PARTICIPANT: _PARTICIPANT_HEADS, Focus.ORGANIZER: _ORGANIZER_HEADS}
+_SLOT_OF: dict[TagId, int] = {
+    TagId.EVENT_TIME: _TIMES,
+    TagId.EVENT_PLACE: _PLACES,
+    **dict.fromkeys(FACILITY_TAGS, _FACILITIES),
+    **dict.fromkeys(LOCATION_IDENTIFIER_TAGS, _MARKERS),
+    **dict.fromkeys(TARGET_TAGS, _TARGETS),
+    **dict.fromkeys(TRIGGER_TAGS, _TRIGGERS),
+    **{
+        tag: _ACTOR_SLOT[tag.focus] + (tag not in ACTORS[tag.focus].heads)
+        for tag in ARGUMENT_TAGS if tag.focus in ACTORS
+    },
 }
-_ARGUMENT_FIELDS = frozenset(_ARGUMENT_FIELD.values())
 
-# Record field of each actor focus (``ACTORS``); every tag of the focus goes into it.
-_ACTOR_FIELD = {Focus.PARTICIPANT: "participants", Focus.ORGANIZER: "organizers"}
 
-# Record field of every tag that goes into events, the triggers and the
-# arguments; document-information and semantic tags go into none.
-_FIELD_OF: dict[TagId, str] = {
-    **dict.fromkeys(TRIGGER_TAGS, "triggers"),
-    **{tag: _ARGUMENT_FIELD.get(tag) or _ACTOR_FIELD[tag.focus] for tag in ARGUMENT_TAGS},
-}
+def _semantic(partners: Sequence[Annotation], number: int) -> str | None:
+    """The first of a trigger's or head's semantic ``partners`` carrying event
+    ``number``, if any."""
+    for sem in partners:
+        if number in sem.events:
+            return sem.tag._value_  # plain attribute: ``.value`` is a slow property
+    return None
+
+
+def _actors(heads: list, others: list, number: int, unattached: list) -> tuple:
+    """One actor focus's ParticipantRecords in event ``number``, from its
+    ``heads``, routed as ``(head, text, partners)``, and its ``others``, as
+    ``(annotation, ref)``; an other that no single head holds goes to ``unattached``."""
+    attached: dict[str, list[ArgumentRef]] = {}
+    for ann, ref in others:
+        containers = [head for head, _, _ in heads if holds_attribute(head, ann)]
+        if len(containers) == 1:
+            attached.setdefault(containers[0].id, []).append(ref)
+        else:
+            # no head holds it, or an ambiguous tie: keep at event level
+            unattached.append(ref)
+    return tuple([
+        ParticipantRecord(
+            head.tag, head.span, text, _semantic(partners, number),
+            tuple(attached.get(head.id, ())),
+        )
+        for head, text, partners in heads
+    ])
 
 
 def assemble_events(doc: DocumentRecord) -> list[EventRecord]:
     """Build one EventRecord per realized event number, sorted by number."""
     view = DocumentView(doc)
-    # event number -> record field -> its annotations, in canonical order
-    routed: dict[int, dict[str, list[Annotation]]] = defaultdict(lambda: defaultdict(list))
+    partners = view.partners
+    sentences = doc.sentences
+    # event number -> slot -> the items of its annotations, in canonical order;
+    # each annotation's text and reference are built once, for all its events
+    routed: dict[int, list[list]] = {}
     for ann in (*view.triggers, *view.arguments):
-        field = _FIELD_OF[ann.tag]
+        tag, span = ann.tag, ann.span
+        # DocumentRecord.span_text, inlined
+        text = " ".join(sentences[span.sentence].tokens[span.start : span.end])
+        slot = _SLOT_OF[tag]
+        if slot < _TRIGGERS:
+            item = ArgumentRef(tag, span, text)
+        elif slot == _TRIGGERS:
+            ref = TriggerRef(span, text, tag is TagId.EVENT_TYPE, view.in_title(ann))
+            item = (ref, partners.get(ann.id, ()))
+        elif slot == _PARTICIPANT_HEADS or slot == _ORGANIZER_HEADS:
+            item = (ann, text, partners.get(ann.id, ()))
+        else:
+            item = (ann, ArgumentRef(tag, span, text))
         for number in ann.events:
-            routed[number][field].append(ann)
-
-    def text_of(ann: Annotation) -> str:
-        return doc.span_text(ann.span)
-
-    def semantic_of(head: Annotation, number: int) -> str | None:
-        """The first semantic partner of ``head`` carrying event ``number``, if any."""
-        for sem in view.partners.get(head.id, ()):
-            if number in sem.events:
-                return sem.tag.value
-        return None
+            slots = routed.get(number)
+            if slots is None:
+                slots = routed[number] = [[], [], [], [], [], [], [], [], [], []]
+            slots[slot].append(item)
 
     records: list[EventRecord] = []
+    doc_id, labels = doc.doc_id, doc.labels
     for number in sorted(routed):
-        group = routed[number]
-        fields = {
-            field: tuple(ArgumentRef(a.tag, a.span, text_of(a)) for a in group[field])
-            for field in _ARGUMENT_FIELDS
-        }
+        (times, places, facilities, markers, targets, triggers,
+         participant_heads, participant_others, organizer_heads, organizer_others) = routed[number]
         unattached: list[ArgumentRef] = []
-        for actor_focus, field in _ACTOR_FIELD.items():
-            actor = ACTORS[actor_focus]
-            heads = [a for a in group[field] if a.tag in actor.heads]
-            attached: dict[str, list[ArgumentRef]] = defaultdict(list)
-            for attr in group[field]:
-                if attr.tag in actor.heads:
-                    continue
-                ref = ArgumentRef(attr.tag, attr.span, text_of(attr))
-                containers = [h for h in heads if holds_attribute(h, attr)]
-                if len(containers) == 1:
-                    attached[containers[0].id].append(ref)
-                else:
-                    # no head holds it, or an ambiguous tie: keep at event level
-                    unattached.append(ref)
-            fields[field] = tuple(
-                ParticipantRecord(
-                    tag=head.tag,
-                    span=head.span,
-                    text=text_of(head),
-                    semantic=semantic_of(head, number),
-                    attributes=tuple(attached[head.id]),
-                )
-                for head in heads
-            )
-
-        triggers = group["triggers"]
-        categories = {semantic_of(t, number) for t in triggers}
-        records.append(
-            EventRecord(
-                doc_id=doc.doc_id,
-                event_number=number,
-                # None unless every trigger carries the same category
-                semantic_category=categories.pop() if len(categories) == 1 else None,
-                triggers=tuple(
-                    TriggerRef(
-                        span=t.span,
-                        text=text_of(t),
-                        is_type=t.tag is TagId.EVENT_TYPE,
-                        in_title=view.in_title(t),
-                    )
-                    for t in triggers
-                ),
-                unattached_attributes=tuple(unattached),
-                doc_labels=doc.labels,
-                **fields,
-            )
-        )
+        participants = organizers = ()
+        if participant_heads or participant_others:
+            participants = _actors(participant_heads, participant_others, number, unattached)
+        if organizer_heads or organizer_others:
+            organizers = _actors(organizer_heads, organizer_others, number, unattached)
+        categories = {_semantic(sems, number) for _, sems in triggers}
+        records.append(EventRecord(
+            doc_id,
+            number,
+            # None unless every trigger carries the same category
+            categories.pop() if len(categories) == 1 else None,
+            tuple([ref for ref, _ in triggers]),
+            tuple(times),
+            tuple(places),
+            tuple(facilities),
+            tuple(markers),
+            tuple(targets),
+            participants,
+            organizers,
+            tuple(unattached),
+            labels,
+        ))
     return records
 
 
@@ -255,6 +269,8 @@ EXPORT_COLUMNS = (
     "targets",
     *(f"doc_{key}" for key in DOC_LABELS),
 )
+_text = attrgetter("text")
+_cells = itemgetter(*EXPORT_COLUMNS)  # a row's fields in column order
 
 
 def export_rows(records: Iterable[EventRecord]) -> list[dict[str, str]]:
@@ -264,26 +280,32 @@ def export_rows(records: Iterable[EventRecord]) -> list[dict[str, str]]:
     empty strings.
     """
     rows = []
-    for record in sorted(records, key=lambda r: (r.doc_id, r.event_number)):
-        row = {
-            "doc_id": record.doc_id,
-            "event_number": str(record.event_number),
-            "semantic_category": record.semantic_category or "",
-            "triggers": "|".join(t.text for t in record.triggers),
-            "times": "|".join(t.text for t in record.times),
-            "places": "|".join(p.text for p in record.places),
-            "facilities": "|".join(f.text for f in record.facilities),
-            "urban_rural": "|".join(m.text for m in record.urban_rural_markers),
-            "participants": "|".join(p.text for p in record.participants),
-            "participant_semantics": "|".join(p.semantic or "" for p in record.participants),
-            "organizers": "|".join(o.text for o in record.organizers),
-            "organizer_semantics": "|".join(o.semantic or "" for o in record.organizers),
-            "targets": "|".join(t.text for t in record.targets),
-        }
-        for key in DOC_LABELS:
-            label = getattr(record.doc_labels, key)
-            row[f"doc_{key}"] = "" if label is None else label_text(label)
-        rows.append(row)
+    labels = label_cells = None
+    for record in sorted(records, key=itemgetter(0, 1)):
+        (doc_id, number, category, triggers, times, places, facilities, markers, targets,
+         participants, organizers, _, record_labels) = record
+        if record_labels is not labels:  # a document's records share one DocumentLabels
+            labels = record_labels
+            label_cells = {}
+            for key in DOC_LABELS:
+                label = getattr(labels, key)
+                label_cells[f"doc_{key}"] = "" if label is None else label_text(label)
+        rows.append({
+            "doc_id": doc_id,
+            "event_number": str(number),
+            "semantic_category": category or "",
+            "triggers": "|".join(map(_text, triggers)),
+            "times": "|".join(map(_text, times)),
+            "places": "|".join(map(_text, places)),
+            "facilities": "|".join(map(_text, facilities)),
+            "urban_rural": "|".join(map(_text, markers)),
+            "participants": "|".join(map(_text, participants)),
+            "participant_semantics": "|".join([p.semantic or "" for p in participants]),
+            "organizers": "|".join(map(_text, organizers)),
+            "organizer_semantics": "|".join([o.semantic or "" for o in organizers]),
+            "targets": "|".join(map(_text, targets)),
+            **label_cells,
+        })
     return rows
 
 
@@ -292,8 +314,20 @@ CSV_HEADER = ",".join(EXPORT_COLUMNS) + "\n"
 
 
 def csv_rows(rows: Iterable[dict[str, str]]) -> str:
-    """RFC 4180 CSV lines of export rows, without the header."""
+    """RFC 4180 CSV lines of export rows, without the header.
+
+    A row is read as ``csv.DictWriter`` reads it: a missing column renders
+    as an empty field and a key outside ``EXPORT_COLUMNS`` raises ValueError.
+    """
+    rows = list(rows)
     buf = _stdio.StringIO()
+    # a row with every column and no more keys is written as its column tuple
+    if sum(map(len, rows)) == len(rows) * len(EXPORT_COLUMNS):
+        try:
+            csv.writer(buf, lineterminator="\n").writerows(map(_cells, rows))
+            return buf.getvalue()
+        except KeyError:  # a row lacks a column, so another has extra keys
+            buf = _stdio.StringIO()
     csv.DictWriter(buf, fieldnames=EXPORT_COLUMNS, lineterminator="\n").writerows(rows)
     return buf.getvalue()
 
@@ -303,7 +337,9 @@ def rows_to_csv(rows: Iterable[dict[str, str]]) -> str:
     return CSV_HEADER + csv_rows(rows)
 
 
+# json.dumps builds an encoder on every call that passes options
+_encode_json = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
+
+
 def rows_to_jsonl(rows: Iterable[dict[str, str]]) -> str:
-    return "".join(
-        json.dumps(row, ensure_ascii=False, separators=(",", ":")) + "\n" for row in rows
-    )
+    return "".join([_encode_json(row) + "\n" for row in rows])

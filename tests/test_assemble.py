@@ -21,7 +21,6 @@ from glocon.model import (
     DocumentLabels,
     DocumentRecord,
     Focus,
-    SentenceRecord,
     TagId,
 )
 from golden_docs import ann, sent
@@ -403,8 +402,9 @@ class TestExport:
         assert csv_rows([{"event_number": "2", "doc_demand": "x"}]) == ",2" + "," * 14 + "x\n"
         assert csv_rows([]) == ""
         row = {**dict.fromkeys(EXPORT_COLUMNS, ""), "extra": ""}
-        with pytest.raises(ValueError, match="dict contains fields not in fieldnames: 'extra'"):
-            csv_rows([{"doc_id": "d"}, row])
+        for rows in ([row], [{"doc_id": "d"}, row], [dict.fromkeys(EXPORT_COLUMNS[1:], ""), row]):
+            with pytest.raises(ValueError, match="dict contains fields not in fieldnames: 'extra'"):
+                csv_rows(rows)
 
 
 def _reference_csv(rows):
@@ -415,7 +415,9 @@ def _reference_csv(rows):
 
 
 def _reference_jsonl(rows):
-    return "".join(json.dumps(row, ensure_ascii=False, separators=(",", ":")) + "\n" for row in rows)
+    return "".join(
+        json.dumps(row, ensure_ascii=False, separators=(",", ":")) + "\n" for row in rows
+    )
 
 
 def _assert_reference_bytes(rows):
@@ -435,12 +437,14 @@ class TestExportBytes:
         _assert_reference_bytes(rows)
 
     def test_random_rows_with_csv_and_json_specials(self):
-        specials = (",", '"', "|", "\r", "\n", "a,b", 'say "no"', "x|y", "\r\n", "köyü", "示威", "é\u2028")
+        specials = (
+            ",", '"', "|", "\r", "\n", "a,b", 'say "no"', "x|y", "\r\n", "köyü", "示威", "é\u2028",
+        )
         for seed in range(300):
             rng = random.Random(seed)
             doc = random_document(rng)
             sentences = tuple(
-                SentenceRecord(s.index, tuple(rng.choice(specials + s.tokens) for _ in s.tokens), s.label)
+                s._replace(tokens=[rng.choice(specials + s.tokens) for _ in s.tokens])
                 for s in doc.sentences
             )
             rows = export_rows(assemble_events(doc._replace(sentences=sentences)))
