@@ -205,9 +205,11 @@ def _kappa(level: AgreementLevel, counts: Counter, skipped: int) -> KappaResult:
         nan = float("nan")
         return KappaResult(level, nan, nan, nan, confusion, 0, skipped)
     p_o = sum(confusion[(c, c)] for c in categories) / n
-    marg_a = {c: sum(confusion[(c, y)] for y in categories) / n for c in categories}
-    marg_b = {c: sum(confusion[(x, c)] for x in categories) / n for c in categories}
-    p_e = sum(marg_a[c] * marg_b[c] for c in categories)
+    # integer marginals and one division: float sum() rounds differently on 3.12+
+    p_e = sum(
+        sum(confusion[(c, y)] for y in categories) * sum(confusion[(x, c)] for x in categories)
+        for c in categories
+    ) / (n * n)
     if p_e == 1.0:
         # both annotators used one shared category throughout, so p_o is 1.0 too
         kappa = 1.0

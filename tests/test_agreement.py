@@ -1,6 +1,8 @@
 import itertools
 import math
 import random
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -8,6 +10,7 @@ from glocon.agreement import (
     AgreementLevel,
     CorpusJoin,
     MatchMode,
+    _kappa,
     cohen_kappa,
     label_kappa,
     label_kappas,
@@ -243,6 +246,28 @@ class TestKappa:
         result = label_kappa((), AgreementLevel.DOC_PROTEST)
         assert result.degenerate
         assert math.isnan(result.kappa)
+
+    def test_chance_agreement_is_the_exact_ratio_correctly_rounded(self):
+        # 5 protest/protest and 1 no_protest/no_protest: p_e = 26/36 = 13/18;
+        # a float sum of the marginal products gave 0.7222222222222223 on 3.11
+        counts = Counter({("protest", "protest"): 5, ("no_protest", "no_protest"): 1})
+        assert _kappa(AgreementLevel.DOC_PROTEST, counts, 0).p_e == 0.7222222222222222
+        rng = random.Random(23)
+        for level in AgreementLevel:
+            categories = sorted({la for la, _ in _kappa(level, Counter(), 0).confusion})
+            for _ in range(200):
+                counts = Counter()
+                for _ in range(rng.randint(1, 12)):
+                    counts[rng.choice(categories), rng.choice(categories)] += rng.randint(1, 10**6)
+                n = sum(counts.values())
+                rows, cols = Counter(), Counter()
+                for (la, lb), count in counts.items():
+                    rows[la] += count
+                    cols[lb] += count
+                result = _kappa(level, counts, 0)
+                chance = Fraction(sum(rows[c] * cols[c] for c in categories), n * n)
+                assert result.p_e == float(chance), counts
+                assert result.p_o == float(Fraction(sum(counts[c, c] for c in categories), n))
 
     def test_one_shared_category_is_perfect_agreement(self):
         result = cohen_kappa(AgreementLevel.DOC_PROTEST, [("protest", "protest")] * 7)
