@@ -4,11 +4,14 @@
 rule, bad lines of every parse-error kind and annotator B's perturbed
 copy, and derives every expected result without importing glocon.  Each
 benchmark operation runs here in-process, as ``perfbench/traced.py``
-runs it, and ``ops.check`` compares its output with that record.
+runs it, and ``ops.check`` compares its output with that record.  Its
+bytes are compared with their entry in ``golden/output_digests.json``
+(see ``output_digests.py``).
 """
 
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +21,7 @@ from glocon.io import load_corpus, save_corpus
 
 import checks
 import ops
+from output_digests import bench_key, digest, recorded, sha256
 
 
 @pytest.mark.parametrize("name", ["bulk", "dense", "flat"])
@@ -28,6 +32,8 @@ def test_every_operation_gives_the_planted_results(workload, tmp_path, name):
     with open(paths.a, "wb") as a, open(paths.b, "wb") as b:
         a.write(generated["a"])
         b.write(generated["b"])
+    inputs = {f"{name}_a": paths.a, f"{name}_b": paths.b}
+    digests = recorded()[name]["outputs"]
 
     for op in ops.TIMED + ops.KAPPA:
         with open(paths.stdout, "w", encoding="utf-8") as out, \
@@ -40,6 +46,12 @@ def test_every_operation_gives_the_planted_results(workload, tmp_path, name):
                 code = cli.run(ops.argv(op, paths)[2:])
         # validate runs no separation check: its W140/W141 plants count as missed
         assert ops.check(op, paths, code, expected, Counter()) == [], op
+        if op == "roundtrip":
+            found = {"saved": sha256(Path(paths.out).read_bytes())}
+        else:
+            stdout, stderr = (Path(p).read_bytes().decode() for p in (paths.stdout, paths.stderr))
+            found = digest(code, stdout, stderr, inputs)
+        assert found == digests[bench_key(op, name)], op
 
     separation = {}
     for doc in load_corpus(paths.a)[0]:
