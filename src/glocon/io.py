@@ -49,15 +49,11 @@ from .model import (
     Annotation,
     DocumentLabels,
     DocumentRecord,
-    EventRefError,
     InvariantError,
-    LabelError,
     ParseErrorKind,
     SentenceRecord,
-    SpanError,
     TagId,
     TokenSpan,
-    UnknownTagError,
     format_event_refs,
     label_text,
     parse_event_refs,
@@ -87,8 +83,8 @@ class CorpusDecodeError(Exception):
 # The parser checks only the JSON shape of a record (key sets, value types,
 # label vocabularies) and that its strings encode as UTF-8.  Value invariants
 # (non-empty ids and tokens, span bounds, event numbers, unique annotation
-# ids) are the model constructors' to check.  Every rejection is an
-# InvariantError that carries its kind.
+# ids) are the model constructors' to check.  Both raise InvariantError with
+# the line's ParseErrorKind; the parser may prefix a constructor's message.
 
 _DOC_KEYS = frozenset({"doc_id", "labels", "sentences", "annotations"})
 _LABEL_KEYS = frozenset(DOC_LABELS)
@@ -115,7 +111,7 @@ def _label(obj: dict, key: str, vocab: dict):
         return None
     label = vocab.get(value) if type(value) is str else None
     if label is None:
-        raise LabelError(f"bad {key} label: {value!r}")
+        raise InvariantError(f"bad {key} label: {value!r}", ParseErrorKind.BAD_LABEL)
     return label
 
 
@@ -150,7 +146,9 @@ def _parse_sentence(obj: object, position: int) -> SentenceRecord:
         )
     label = obj.get("label")
     if label is not None and type(label) is not int:
-        raise LabelError(f"sentence {position}: label must be 0, 1 or 2")
+        raise InvariantError(
+            f"sentence {position}: label must be 0, 1 or 2", ParseErrorKind.BAD_LABEL
+        )
     return SentenceRecord(index, tuple(tokens), label)
 
 
@@ -172,8 +170,8 @@ def _parse_annotation(obj: object, sentences: tuple[SentenceRecord, ...]) -> Ann
     if tag is None:
         try:
             resolve_tag(name)  # raises: the name is outside the tagset
-        except UnknownTagError as exc:
-            raise UnknownTagError(f"annotation {ann_id}: {exc}") from None
+        except InvariantError as exc:
+            raise InvariantError(f"annotation {ann_id}: {exc}", exc.kind) from None
 
     sentence, start, end = get("sentence"), get("start"), get("end")
     if not type(sentence) is type(start) is type(end) is int:
@@ -182,7 +180,7 @@ def _parse_annotation(obj: object, sentences: tuple[SentenceRecord, ...]) -> Ann
                 raise InvariantError(f"annotation {ann_id}: {key} must be an integer")
     try:
         span = TokenSpan(sentence, start, end)
-    except SpanError:
+    except InvariantError:
         raise span_error(ann_id, sentence, start, end, sentences) from None
 
     events = get("events")
@@ -192,13 +190,14 @@ def _parse_annotation(obj: object, sentences: tuple[SentenceRecord, ...]) -> Ann
             from_comment = True
             try:
                 events = _comment_events(events)
-            except EventRefError as exc:
-                raise EventRefError(f"annotation {ann_id}: {exc}") from None
+            except InvariantError as exc:
+                raise InvariantError(f"annotation {ann_id}: {exc}", exc.kind) from None
         elif events is None or type(events) is str:
             events = _EVENT_ONE  # absent, or a blank comment that numbers nothing
         else:
-            raise EventRefError(
-                f"annotation {ann_id}: events must be an integer array or an 'Event N' string"
+            raise InvariantError(
+                f"annotation {ann_id}: events must be an integer array or an 'Event N' string",
+                ParseErrorKind.BAD_EVENT_REF,
             )
 
     confidence = get("confidence")

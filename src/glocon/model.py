@@ -7,7 +7,9 @@ annotations drawn from a closed tagset organized into foci.
 
 Every type in this module is immutable and validates its invariants at
 construction time.  Invalid values raise :class:`InvariantError` rather
-than being repaired.
+than being repaired; the error's ``kind`` says which
+:class:`ParseErrorKind` a corpus line that holds such a value is rejected
+as.
 """
 
 from __future__ import annotations
@@ -33,41 +35,13 @@ class ParseErrorKind(str, enum.Enum):
 class InvariantError(ValueError):
     """A structural invariant of the data model was violated.
 
-    ``kind`` is the parse error kind of a corpus line that breaks it.
+    ``kind`` is the parse error kind of a corpus line that breaks it;
+    ``str()`` is the message alone.
     """
 
-    kind = ParseErrorKind.MALFORMED_RECORD
-
-
-class UnknownTagError(InvariantError):
-    """A tag name that is not part of the closed tagset (or its aliases)."""
-
-    kind = ParseErrorKind.UNKNOWN_TAG
-
-
-class LabelError(InvariantError):
-    """A document or sentence label outside its vocabulary or dependencies."""
-
-    kind = ParseErrorKind.BAD_LABEL
-
-
-class SpanError(InvariantError):
-    """A token span that is empty, reversed or outside its sentence."""
-
-    kind = ParseErrorKind.BAD_SPAN
-
-
-class EventRefError(InvariantError):
-    """Event numbers that are not positive integers, or a FLAT comment string
-    off the ``Event <n>`` grammar."""
-
-    kind = ParseErrorKind.BAD_EVENT_REF
-
-
-class DuplicateIdError(InvariantError):
-    """Two annotations of one document share an id."""
-
-    kind = ParseErrorKind.DUPLICATE_ID
+    def __init__(self, message: str, kind: ParseErrorKind = ParseErrorKind.MALFORMED_RECORD):
+        super().__init__(message)  # kind is kept out of args, so str() is the message
+        self.kind = kind
 
 
 class Focus(str, enum.Enum):
@@ -237,12 +211,12 @@ ATTRIBUTE_HOSTS: dict[TagId, frozenset[TagId]] = {
 def resolve_tag(name: str) -> TagId:
     """Map a raw tag name (canonical or aliased) to its TagId.
 
-    Raises UnknownTagError for names outside the closed tagset.
+    Raises an UNKNOWN_TAG InvariantError for names outside the closed tagset.
     """
     try:
         return TAG_BY_NAME[name]
     except KeyError:
-        raise UnknownTagError(f"unknown tag name: {name!r}") from None
+        raise InvariantError(f"unknown tag name: {name!r}", ParseErrorKind.UNKNOWN_TAG) from None
 
 
 _EVENT_REF = re.compile(r"Event\s*([0-9]+)\Z")
@@ -269,13 +243,17 @@ def parse_event_refs(raw: str | None) -> frozenset[int]:
     for part in text.split(","):
         m = _EVENT_REF.fullmatch(part.strip())
         if m is None:
-            raise EventRefError(f"not an event reference: {part.strip()!r}")
+            raise InvariantError(
+                f"not an event reference: {part.strip()!r}", ParseErrorKind.BAD_EVENT_REF
+            )
         try:
             n = int(m.group(1))
         except ValueError:  # more digits than int() converts
-            raise EventRefError(f"event number of {len(m.group(1))} digits") from None
+            raise InvariantError(
+                f"event number of {len(m.group(1))} digits", ParseErrorKind.BAD_EVENT_REF
+            ) from None
         if n < 1:
-            raise EventRefError(f"event numbers start at 1, got {n}")
+            raise InvariantError(f"event numbers start at 1, got {n}", ParseErrorKind.BAD_EVENT_REF)
         numbers.add(n)
     return _EVENT_SETS.get(tuple(numbers)) or frozenset(numbers)
 
@@ -313,7 +291,19 @@ class DemandLabel(str, enum.Enum):
     ECONOMIC_WELFARE = "economic_welfare"
 
 
-class TokenSpan(namedtuple("TokenSpan", "sentence start end")):
+class _Validated:
+    """Base of the tuples that check their fields in ``__new__``: ``_make``,
+    which ``_replace`` calls, builds through ``__new__`` too (namedtuple's
+    own skips it)."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable: Iterable):
+        return cls(*iterable)
+
+
+class TokenSpan(_Validated, namedtuple("TokenSpan", "sentence start end")):
     """A contiguous token range within a single sentence.
 
     ``start`` is inclusive, ``end`` exclusive, both 0-based.  Spans never
@@ -327,30 +317,28 @@ class TokenSpan(namedtuple("TokenSpan", "sentence start end")):
 
     def __new__(cls, sentence: int, start: int, end: int) -> TokenSpan:
         if sentence < 0:
-            raise SpanError(f"negative sentence index: {sentence}")
+            raise InvariantError(f"negative sentence index: {sentence}", ParseErrorKind.BAD_SPAN)
         if not 0 <= start < end:
-            raise SpanError(f"degenerate span [{start}, {end}) in sentence {sentence}")
+            raise InvariantError(
+                f"degenerate span [{start}, {end}) in sentence {sentence}", ParseErrorKind.BAD_SPAN
+            )
         return tuple.__new__(cls, (sentence, start, end))
-
-    @classmethod
-    def _make(cls, iterable: Iterable[int]) -> TokenSpan:
-        return cls(*iterable)  # namedtuple's, which _replace calls, skips __new__
 
 
 def span_error(
     ann_id: str, sentence: int, start: int, end: int, sentences: tuple[SentenceRecord, ...]
-) -> SpanError:
-    """The error for an annotation whose span does not fit ``sentences``.
+) -> InvariantError:
+    """The BAD_SPAN error for an annotation whose span does not fit ``sentences``.
 
     It names the missing sentence if there is one, else the span and the
     sentence's length.
     """
     if not 0 <= sentence < len(sentences):
-        return SpanError(f"annotation {ann_id}: sentence {sentence} of {len(sentences)}")
-    n_tokens = len(sentences[sentence].tokens)
-    return SpanError(
-        f"annotation {ann_id}: span [{start}, {end}) in a {n_tokens}-token sentence"
-    )
+        message = f"annotation {ann_id}: sentence {sentence} of {len(sentences)}"
+    else:
+        n_tokens = len(sentences[sentence].tokens)
+        message = f"annotation {ann_id}: span [{start}, {end}) in a {n_tokens}-token sentence"
+    return InvariantError(message, ParseErrorKind.BAD_SPAN)
 
 
 def overlaps(a: TokenSpan, b: TokenSpan) -> bool:
@@ -379,7 +367,8 @@ def holds_attribute(head: Annotation, attr: Annotation) -> bool:
 
 
 class Annotation(
-    namedtuple("Annotation", "id tag span events confidence comment events_from_comment")
+    _Validated,
+    namedtuple("Annotation", "id tag span events confidence comment events_from_comment"),
 ):
     """One tagged token span.
 
@@ -418,8 +407,9 @@ class Annotation(
                 valid = False
                 break
         if not valid:
-            raise EventRefError(
-                f"annotation {id}: events must be a non-empty list of positive integers"
+            raise InvariantError(
+                f"annotation {id}: events must be a non-empty list of positive integers",
+                ParseErrorKind.BAD_EVENT_REF,
             )
         if type(events) is tuple:
             events = _EVENT_SETS.get(events) or frozenset(events)
@@ -437,12 +427,8 @@ class Annotation(
                 )
         return tuple.__new__(cls, (id, tag, span, events, confidence, comment, events_from_comment))
 
-    @classmethod
-    def _make(cls, iterable: Iterable) -> Annotation:
-        return cls(*iterable)  # namedtuple's, which _replace calls, skips __new__
 
-
-class SentenceRecord(namedtuple("SentenceRecord", "index tokens label")):
+class SentenceRecord(_Validated, namedtuple("SentenceRecord", "index tokens label")):
     """One pre-tokenized sentence with an optional event label.
 
     ``index`` must equal the sentence's position; the DocumentRecord that
@@ -463,17 +449,14 @@ class SentenceRecord(namedtuple("SentenceRecord", "index tokens label")):
             try:
                 label = _SENTENCE_LABELS[label]
             except (KeyError, TypeError):
-                raise LabelError(
-                    f"sentence {index}: label must be 0, 1 or 2, got {label}"
+                raise InvariantError(
+                    f"sentence {index}: label must be 0, 1 or 2, got {label}",
+                    ParseErrorKind.BAD_LABEL,
                 ) from None
         return tuple.__new__(cls, (index, tokens, label))
 
-    @classmethod
-    def _make(cls, iterable: Iterable) -> SentenceRecord:
-        return cls(*iterable)
 
-
-class DocumentLabels(namedtuple("DocumentLabels", "protest violent demand")):
+class DocumentLabels(_Validated, namedtuple("DocumentLabels", "protest violent demand")):
     """Document-level labels.
 
     Violence and demand judgments presuppose the document contains a
@@ -491,14 +474,14 @@ class DocumentLabels(namedtuple("DocumentLabels", "protest violent demand")):
         demand: DemandLabel | None = None,
     ) -> DocumentLabels:
         if violent is not None and protest is not ProtestLabel.PROTEST:
-            raise LabelError("violence label requires protest = protest")
+            raise InvariantError(
+                "violence label requires protest = protest", ParseErrorKind.BAD_LABEL
+            )
         if demand is not None and protest is not ProtestLabel.PROTEST:
-            raise LabelError("demand label requires protest = protest")
+            raise InvariantError(
+                "demand label requires protest = protest", ParseErrorKind.BAD_LABEL
+            )
         return tuple.__new__(cls, (protest, violent, demand))
-
-    @classmethod
-    def _make(cls, iterable: Iterable) -> DocumentLabels:
-        return cls(*iterable)
 
 
 EMPTY_LABELS = DocumentLabels()
@@ -516,7 +499,9 @@ def label_text(label: enum.Enum) -> str:
     return str(label.value)
 
 
-class DocumentRecord(namedtuple("DocumentRecord", "doc_id labels sentences annotations")):
+class DocumentRecord(
+    _Validated, namedtuple("DocumentRecord", "doc_id labels sentences annotations")
+):
     """One annotated news article.
 
     A document is the tuple of its four fields and equals and hashes as
@@ -549,16 +534,14 @@ class DocumentRecord(namedtuple("DocumentRecord", "doc_id labels sentences annot
             if span.sentence >= n_sentences or span.end > len(sentences[span.sentence].tokens):
                 raise span_error(ann.id, span.sentence, span.start, span.end, sentences)
             if ann.id in seen:
-                raise DuplicateIdError(f"duplicate annotation id {ann.id!r}")
+                raise InvariantError(
+                    f"duplicate annotation id {ann.id!r}", ParseErrorKind.DUPLICATE_ID
+                )
             seen.add(ann.id)
         # annotations are kept in canonical order so that documents have a
         # single representation and serialization round-trips exactly
         annotations = tuple(sorted(annotations, key=annotation_sort_key))
         return tuple.__new__(cls, (doc_id, labels, sentences, annotations))
-
-    @classmethod
-    def _make(cls, iterable: Iterable) -> DocumentRecord:
-        return cls(*iterable)
 
     def span_text(self, span: TokenSpan) -> str:
         """Surface text of a span, tokens joined with single spaces."""

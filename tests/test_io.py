@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from glocon.io import (
     CorpusDecodeError,
-    EventRefError,
     ParseError,
     ParseErrorKind,
     format_event_refs,
@@ -20,7 +19,7 @@ from glocon.io import (
     serialize_corpus,
 )
 from glocon.lint import ConfigError, load_config, validate_document
-from glocon.model import TagId
+from glocon.model import InvariantError, TagId
 from randdocs import random_corpus
 
 
@@ -44,8 +43,9 @@ class TestEventRefs:
         "bad", ["event two", "event 2", "EVENT 2", "Event", "Event 0", "Event -1", "2"]
     )
     def test_malformed(self, bad):
-        with pytest.raises(EventRefError):
+        with pytest.raises(InvariantError) as raised:
             parse_event_refs(bad)
+        assert raised.value.kind is ParseErrorKind.BAD_EVENT_REF
 
     def test_format_round_trips(self):
         assert format_event_refs({3, 1}) == "Event 1, Event 3"

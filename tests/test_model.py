@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from randdocs import random_document
 
+from glocon.io import _parse_annotation
 from glocon.model import (
     DOC_LABELS,
     Annotation,
@@ -14,18 +15,13 @@ from glocon.model import (
     DocumentLabels,
     DocumentRecord,
     Focus,
-    DuplicateIdError,
-    EventRefError,
     InvariantError,
-    LabelError,
     ParseErrorKind,
     ProtestLabel,
     SentenceLabel,
     SentenceRecord,
-    SpanError,
     TagId,
     TokenSpan,
-    UnknownTagError,
     ViolenceLabel,
     annotation_sort_key,
     coterminous,
@@ -77,10 +73,10 @@ def test_resolve_tag_aliases():
 
 
 def test_resolve_tag_rejects_unknown():
-    with pytest.raises(UnknownTagError):
-        resolve_tag("sentiment")
-    with pytest.raises(UnknownTagError):
-        resolve_tag("EVENT_TYPE")
+    for name in ("sentiment", "EVENT_TYPE"):
+        with pytest.raises(InvariantError) as raised:
+            resolve_tag(name)
+        assert raised.value.kind is ParseErrorKind.UNKNOWN_TAG
 
 
 def test_overlaps_examples():
@@ -144,12 +140,13 @@ def test_span_is_its_tuple():
 
 @pytest.mark.parametrize("sentence,start,end", [(0, 3, 3), (0, 5, 2), (-1, 0, 1)])
 def test_make_and_replace_check_as_the_constructor_does(sentence, start, end):
-    with pytest.raises(SpanError) as built:
+    with pytest.raises(InvariantError) as built:
         TokenSpan(sentence, start, end)
-    with pytest.raises(SpanError) as made:
+    with pytest.raises(InvariantError) as made:
         TokenSpan._make((sentence, start, end))
-    with pytest.raises(SpanError) as replaced:
+    with pytest.raises(InvariantError) as replaced:
         TokenSpan(0, 0, 1)._replace(sentence=sentence, start=start, end=end)
+    assert made.value.kind is replaced.value.kind is built.value.kind is ParseErrorKind.BAD_SPAN
     assert str(made.value) == str(replaced.value) == str(built.value)
 
 
@@ -229,7 +226,7 @@ def test_annotation_make_and_replace_check_as_the_constructor_does(changes):
         Annotation._make(kwargs.values())
     with pytest.raises(InvariantError) as replaced:
         _ANN._replace(**changes)
-    assert type(made.value) is type(replaced.value) is type(built.value)
+    assert made.value.kind is replaced.value.kind is built.value.kind
     assert str(made.value) == str(replaced.value) == str(built.value)
 
 
@@ -247,7 +244,7 @@ def test_sentence_record_make_and_replace_check_as_the_constructor_does(changes)
         SentenceRecord._make(kwargs.values())
     with pytest.raises(InvariantError) as replaced:
         sentence._replace(**changes)
-    assert type(made.value) is type(replaced.value) is type(built.value)
+    assert made.value.kind is replaced.value.kind is built.value.kind
     assert str(made.value) == str(replaced.value) == str(built.value)
 
 
@@ -321,7 +318,7 @@ def test_sentence_record_rejects_empty_tokens():
 
 @pytest.mark.parametrize("label", [5, -1, "1"])
 def test_sentence_record_rejects_a_label_outside_the_vocabulary(label):
-    with pytest.raises(LabelError) as raised:
+    with pytest.raises(InvariantError) as raised:
         SentenceRecord(0, ("a",), label)
     assert str(raised.value) == f"sentence 0: label must be 0, 1 or 2, got {label}"
     assert raised.value.kind is ParseErrorKind.BAD_LABEL
@@ -404,7 +401,7 @@ def test_document_make_and_replace_check_as_the_constructor_does(value, changes)
         cls._make(kwargs.values())
     with pytest.raises(InvariantError) as replaced:
         value._replace(**changes)
-    assert type(made.value) is type(replaced.value) is type(built.value)
+    assert made.value.kind is replaced.value.kind is built.value.kind
     assert str(made.value) == str(replaced.value) == str(built.value)
 
 
@@ -437,21 +434,35 @@ def test_span_text(bjp_doc):
     assert bjp_doc.span_text(spans["t2"]) == "last year's"
 
 
+_SENTENCES = (SentenceRecord(0, ("a", "b", "c")),)
+
+
+def _parsed_annotation(**fields):
+    return _parse_annotation(
+        {"id": "a1", "tag": "event_type", "sentence": 0, "start": 0, "end": 1, **fields},
+        _SENTENCES,
+    )
+
+
 @pytest.mark.parametrize(
-    "build,error,kind",
+    "build,kind,message",
     [
-        (lambda: TokenSpan(0, 2, 2), SpanError, ParseErrorKind.BAD_SPAN),
+        (
+            lambda: TokenSpan(0, 2, 2),
+            ParseErrorKind.BAD_SPAN,
+            "degenerate span [2, 2) in sentence 0",
+        ),
         (
             lambda: _one_sentence_doc(
                 (Annotation(id="x", tag=TagId.EVENT_TYPE, span=TokenSpan(0, 2, 4)),)
             ),
-            SpanError,
             ParseErrorKind.BAD_SPAN,
+            "annotation x: span [2, 4) in a 3-token sentence",
         ),
         (
             lambda: Annotation(id="x", tag=TagId.EVENT_TYPE, span=TokenSpan(0, 0, 1), events=[0]),
-            EventRefError,
             ParseErrorKind.BAD_EVENT_REF,
+            "annotation x: events must be a non-empty list of positive integers",
         ),
         (
             lambda: _one_sentence_doc(
@@ -460,32 +471,52 @@ def test_span_text(bjp_doc):
                     Annotation(id="x", tag=TagId.EVENT_MENTION, span=TokenSpan(0, 1, 2)),
                 )
             ),
-            DuplicateIdError,
             ParseErrorKind.DUPLICATE_ID,
+            "duplicate annotation id 'x'",
         ),
         (
             lambda: DocumentLabels(violent=ViolenceLabel.VIOLENT),
-            LabelError,
             ParseErrorKind.BAD_LABEL,
+            "violence label requires protest = protest",
         ),
-        (lambda: resolve_tag("mood"), UnknownTagError, ParseErrorKind.UNKNOWN_TAG),
+        (lambda: resolve_tag("mood"), ParseErrorKind.UNKNOWN_TAG, "unknown tag name: 'mood'"),
         (
             lambda: Annotation(id="x", tag="event_type", span=TokenSpan(0, 0, 1)),
-            InvariantError,
             ParseErrorKind.MALFORMED_RECORD,
+            "tag must be a TagId, got 'event_type'",
         ),
         (
             lambda: SentenceRecord(index=0, tokens=("",)),
-            InvariantError,
             ParseErrorKind.MALFORMED_RECORD,
+            "sentence 0: tokens must be a non-empty list of non-empty strings",
+        ),
+        # the parser prefixes the model's message with the annotation id
+        (
+            lambda: _parsed_annotation(tag="mood"),
+            ParseErrorKind.UNKNOWN_TAG,
+            "annotation a1: unknown tag name: 'mood'",
+        ),
+        (
+            lambda: _parsed_annotation(start=2, end=2),
+            ParseErrorKind.BAD_SPAN,
+            "annotation a1: span [2, 2) in a 3-token sentence",
+        ),
+        (
+            lambda: _parsed_annotation(events="Evnt 2"),
+            ParseErrorKind.BAD_EVENT_REF,
+            "annotation a1: not an event reference: 'Evnt 2'",
         ),
     ],
     ids=[
         "span", "span_in_document", "events", "duplicate_id", "labels", "tag", "tag_as_string",
-        "tokens",
+        "tokens", "parsed_tag", "parsed_span", "parsed_event_comment",
     ],
 )
-def test_invariant_errors_carry_their_parse_error_kind(build, error, kind):
-    with pytest.raises(error) as raised:
+def test_invariant_errors_carry_their_parse_error_kind(build, kind, message):
+    with pytest.raises(InvariantError) as raised:
         build()
-    assert raised.value.kind is kind
+    error = raised.value
+    assert type(error) is InvariantError
+    assert (error.kind, str(error), error.args) == (kind, message, (message,))
+    copy = pickle.loads(pickle.dumps(error))  # as a worker process would return it
+    assert type(copy) is InvariantError and (copy.kind, str(copy)) == (kind, message)
