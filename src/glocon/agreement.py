@@ -187,11 +187,6 @@ def _labels(doc: DocumentRecord, level: AgreementLevel) -> Sequence:
     return (getattr(doc.labels, key),)
 
 
-def cohen_kappa(level: AgreementLevel, labeled_pairs: Iterable[tuple[str, str]]) -> KappaResult:
-    """Kappa from (annotator A label, annotator B label) pairs."""
-    return _kappa(level, Counter(labeled_pairs), 0)
-
-
 def _kappa(level: AgreementLevel, counts: Counter, skipped: int) -> KappaResult:
     """Kappa from the count of each (label_a, label_b) pair."""
     categories = _LEVEL_CATEGORIES[level]

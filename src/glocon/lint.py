@@ -719,9 +719,6 @@ class CorpusReport(namedtuple("CorpusReport", "diagnostics totals documents")):
 
     __slots__ = ()
 
-    def count_at_or_above(self, threshold: Severity) -> int:
-        return count_at_or_above(self.totals, threshold)
-
 
 def validate_corpus(
     docs: Iterable[DocumentRecord], cfg: LintConfig = DEFAULT_CONFIG

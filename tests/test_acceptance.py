@@ -19,11 +19,12 @@ with ``pytest -s`` or ``-rA``):
 import gc
 import random
 import time
+from collections import Counter
 from contextlib import contextmanager
 
 import pytest
 
-from glocon.agreement import AgreementLevel, MatchMode, cohen_kappa, label_kappa, pair_corpora, span_prf
+from glocon.agreement import AgreementLevel, MatchMode, _kappa, label_kappa, pair_corpora, span_prf
 from glocon.assemble import assemble_events
 from glocon.io import parse_corpus, serialize_corpus
 from glocon.lint import Severity, validate_corpus, validate_document
@@ -151,7 +152,7 @@ def test_agreement_calibration():
             (rng.choice(["protest", "no_protest"]), rng.choice(["protest", "no_protest"]))
             for _ in range(10_000)
         ]
-        result = cohen_kappa(AgreementLevel.DOC_PROTEST, uniform)
+        result = _kappa(AgreementLevel.DOC_PROTEST, Counter(uniform), 0)
         assert abs(result.kappa) < 0.05
 
         # hand-derived fixture: p_o = 0.8 with marginals 0.6 / 0.5 gives 0.6

@@ -11,7 +11,6 @@ from glocon.agreement import (
     CorpusJoin,
     MatchMode,
     _kappa,
-    cohen_kappa,
     label_kappa,
     label_kappas,
     pair_corpora,
@@ -32,6 +31,11 @@ from glocon.model import (
 from golden_docs import ann, sent
 from oracle import dict_pair_corpora, greedy_span_match
 from randdocs import random_corpus, random_document
+
+
+def _kappa_of(level, labeled_pairs):
+    """Kappa from (annotator A label, annotator B label) pairs."""
+    return _kappa(level, Counter(labeled_pairs), 0)
 
 
 def _labeled_doc(doc_id, protest=None, sentence_labels=()):
@@ -270,16 +274,16 @@ class TestKappa:
                 assert result.p_o == float(Fraction(sum(counts[c, c] for c in categories), n))
 
     def test_one_shared_category_is_perfect_agreement(self):
-        result = cohen_kappa(AgreementLevel.DOC_PROTEST, [("protest", "protest")] * 7)
+        result = _kappa_of(AgreementLevel.DOC_PROTEST, [("protest", "protest")] * 7)
         assert (result.kappa, result.p_o, result.p_e) == (1.0, 1.0, 1.0)
 
     @pytest.mark.parametrize("level", list(AgreementLevel))
     def test_no_labeling_gives_nan(self, level):
-        categories = sorted({la for la, _ in cohen_kappa(level, []).confusion})
+        categories = sorted({la for la, _ in _kappa_of(level, []).confusion})
         cells = list(itertools.product(categories, repeat=2))
         for n in (1, 2, 3):
             for labeled in itertools.product(cells, repeat=n):
-                assert not math.isnan(cohen_kappa(level, labeled).kappa), labeled
+                assert not math.isnan(_kappa_of(level, labeled).kappa), labeled
 
     def test_sentence_level(self):
         labels = [SentenceLabel.EVENT, SentenceLabel.NON_EVENT, SentenceLabel.PLANNED]
@@ -295,8 +299,8 @@ class TestKappa:
             n = rng.randint(1, 30)
             labels_a = [rng.choice(["protest", "no_protest"]) for _ in range(n)]
             labels_b = [rng.choice(["protest", "no_protest"]) for _ in range(n)]
-            fwd = cohen_kappa(AgreementLevel.DOC_PROTEST, list(zip(labels_a, labels_b)))
-            rev = cohen_kappa(AgreementLevel.DOC_PROTEST, list(zip(labels_b, labels_a)))
+            fwd = _kappa_of(AgreementLevel.DOC_PROTEST, list(zip(labels_a, labels_b)))
+            rev = _kappa_of(AgreementLevel.DOC_PROTEST, list(zip(labels_b, labels_a)))
             assert fwd.p_o == rev.p_o
             assert fwd.p_e == pytest.approx(rev.p_e, abs=1e-15)
             if not math.isnan(fwd.kappa):
@@ -308,7 +312,7 @@ class TestKappa:
             (rng.choice(["protest", "no_protest"]), rng.choice(["protest", "no_protest"]))
             for _ in range(10_000)
         ]
-        result = cohen_kappa(AgreementLevel.DOC_PROTEST, pairs)
+        result = _kappa_of(AgreementLevel.DOC_PROTEST, pairs)
         assert abs(result.kappa) < 0.05
 
 

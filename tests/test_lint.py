@@ -12,6 +12,7 @@ from glocon.lint import (
     Lexicons,
     Severity,
     allowed_overlap,
+    count_at_or_above,
     is_punctuation_token,
     load_config,
     validate_corpus,
@@ -342,7 +343,7 @@ class TestConfig:
         [diag] = validate_document(bad, cfg)
         assert diag.severity is Severity.ERROR
         assert " W103 error " in diag.render()
-        assert validate_corpus([bad], cfg).count_at_or_above(Severity.ERROR) == 1
+        assert count_at_or_above(validate_corpus([bad], cfg).totals, Severity.ERROR) == 1
 
     def test_unknown_severity_rejected(self):
         with pytest.raises(ConfigError):
