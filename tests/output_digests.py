@@ -31,6 +31,7 @@ import hashlib
 import io
 import json
 import sys
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -165,8 +166,6 @@ def recorded() -> dict:
 
 
 def main() -> None:
-    import tempfile
-
     with tempfile.TemporaryDirectory() as work:
         digests = {group: group_digests(group, Path(work)) for group in GROUPS}
     DIGESTS.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n", encoding="utf-8")

@@ -10,7 +10,6 @@ import ops
 import pytest
 from output_digests import GROUPS, WORKLOADS, bench_key, group_digests, recorded
 
-RECORDED = recorded()
 CHECKED_BY_DIFFERENTIAL = frozenset(
     bench_key(op, name) for name in WORKLOADS for op in ops.TIMED + ops.KAPPA
 )
@@ -18,7 +17,7 @@ CHECKED_BY_DIFFERENTIAL = frozenset(
 
 @pytest.mark.parametrize("group", GROUPS)
 def test_every_command_prints_the_recorded_bytes(group, workload, tmp_path):
-    want = RECORDED[group]
+    want = recorded()[group]
     found = group_digests(group, tmp_path, workload, skip=CHECKED_BY_DIFFERENTIAL)
     assert found["inputs"] == want["inputs"], "the inputs differ, so the outputs cannot be compared"
     assert sorted(found["outputs"]) == sorted(want["outputs"].keys() - CHECKED_BY_DIFFERENTIAL)
