@@ -80,11 +80,12 @@ class CorpusDecodeError(Exception):
         self.line = line
 
 
-# The parser checks only the JSON shape of a record (key sets, value types,
-# label vocabularies) and that its strings encode as UTF-8.  Value invariants
-# (non-empty ids and tokens, span bounds, event numbers, unique annotation
-# ids) are the model constructors' to check.  Both raise InvariantError with
-# the line's ParseErrorKind; the parser may prefix a constructor's message.
+# The parser only decodes: valid JSON whose strings encode as UTF-8, the
+# allowed keys, objects and arrays where the format has them, the tag names
+# and label texts, and the events comment form.  It passes every field value
+# to the model constructors, which check its type and value.  Both raise
+# InvariantError with the line's ParseErrorKind; the parser prefixes an
+# annotation's tag, span type and events errors with its id.
 
 _DOC_KEYS = frozenset({"doc_id", "labels", "sentences", "annotations"})
 _LABEL_KEYS = frozenset(DOC_LABELS)
@@ -92,27 +93,16 @@ _SENTENCE_KEYS = frozenset({"index", "tokens", "label"})
 _ANNOTATION_KEYS = frozenset(
     {"id", "tag", "sentence", "start", "end", "events", "confidence", "comment"}
 )
-_DOC_LABEL_VOCABS = {
-    key: {label.value: label for label in vocab} for key, vocab in DOC_LABELS.items()
-}
+_LABEL_BY_TEXT = [{label.value: label for label in vocab} for vocab in DOC_LABELS.values()]
 _TAG_TEXT = {tag: tag.value for tag in TagId}  # a lookup is faster than .value
 # A corpus repeats a few label triples and event comments, so each parses to
-# one shared object.  Both caches are bounded, whatever the corpus: the label
-# vocabularies are closed (at most 36 triples) and the comment cache keeps
-# 256.  A comment that raises is not cached, so it raises each time.
+# one shared object.  Both caches are bounded, whatever the corpus: a label
+# triple is kept by its texts once DocumentLabels accepts it, and the
+# vocabularies are closed (at most 36 triples); the comment cache keeps 256.
+# A triple or comment that raises is not cached, so it raises each time.
 _LABELS: dict[tuple, DocumentLabels] = {(None, None, None): EMPTY_LABELS}
 _comment_events = lru_cache(maxsize=256)(parse_event_refs)
 _EVENT_ONE = parse_event_refs(None)
-
-
-def _label(obj: dict, key: str, vocab: dict):
-    value = obj.get(key)
-    if value is None:
-        return None
-    label = vocab.get(value) if type(value) is str else None
-    if label is None:
-        raise InvariantError(f"bad {key} label: {value!r}", ParseErrorKind.BAD_LABEL)
-    return label
 
 
 def _parse_labels(obj: object) -> DocumentLabels:
@@ -122,10 +112,17 @@ def _parse_labels(obj: object) -> DocumentLabels:
         raise InvariantError("labels must be an object")
     if not obj.keys() <= _LABEL_KEYS:
         raise InvariantError(f"unknown label keys: {sorted(obj.keys() - _LABEL_KEYS)}")
-    triple = tuple([_label(obj, key, vocab) for key, vocab in _DOC_LABEL_VOCABS.items()])
-    labels = _LABELS.get(triple)
-    if labels is None:  # kept only once DocumentLabels has accepted it
-        labels = _LABELS[triple] = DocumentLabels(*triple)
+    texts = tuple([obj.get(key) for key in DOC_LABELS])
+    try:
+        return _LABELS[texts]
+    except (KeyError, TypeError):  # not seen yet, or a list or object: DocumentLabels decides
+        pass
+    # a text outside its vocabulary is passed on as it is, for DocumentLabels to reject
+    labels = DocumentLabels(*[
+        by_text.get(text, text) if type(text) is str else text
+        for text, by_text in zip(texts, _LABEL_BY_TEXT)
+    ])
+    _LABELS[texts] = labels
     return labels
 
 
@@ -136,20 +133,7 @@ def _parse_sentence(obj: object, position: int) -> SentenceRecord:
         raise InvariantError(
             f"sentence {position}: unknown keys {sorted(obj.keys() - _SENTENCE_KEYS)}"
         )
-    index = obj.get("index")
-    if type(index) is not int:
-        raise InvariantError(f"sentence {position}: index must be an integer")
-    tokens = obj.get("tokens")
-    if type(tokens) is not list:
-        raise InvariantError(
-            f"sentence {position}: tokens must be a non-empty list of non-empty strings"
-        )
-    label = obj.get("label")
-    if label is not None and type(label) is not int:
-        raise InvariantError(
-            f"sentence {position}: label must be 0, 1 or 2", ParseErrorKind.BAD_LABEL
-        )
-    return SentenceRecord(index, tuple(tokens), label)
+    return SentenceRecord(obj.get("index"), obj.get("tokens"), obj.get("label"))
 
 
 def _parse_annotation(obj: object, sentences: tuple[SentenceRecord, ...]) -> Annotation:
@@ -160,53 +144,30 @@ def _parse_annotation(obj: object, sentences: tuple[SentenceRecord, ...]) -> Ann
             f"annotation: unknown keys {sorted(obj.keys() - _ANNOTATION_KEYS)}"
         )
     get = obj.get
-    ann_id = get("id")
-    if type(ann_id) is not str:
-        raise InvariantError("annotation id must be a non-empty string")
-    name = get("tag")
-    if type(name) is not str:
-        raise InvariantError(f"annotation {ann_id}: tag must be a string")
-    tag = TAG_BY_NAME.get(name)
-    if tag is None:
-        try:
-            resolve_tag(name)  # raises: the name is outside the tagset
-        except InvariantError as exc:
-            raise InvariantError(f"annotation {ann_id}: {exc}", exc.kind) from None
-
+    ann_id, name, events = get("id"), get("tag"), get("events")
     sentence, start, end = get("sentence"), get("start"), get("end")
-    if not type(sentence) is type(start) is type(end) is int:
-        for key in ("sentence", "start", "end"):
-            if type(get(key)) is not int:
-                raise InvariantError(f"annotation {ann_id}: {key} must be an integer")
-    try:
-        span = TokenSpan(sentence, start, end)
-    except InvariantError:
-        raise span_error(ann_id, sentence, start, end, sentences) from None
-
-    events = get("events")
     from_comment = False
-    if type(events) is not list:
-        if type(events) is str and events.strip():
-            from_comment = True
-            try:
+    try:
+        if type(name) is not str:
+            raise InvariantError("tag must be a string")
+        tag = TAG_BY_NAME.get(name) or resolve_tag(name)  # raises outside the tagset
+        span = TokenSpan(sentence, start, end)
+        if type(events) is not list:
+            if type(events) is str and events.strip():
+                from_comment = True
                 events = _comment_events(events)
-            except InvariantError as exc:
-                raise InvariantError(f"annotation {ann_id}: {exc}", exc.kind) from None
-        elif events is None or type(events) is str:
-            events = _EVENT_ONE  # absent, or a blank comment that numbers nothing
-        else:
-            raise InvariantError(
-                f"annotation {ann_id}: events must be an integer array or an 'Event N' string",
-                ParseErrorKind.BAD_EVENT_REF,
-            )
-
-    confidence = get("confidence")
-    if confidence is not None and type(confidence) is not float and type(confidence) is not int:
-        raise InvariantError(f"annotation {ann_id}: confidence must be a number")
-    comment = get("comment")
-    if comment is not None and type(comment) is not str:
-        raise InvariantError(f"annotation {ann_id}: comment must be a string")
-    return Annotation(ann_id, tag, span, events, confidence, comment, from_comment)
+            elif events is None or type(events) is str:
+                events = _EVENT_ONE  # absent, or a blank comment that numbers nothing
+            else:
+                raise InvariantError(
+                    "events must be an integer array or an 'Event N' string",
+                    ParseErrorKind.BAD_EVENT_REF,
+                )
+    except InvariantError as exc:
+        if exc.kind is ParseErrorKind.BAD_SPAN:  # named against the sentence's length
+            raise span_error(ann_id, sentence, start, end, sentences) from None
+        raise InvariantError(f"annotation {ann_id}: {exc}", exc.kind) from None
+    return Annotation(ann_id, tag, span, events, get("confidence"), get("comment"), from_comment)
 
 
 def _parse_document(obj: object) -> DocumentRecord:
@@ -214,9 +175,6 @@ def _parse_document(obj: object) -> DocumentRecord:
         raise InvariantError("record must be a JSON object")
     if not obj.keys() <= _DOC_KEYS:
         raise InvariantError(f"unknown record keys: {sorted(obj.keys() - _DOC_KEYS)}")
-    doc_id = obj.get("doc_id")
-    if type(doc_id) is not str:
-        raise InvariantError("doc_id must be a non-empty string")
     labels = _parse_labels(obj.get("labels"))
     sentences_raw = obj.get("sentences", [])
     if type(sentences_raw) is not list:
@@ -226,7 +184,7 @@ def _parse_document(obj: object) -> DocumentRecord:
     if type(annotations_raw) is not list:
         raise InvariantError("annotations must be an array")
     annotations = tuple([_parse_annotation(a, sentences) for a in annotations_raw])
-    return DocumentRecord(doc_id, labels, sentences, annotations)
+    return DocumentRecord(obj.get("doc_id"), labels, sentences, annotations)
 
 
 def _decode(line: str) -> object:

@@ -5,11 +5,17 @@ levels: document labels (protest / violence / demand), sentence labels
 (0 = non-event, 1 = event, 2 = planned) and token-level standoff
 annotations drawn from a closed tagset organized into foci.
 
-Every type in this module is immutable and validates its invariants at
-construction time.  Invalid values raise :class:`InvariantError` rather
-than being repaired; the error's ``kind`` says which
-:class:`ParseErrorKind` a corpus line that holds such a value is rejected
-as.
+Every type in this module is immutable and checks, at construction
+time, the type and the value of each field that a corpus line supplies;
+the parser in :mod:`glocon.io` only decodes a line and passes its
+values in.  Invalid values raise :class:`InvariantError` rather than
+being repaired; the error's ``kind`` says which :class:`ParseErrorKind`
+a corpus line that holds such a value is rejected as, and its message
+is the one such a line gets.  So a document built with these
+constructors, whatever values they accept, is written by
+``save_corpus`` and read back equal by ``load_corpus``, provided its
+strings encode as UTF-8 (a lone surrogate is rejected only by the
+parser).
 """
 
 from __future__ import annotations
@@ -273,6 +279,7 @@ class SentenceLabel(enum.IntEnum):
 
 # a member hashes and equals as its int, so one lookup takes an int or a member
 _SENTENCE_LABELS = {label: label for label in SentenceLabel}
+_LABEL_TYPES = (int, SentenceLabel)  # not bool, though True == 1
 
 
 class ProtestLabel(str, enum.Enum):
@@ -289,6 +296,14 @@ class DemandLabel(str, enum.Enum):
     NON_ECONOMIC = "non_economic"
     ECONOMIC_NON_WELFARE = "economic_non_welfare"
     ECONOMIC_WELFARE = "economic_welfare"
+
+
+# Each DocumentLabels field with its vocabulary, in serialization order.
+DOC_LABELS: dict[str, type[enum.Enum]] = {
+    "protest": ProtestLabel,
+    "violent": ViolenceLabel,
+    "demand": DemandLabel,
+}
 
 
 class _Validated:
@@ -316,6 +331,10 @@ class TokenSpan(_Validated, namedtuple("TokenSpan", "sentence start end")):
     __slots__ = ()
 
     def __new__(cls, sentence: int, start: int, end: int) -> TokenSpan:
+        if not type(sentence) is type(start) is type(end) is int:
+            for key, value in zip(cls._fields, (sentence, start, end)):
+                if type(value) is not int:
+                    raise InvariantError(f"{key} must be an integer")
         if sentence < 0:
             raise InvariantError(f"negative sentence index: {sentence}", ParseErrorKind.BAD_SPAN)
         if not 0 <= start < end:
@@ -395,12 +414,15 @@ class Annotation(
         comment: str | None = None,
         events_from_comment: bool = False,
     ) -> Annotation:
-        if not id:
+        if type(id) is not str or not id:
             raise InvariantError("annotation id must be a non-empty string")
         if not isinstance(tag, TagId):
             raise InvariantError(f"tag must be a TagId, got {tag!r}")
         if type(events) is not frozenset:
-            events = tuple(events)  # validated before hashing: a list may hold unhashables
+            try:
+                events = tuple(events)  # validated before hashing: a list may hold unhashables
+            except TypeError:  # not iterable
+                events = ()
         valid = len(events) > 0
         for n in events:
             if type(n) is not int or n < 1:
@@ -414,6 +436,8 @@ class Annotation(
         if type(events) is tuple:
             events = _EVENT_SETS.get(events) or frozenset(events)
         if confidence is not None:
+            if type(confidence) is not float and type(confidence) is not int:
+                raise InvariantError(f"annotation {id}: confidence must be a number")
             try:
                 confidence = float(confidence)
             except OverflowError:  # an integer past the float range
@@ -425,40 +449,53 @@ class Annotation(
                 raise InvariantError(
                     f"annotation {id}: confidence {confidence!r} has more than 6 fractional digits"
                 )
+        if comment is not None and type(comment) is not str:
+            raise InvariantError(f"annotation {id}: comment must be a string")
+        if events_from_comment is not True and events_from_comment is not False:
+            raise InvariantError(f"annotation {id}: events_from_comment must be a bool")
         return tuple.__new__(cls, (id, tag, span, events, confidence, comment, events_from_comment))
 
 
 class SentenceRecord(_Validated, namedtuple("SentenceRecord", "index tokens label")):
     """One pre-tokenized sentence with an optional event label.
 
-    ``index`` must equal the sentence's position; the DocumentRecord that
-    holds it checks that.  A sentence is the tuple ``(index, tokens,
-    label)`` and equals and hashes as that tuple.
+    ``tokens`` is a list or tuple of non-empty strings, kept as a tuple.
+    ``index`` must be the integer of the sentence's position; the
+    DocumentRecord that holds it checks that.  A sentence is the tuple
+    ``(index, tokens, label)`` and equals and hashes as that tuple.
     """
 
     __slots__ = ()
 
-    def __new__(cls, index: int, tokens: Iterable[str], label: int | None = None) -> SentenceRecord:
-        if type(tokens) is not tuple:
+    def __new__(
+        cls, index: int, tokens: list[str] | tuple[str, ...], label: int | None = None
+    ) -> SentenceRecord:
+        if type(tokens) is list:
             tokens = tuple(tokens)
-        if not tokens or "" in tokens or not all(map(isinstance, tokens, repeat(str))):
+        if (
+            type(tokens) is not tuple
+            or not tokens
+            or "" in tokens
+            or not all(map(isinstance, tokens, repeat(str)))
+        ):
             raise InvariantError(
                 f"sentence {index}: tokens must be a non-empty list of non-empty strings"
             )
         if label is not None:
-            try:
-                label = _SENTENCE_LABELS[label]
-            except (KeyError, TypeError):
+            member = _SENTENCE_LABELS.get(label) if type(label) in _LABEL_TYPES else None
+            if member is None:
+                got = f", got {label}" if type(label) is int else ""
                 raise InvariantError(
-                    f"sentence {index}: label must be 0, 1 or 2, got {label}",
-                    ParseErrorKind.BAD_LABEL,
-                ) from None
+                    f"sentence {index}: label must be 0, 1 or 2{got}", ParseErrorKind.BAD_LABEL
+                )
+            label = member
         return tuple.__new__(cls, (index, tokens, label))
 
 
 class DocumentLabels(_Validated, namedtuple("DocumentLabels", "protest violent demand")):
     """Document-level labels.
 
+    Each label is a member of its ``DOC_LABELS`` vocabulary or None.
     Violence and demand judgments presuppose the document contains a
     protest event, so either may be set only when ``protest`` is
     ``protest``.  A demand label holds exactly one category.  The labels
@@ -473,6 +510,10 @@ class DocumentLabels(_Validated, namedtuple("DocumentLabels", "protest violent d
         violent: ViolenceLabel | None = None,
         demand: DemandLabel | None = None,
     ) -> DocumentLabels:
+        labels = (protest, violent, demand)
+        for (key, vocab), label in zip(DOC_LABELS.items(), labels):
+            if label is not None and type(label) is not vocab:
+                raise InvariantError(f"bad {key} label: {label!r}", ParseErrorKind.BAD_LABEL)
         if violent is not None and protest is not ProtestLabel.PROTEST:
             raise InvariantError(
                 "violence label requires protest = protest", ParseErrorKind.BAD_LABEL
@@ -481,17 +522,10 @@ class DocumentLabels(_Validated, namedtuple("DocumentLabels", "protest violent d
             raise InvariantError(
                 "demand label requires protest = protest", ParseErrorKind.BAD_LABEL
             )
-        return tuple.__new__(cls, (protest, violent, demand))
+        return tuple.__new__(cls, labels)
 
 
 EMPTY_LABELS = DocumentLabels()
-
-# Each DocumentLabels field with its vocabulary, in serialization order.
-DOC_LABELS: dict[str, type[enum.Enum]] = {
-    "protest": ProtestLabel,
-    "violent": ViolenceLabel,
-    "demand": DemandLabel,
-}
 
 
 def label_text(label: enum.Enum) -> str:
@@ -517,13 +551,16 @@ class DocumentRecord(
         sentences: Iterable[SentenceRecord] = (),
         annotations: Iterable[Annotation] = (),
     ) -> DocumentRecord:
-        if not doc_id:
+        if type(doc_id) is not str or not doc_id:
             raise InvariantError("doc_id must be a non-empty string")
         if type(sentences) is not tuple:
             sentences = tuple(sentences)
         for pos, sent in enumerate(sentences):
-            if sent.index != pos:
-                raise InvariantError(f"sentence index {sent.index} at position {pos}")
+            index = sent.index
+            if index != pos or type(index) is not int:
+                if type(index) is not int:
+                    raise InvariantError(f"sentence {pos}: index must be an integer")
+                raise InvariantError(f"sentence index {index} at position {pos}")
         if type(annotations) is not tuple:
             annotations = tuple(annotations)  # read twice: checked, then sorted
         # checked in input order, so the first offending annotation is reported

@@ -19,7 +19,19 @@ from glocon.io import (
     serialize_corpus,
 )
 from glocon.lint import ConfigError, load_config, validate_document
-from glocon.model import InvariantError, TagId
+from glocon.model import (
+    Annotation,
+    DemandLabel,
+    DocumentLabels,
+    DocumentRecord,
+    InvariantError,
+    ProtestLabel,
+    SentenceLabel,
+    SentenceRecord,
+    TagId,
+    TokenSpan,
+    ViolenceLabel,
+)
 from randdocs import random_corpus
 
 
@@ -351,6 +363,9 @@ SINGLE_DEFECT_LINES = [
      "unknown label keys: ['mood']"),
     ("protest_label_unknown", _doc(labels={"protest": "maybe"}), "d1", "bad_label",
      "bad protest label: 'maybe'"),
+    # a list cannot key the label cache; DocumentLabels rejects it
+    ("protest_label_list", _doc(labels={"protest": ["protest"]}), "d1", "bad_label",
+     "bad protest label: ['protest']"),
     ("violent_label_not_string", _doc(labels={"protest": "protest", "violent": 1}), "d1",
      "bad_label", "bad violent label: 1"),
     ("demand_label_unknown", _doc(labels={"protest": "protest", "demand": "welfare"}), "d1",
@@ -376,6 +391,7 @@ SINGLE_DEFECT_LINES = [
      "sentence index -1 at position 0"),
     ("tokens_missing", _sent(tokens=_DROP), "d1", MALFORMED, TOKENS),
     ("tokens_string", _sent(tokens="Workers marched"), "d1", MALFORMED, TOKENS),
+    ("tokens_object", _sent(tokens={"a": 1}), "d1", MALFORMED, TOKENS),
     ("tokens_empty", _sent(tokens=[]), "d1", MALFORMED, TOKENS),
     ("token_empty_string", _sent(tokens=["Workers", ""]), "d1", MALFORMED, TOKENS),
     ("token_not_string", _sent(tokens=["Workers", 3]), "d1", MALFORMED, TOKENS),
@@ -713,3 +729,68 @@ def test_fuzz_parse_corpus_raises_only_documented_errors(lines):
         str(error).encode("utf-8")  # printable: no lone surrogate escapes into a message
     for doc in docs:
         assert parse_corpus(serialize_corpus([doc])) == ([doc], [])
+
+
+# --------------------------------------------------------------------------
+# closure: whatever the model constructors accept, the corpus format carries
+
+# Strings are drawn without lone surrogates: UTF-8 cannot encode them, and
+# only the parser rejects them.
+_utf8_text = st.text(st.characters(codec="utf-8"), max_size=4)
+_any_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _utf8_text,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_utf8_text, inner, max_size=3),
+    max_leaves=5,
+)
+# one valid value per constructor field; the test swaps some for any JSON value
+_VALID_FIELDS = {
+    "doc_id": _utf8_text.filter(bool),
+    "protest": st.sampled_from([None, *ProtestLabel, ProtestLabel.PROTEST]),
+    "violent": st.sampled_from([None, None, *ViolenceLabel]),
+    "demand": st.sampled_from([None, None, *DemandLabel]),
+    "index": st.just(0),
+    "tokens": st.lists(_utf8_text.filter(bool), min_size=2, max_size=3).flatmap(
+        lambda tokens: st.sampled_from([tokens, tuple(tokens)])
+    ),
+    "label": st.sampled_from([None, 0, 1, 2, *SentenceLabel]),
+    "id": _utf8_text.filter(bool),
+    "sentence": st.integers(0, 1),
+    "start": st.integers(0, 1),
+    "end": st.just(2),
+    "events": st.frozensets(st.integers(1, 70), min_size=1, max_size=3)
+    | st.lists(st.integers(1, 70), min_size=1, max_size=3),
+    "confidence": st.none() | st.integers(0, 1) | st.floats(0, 1).map(lambda x: round(x, 6)),
+    "comment": st.none() | _utf8_text,
+    "events_from_comment": st.booleans(),
+}
+
+
+@st.composite
+def _constructor_fields(draw):
+    swapped = draw(st.sets(st.sampled_from(sorted(_VALID_FIELDS)), max_size=2))
+    return {
+        name: draw(_any_json if name in swapped else valid)
+        for name, valid in _VALID_FIELDS.items()
+    }
+
+
+@settings(max_examples=400, deadline=None)
+@given(_constructor_fields())
+def test_whatever_the_constructors_accept_reads_back_equal(f):
+    try:  # a rejection is an InvariantError; any other exception fails the test
+        labels = DocumentLabels(f["protest"], f["violent"], f["demand"])
+        sentences = [
+            SentenceRecord(f["index"], f["tokens"], f["label"]), SentenceRecord(1, ["x", "y"])
+        ]
+        span = TokenSpan(f["sentence"], f["start"], f["end"])
+        annotation = Annotation(
+            f["id"], TagId.EVENT_TYPE, span, f["events"], f["confidence"], f["comment"],
+            f["events_from_comment"],
+        )
+        doc = DocumentRecord(f["doc_id"], labels, sentences, [annotation])
+    except InvariantError:
+        return
+    data = serialize_corpus([doc])
+    parsed = parse_corpus(data)
+    assert parsed == ([doc], [])
+    assert serialize_corpus(parsed[0]) == data

@@ -215,6 +215,11 @@ _ANN = Annotation("x", TagId.EVENT_TYPE, TokenSpan(0, 0, 1))
         {"confidence": 1.5},
         {"confidence": 0.1234567},
         {"confidence": 10**400},
+        {"id": 7},
+        {"confidence": "0.5"},
+        {"comment": 5},
+        {"events": None},
+        {"events_from_comment": "yes"},
     ],
     ids=repr,
 )
@@ -232,7 +237,10 @@ def test_annotation_make_and_replace_check_as_the_constructor_does(changes):
 
 @pytest.mark.parametrize(
     "changes",
-    [{"tokens": ()}, {"tokens": ("ok", "")}, {"tokens": ("ok", 1)}, {"label": 5}, {"label": "1"}],
+    [
+        {"tokens": ()}, {"tokens": ("ok", "")}, {"tokens": ("ok", 1)}, {"tokens": "Workers"},
+        {"label": 5}, {"label": "1"}, {"label": True},
+    ],
     ids=repr,
 )
 def test_sentence_record_make_and_replace_check_as_the_constructor_does(changes):
@@ -320,7 +328,8 @@ def test_sentence_record_rejects_empty_tokens():
 def test_sentence_record_rejects_a_label_outside_the_vocabulary(label):
     with pytest.raises(InvariantError) as raised:
         SentenceRecord(0, ("a",), label)
-    assert str(raised.value) == f"sentence 0: label must be 0, 1 or 2, got {label}"
+    got = f", got {label}" if type(label) is int else ""  # a line's message for its label
+    assert str(raised.value) == f"sentence 0: label must be 0, 1 or 2{got}"
     assert raised.value.kind is ParseErrorKind.BAD_LABEL
 
 
@@ -384,12 +393,16 @@ _VIOLENT = DocumentLabels(ProtestLabel.PROTEST, ViolenceLabel.VIOLENT, DemandLab
         (_DOC, {"sentences": (SentenceRecord(1, ("a",)),)}),
         (_DOC, {"annotations": (*_DOC.annotations, _DOC.annotations[0]._replace(tag=TagId.WORKER))}),
         (_DOC, {"annotations": (Annotation("x", TagId.EVENT_TYPE, TokenSpan(0, 2, 4)),)}),
+        (_DOC, {"doc_id": 5}),
+        (_DOC, {"sentences": (SentenceRecord(0.0, ("a", "b", "c")),)}),
         (_VIOLENT, {"protest": None, "demand": None}),
         (_VIOLENT, {"protest": ProtestLabel.NO_PROTEST, "violent": None}),
+        (_VIOLENT, {"protest": "protest"}),
     ],
     ids=[
         "empty-doc-id", "sentence-out-of-position", "repeated-annotation-id",
-        "span-past-its-sentence", "violent-without-protest", "demand-without-protest",
+        "span-past-its-sentence", "doc-id-not-a-string", "sentence-index-not-an-integer",
+        "violent-without-protest", "demand-without-protest", "label-not-a-member",
     ],
 )
 def test_document_make_and_replace_check_as_the_constructor_does(value, changes):
@@ -435,6 +448,7 @@ def test_span_text(bjp_doc):
 
 
 _SENTENCES = (SentenceRecord(0, ("a", "b", "c")),)
+TOKENS = "sentence 0: tokens must be a non-empty list of non-empty strings"
 
 
 def _parsed_annotation(**fields):
@@ -506,10 +520,57 @@ def _parsed_annotation(**fields):
             ParseErrorKind.BAD_EVENT_REF,
             "annotation a1: not an event reference: 'Evnt 2'",
         ),
+        # a value of the wrong type: the kind and message of the same field on a line
+        (
+            lambda: DocumentLabels("protest"),
+            ParseErrorKind.BAD_LABEL,
+            "bad protest label: 'protest'",
+        ),
+        (
+            lambda: DocumentRecord(5),
+            ParseErrorKind.MALFORMED_RECORD,
+            "doc_id must be a non-empty string",
+        ),
+        (
+            lambda: DocumentRecord("d", sentences=[SentenceRecord(0.0, ("a",))]),
+            ParseErrorKind.MALFORMED_RECORD,
+            "sentence 0: index must be an integer",
+        ),
+        (
+            lambda: Annotation(7, TagId.EVENT_TYPE, TokenSpan(0, 0, 1)),
+            ParseErrorKind.MALFORMED_RECORD,
+            "annotation id must be a non-empty string",
+        ),
+        (
+            lambda: Annotation("x", TagId.EVENT_TYPE, TokenSpan(0, 0, 1), comment=5),
+            ParseErrorKind.MALFORMED_RECORD,
+            "annotation x: comment must be a string",
+        ),
+        (
+            lambda: Annotation("x", TagId.EVENT_TYPE, TokenSpan(0, 0, 1), confidence="0.5"),
+            ParseErrorKind.MALFORMED_RECORD,
+            "annotation x: confidence must be a number",
+        ),
+        (
+            lambda: TokenSpan(True, 0, 1),
+            ParseErrorKind.MALFORMED_RECORD,
+            "sentence must be an integer",
+        ),
+        (lambda: TokenSpan(0, 0.0, 1), ParseErrorKind.MALFORMED_RECORD, "start must be an integer"),
+        (
+            lambda: _parsed_annotation(end=True),
+            ParseErrorKind.MALFORMED_RECORD,
+            "annotation a1: end must be an integer",
+        ),
+        (lambda: SentenceRecord(0, "Workers"), ParseErrorKind.MALFORMED_RECORD, TOKENS),
+        (lambda: SentenceRecord(0, (t for t in ["a"])), ParseErrorKind.MALFORMED_RECORD, TOKENS),
     ],
     ids=[
         "span", "span_in_document", "events", "duplicate_id", "labels", "tag", "tag_as_string",
-        "tokens", "parsed_tag", "parsed_span", "parsed_event_comment",
+        "tokens", "parsed_tag", "parsed_span", "parsed_event_comment", "doc_label_as_string",
+        "doc_id_not_string", "index_not_integer", "annotation_id_not_string",
+        "comment_not_string", "confidence_as_string", "span_sentence_bool", "span_start_float",
+        "parsed_span_end_bool", "tokens_as_string", "tokens_as_generator",
     ],
 )
 def test_invariant_errors_carry_their_parse_error_kind(build, kind, message):
