@@ -128,19 +128,6 @@ class _CorpusStream:
             print(f"glocon: {self.path}: {err}", file=sys.stderr)
 
 
-def _read_corpus(path: str, consume: Callable[[Iterable[DocumentRecord]], object]):
-    """Stream the documents of a corpus file into ``consume``, then report
-    the file; returns ``(consume's result, parse_errors)``.
-
-    When the file cannot be read or decoded, its message is the only output
-    and the command exits with EXIT_IO.
-    """
-    corpus = _CorpusStream(path)
-    result = consume(corpus)
-    corpus.report()
-    return result, corpus.errors
-
-
 def _validate_corpus(
     docs: Iterable[DocumentRecord], cfg: LintConfig, render: Callable[[list[Diagnostic]], str]
 ) -> tuple[list[str], Counter, int]:
@@ -193,9 +180,9 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             print(f"glocon: bad config {args.config}: {exc}", file=sys.stderr)
             return EXIT_USAGE
     render = _render_json if args.format == "json" else _render_text
-    (held, totals, documents), parse_errors = _read_corpus(
-        args.corpus, lambda docs: _validate_corpus(docs, cfg, render)
-    )
+    corpus = _CorpusStream(args.corpus)
+    held, totals, documents = _validate_corpus(corpus, cfg, render)
+    corpus.report()
 
     summary = (
         f"{documents} documents: "
@@ -210,7 +197,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         sys.stdout.writelines(held)
         print(summary)
 
-    if parse_errors:
+    if corpus.errors:
         return EXIT_IO
     if count_at_or_above(totals, Severity(args.fail_on)) > 0:
         return EXIT_FINDINGS
@@ -247,9 +234,9 @@ def _cmd_assemble(args: argparse.Namespace) -> int:
     from .assemble import CSV_HEADER, csv_rows, rows_to_jsonl
 
     render, header = (csv_rows, CSV_HEADER) if args.format == "csv" else (rows_to_jsonl, "")
-    (held, events, documents), parse_errors = _read_corpus(
-        args.corpus, lambda docs: _assemble_corpus(docs, render)
-    )
+    corpus = _CorpusStream(args.corpus)
+    held, events, documents = _assemble_corpus(corpus, render)
+    corpus.report()
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8", newline="") as handle:
@@ -260,7 +247,7 @@ def _cmd_assemble(args: argparse.Namespace) -> int:
     else:
         _write_assembled(held, header, sys.stdout)
     print(f"{events} events from {documents} documents", file=sys.stderr)
-    return EXIT_IO if parse_errors else EXIT_OK
+    return EXIT_IO if corpus.errors else EXIT_OK
 
 
 def _format_kappa_table(results: Sequence[KappaResult]) -> str:
@@ -361,13 +348,15 @@ def _format_stats_text(stats: Stats) -> str:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    stats, parse_errors = _read_corpus(args.corpus, corpus_stats)
+    corpus = _CorpusStream(args.corpus)
+    stats = corpus_stats(corpus)
+    corpus.report()
     if args.format == "json":
         json.dump(stats.to_obj(), sys.stdout, indent=2)
         sys.stdout.write("\n")
     else:
         print(_format_stats_text(stats))
-    return EXIT_IO if parse_errors else EXIT_OK
+    return EXIT_IO if corpus.errors else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
