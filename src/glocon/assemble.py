@@ -25,7 +25,7 @@ import csv
 import io as _stdio
 import json
 from collections import namedtuple
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from operator import attrgetter, itemgetter
 
 from .model import (
@@ -48,6 +48,8 @@ from .model import (
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
+    from typing import TextIO
+
     from .lint import Diagnostic
 
 
@@ -307,6 +309,31 @@ def export_rows(records: Iterable[EventRecord]) -> list[dict[str, str]]:
             **label_cells,
         })
     return rows
+
+
+def assemble_rendered(
+    docs: Iterable[DocumentRecord], render: Callable[[list[dict[str, str]]], str]
+) -> tuple[dict[str, str], int, int]:
+    """The one assemble loop: each document's export rows passed through
+    ``render``, by doc_id (none for a document without events), the number
+    of rows, and the number of documents."""
+    held: dict[str, str] = {}
+    events = documents = 0
+    for doc in docs:
+        documents += 1
+        rows = export_rows(assemble_events(doc))
+        if rows:
+            events += len(rows)
+            held[doc.doc_id] = render(rows)
+    return held, events, documents
+
+
+def write_assembled(held: dict[str, str], header: str, out: TextIO) -> None:
+    """The header, then the documents' rows in doc_id order: a corpus' doc_ids
+    are unique and a document's rows come sorted by event number, so this is
+    ``export_rows``' (doc_id, event_number) order."""
+    out.write(header)
+    out.writelines(held[doc_id] for doc_id in sorted(held))
 
 
 # The header row as csv writes it: the column names need no quoting.

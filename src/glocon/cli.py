@@ -19,7 +19,7 @@ import json
 import os
 import sys
 from collections import Counter
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 from .io import CorpusDecodeError, ParseError, iter_corpus
 from .model import DOC_LABELS, DocumentRecord, label_text
@@ -32,7 +32,7 @@ if TYPE_CHECKING:
     from typing import TextIO
 
     from .agreement import KappaResult, PRFReport
-    from .lint import Diagnostic, LintConfig
+    from .lint import Diagnostic
 
 EXIT_OK = 0
 EXIT_FINDINGS = 1
@@ -128,25 +128,6 @@ class _CorpusStream:
             print(f"glocon: {self.path}: {err}", file=sys.stderr)
 
 
-def _validate_corpus(
-    docs: Iterable[DocumentRecord], cfg: LintConfig, render: Callable[[list[Diagnostic]], str]
-) -> tuple[list[str], Counter, int]:
-    """Each document's diagnostics as rendered text (none for a clean
-    document), their severity totals, and the number of documents."""
-    from .lint import validate_document
-
-    held: list[str] = []
-    totals: Counter = Counter()
-    documents = 0
-    for doc in docs:
-        documents += 1
-        diagnostics = validate_document(doc, cfg)
-        if diagnostics:
-            totals.update(d.severity for d in diagnostics)
-            held.append(render(diagnostics))
-    return held, totals, documents
-
-
 def _render_text(diagnostics: list[Diagnostic]) -> str:
     return "".join(d.render() + "\n" for d in diagnostics)
 
@@ -167,7 +148,8 @@ def write_json_array(items: Iterable[str], out: TextIO) -> None:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    from .lint import DEFAULT_CONFIG, ConfigError, Severity, count_at_or_above, load_config
+    from .lint import (DEFAULT_CONFIG, ConfigError, Severity, count_at_or_above, load_config,
+                       validate_rendered)
 
     cfg = DEFAULT_CONFIG
     if args.config:
@@ -181,7 +163,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             return EXIT_USAGE
     render = _render_json if args.format == "json" else _render_text
     corpus = _CorpusStream(args.corpus)
-    held, totals, documents = _validate_corpus(corpus, cfg, render)
+    held, totals, documents = validate_rendered(corpus, cfg, render)
     corpus.report()
 
     summary = (
@@ -204,48 +186,22 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _assemble_corpus(
-    docs: Iterable[DocumentRecord], render: Callable[[list[dict[str, str]]], str]
-) -> tuple[dict[str, str], int, int]:
-    """Each document's export rows as rendered text, by doc_id (none for a
-    document without events), the number of rows, and the number of documents."""
-    from .assemble import assemble_events, export_rows
-
-    held: dict[str, str] = {}
-    events = documents = 0
-    for doc in docs:
-        documents += 1
-        rows = export_rows(assemble_events(doc))
-        if rows:
-            events += len(rows)
-            held[doc.doc_id] = render(rows)
-    return held, events, documents
-
-
-def _write_assembled(held: dict[str, str], header: str, out: TextIO) -> None:
-    """The header, then the documents' rows in doc_id order: a corpus' doc_ids
-    are unique and a document's rows come sorted by event number, so this is
-    ``export_rows``' (doc_id, event_number) order."""
-    out.write(header)
-    out.writelines(held[doc_id] for doc_id in sorted(held))
-
-
 def _cmd_assemble(args: argparse.Namespace) -> int:
-    from .assemble import CSV_HEADER, csv_rows, rows_to_jsonl
+    from .assemble import CSV_HEADER, assemble_rendered, csv_rows, rows_to_jsonl, write_assembled
 
     render, header = (csv_rows, CSV_HEADER) if args.format == "csv" else (rows_to_jsonl, "")
     corpus = _CorpusStream(args.corpus)
-    held, events, documents = _assemble_corpus(corpus, render)
+    held, events, documents = assemble_rendered(corpus, render)
     corpus.report()
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8", newline="") as handle:
-                _write_assembled(held, header, handle)
+                write_assembled(held, header, handle)
         except OSError as exc:
             print(f"glocon: cannot write {args.out}: {exc}", file=sys.stderr)
             return EXIT_IO
     else:
-        _write_assembled(held, header, sys.stdout)
+        write_assembled(held, header, sys.stdout)
     print(f"{events} events from {documents} documents", file=sys.stderr)
     return EXIT_IO if corpus.errors else EXIT_OK
 

@@ -720,18 +720,31 @@ class CorpusReport(namedtuple("CorpusReport", "diagnostics totals documents")):
     __slots__ = ()
 
 
+def validate_rendered(
+    docs: Iterable[DocumentRecord], cfg: LintConfig, render: Callable[[list[Diagnostic]], object]
+) -> tuple[list, Counter, int]:
+    """The one validate loop, over documents in order: each document's
+    diagnostics passed through ``render`` (none for a clean document),
+    their severity totals, and the number of documents."""
+    held = []
+    totals: Counter = Counter()
+    documents = 0
+    for doc in docs:
+        documents += 1
+        diagnostics = validate_document(doc, cfg)
+        if diagnostics:
+            totals.update(d.severity for d in diagnostics)
+            held.append(render(diagnostics))
+    return held, totals, documents
+
+
 def validate_corpus(
     docs: Iterable[DocumentRecord], cfg: LintConfig = DEFAULT_CONFIG
 ) -> CorpusReport:
     """Validate documents in order, one at a time, and tally severities."""
-    diagnostics: list[Diagnostic] = []
-    documents = 0
-    for doc in docs:
-        documents += 1
-        diagnostics.extend(validate_document(doc, cfg))
-    totals = Counter(d.severity for d in diagnostics)
+    held, totals, documents = validate_rendered(docs, cfg, tuple)
     for sev in Severity:
         totals.setdefault(sev, 0)
     return CorpusReport(
-        diagnostics=tuple(diagnostics), totals=dict(totals), documents=documents
+        diagnostics=tuple([d for ds in held for d in ds]), totals=dict(totals), documents=documents
     )
