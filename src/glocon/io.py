@@ -54,6 +54,7 @@ from .model import (
     SentenceRecord,
     TagId,
     TokenSpan,
+    annotation_name,
     format_event_refs,
     label_text,
     parse_event_refs,
@@ -85,7 +86,7 @@ class CorpusDecodeError(Exception):
 # and label texts, and the events comment form.  It passes every field value
 # to the model constructors, which check its type and value.  Both raise
 # InvariantError with the line's ParseErrorKind; the parser prefixes an
-# annotation's tag, span type and events errors with its id.
+# annotation's tag, span type and events errors with its annotation_name.
 
 _DOC_KEYS = frozenset({"doc_id", "labels", "sentences", "annotations"})
 _LABEL_KEYS = frozenset(DOC_LABELS)
@@ -166,7 +167,7 @@ def _parse_annotation(obj: object, sentences: tuple[SentenceRecord, ...]) -> Ann
     except InvariantError as exc:
         if exc.kind is ParseErrorKind.BAD_SPAN:  # named against the sentence's length
             raise span_error(ann_id, sentence, start, end, sentences) from None
-        raise InvariantError(f"annotation {ann_id}: {exc}", exc.kind) from None
+        raise InvariantError(f"{annotation_name(ann_id)}: {exc}", exc.kind) from None
     return Annotation(ann_id, tag, span, events, get("confidence"), get("comment"), from_comment)
 
 

@@ -344,8 +344,14 @@ class TokenSpan(_Validated, namedtuple("TokenSpan", "sentence start end")):
         return tuple.__new__(cls, (sentence, start, end))
 
 
+def annotation_name(ann_id: object) -> str:
+    """How a rejection names an annotation: by its id if that is a non-empty
+    string, else not at all, so that no raw JSON value is quoted as a name."""
+    return f"annotation {ann_id}" if type(ann_id) is str and ann_id else "annotation"
+
+
 def span_error(
-    ann_id: str, sentence: int, start: int, end: int, sentences: tuple[SentenceRecord, ...]
+    ann_id: object, sentence: int, start: int, end: int, sentences: tuple[SentenceRecord, ...]
 ) -> InvariantError:
     """The BAD_SPAN error for an annotation whose span does not fit ``sentences``.
 
@@ -353,11 +359,10 @@ def span_error(
     sentence's length.
     """
     if not 0 <= sentence < len(sentences):
-        message = f"annotation {ann_id}: sentence {sentence} of {len(sentences)}"
+        where = f"sentence {sentence} of {len(sentences)}"
     else:
-        n_tokens = len(sentences[sentence].tokens)
-        message = f"annotation {ann_id}: span [{start}, {end}) in a {n_tokens}-token sentence"
-    return InvariantError(message, ParseErrorKind.BAD_SPAN)
+        where = f"span [{start}, {end}) in a {len(sentences[sentence].tokens)}-token sentence"
+    return InvariantError(f"{annotation_name(ann_id)}: {where}", ParseErrorKind.BAD_SPAN)
 
 
 def overlaps(a: TokenSpan, b: TokenSpan) -> bool:
@@ -418,6 +423,8 @@ class Annotation(
             raise InvariantError("annotation id must be a non-empty string")
         if not isinstance(tag, TagId):
             raise InvariantError(f"tag must be a TagId, got {tag!r}")
+        if not isinstance(span, TokenSpan):
+            raise InvariantError(f"annotation {id}: span must be a TokenSpan")
         if type(events) is not frozenset:
             try:
                 events = tuple(events)  # validated before hashing: a list may hold unhashables
@@ -456,6 +463,11 @@ class Annotation(
         return tuple.__new__(cls, (id, tag, span, events, confidence, comment, events_from_comment))
 
 
+def _sentence_name(index: object) -> str:
+    """How a rejection names a sentence: by its index if that is an ``int``."""
+    return f"sentence {index}" if type(index) is int else "sentence"
+
+
 class SentenceRecord(_Validated, namedtuple("SentenceRecord", "index tokens label")):
     """One pre-tokenized sentence with an optional event label.
 
@@ -479,14 +491,15 @@ class SentenceRecord(_Validated, namedtuple("SentenceRecord", "index tokens labe
             or not all(map(isinstance, tokens, repeat(str)))
         ):
             raise InvariantError(
-                f"sentence {index}: tokens must be a non-empty list of non-empty strings"
+                f"{_sentence_name(index)}: tokens must be a non-empty list of non-empty strings"
             )
         if label is not None:
             member = _SENTENCE_LABELS.get(label) if type(label) in _LABEL_TYPES else None
             if member is None:
                 got = f", got {label}" if type(label) is int else ""
                 raise InvariantError(
-                    f"sentence {index}: label must be 0, 1 or 2{got}", ParseErrorKind.BAD_LABEL
+                    f"{_sentence_name(index)}: label must be 0, 1 or 2{got}",
+                    ParseErrorKind.BAD_LABEL,
                 )
             label = member
         return tuple.__new__(cls, (index, tokens, label))
@@ -553,9 +566,13 @@ class DocumentRecord(
     ) -> DocumentRecord:
         if type(doc_id) is not str or not doc_id:
             raise InvariantError("doc_id must be a non-empty string")
+        if not isinstance(labels, DocumentLabels):
+            raise InvariantError("labels must be a DocumentLabels")
         if type(sentences) is not tuple:
             sentences = tuple(sentences)
         for pos, sent in enumerate(sentences):
+            if not isinstance(sent, SentenceRecord):
+                raise InvariantError("sentence must be a SentenceRecord")
             index = sent.index
             if index != pos or type(index) is not int:
                 if type(index) is not int:
@@ -567,6 +584,8 @@ class DocumentRecord(
         n_sentences = len(sentences)
         seen: set[str] = set()
         for ann in annotations:
+            if not isinstance(ann, Annotation):
+                raise InvariantError("annotation must be an Annotation")
             span = ann.span
             if span.sentence >= n_sentences or span.end > len(sentences[span.sentence].tokens):
                 raise span_error(ann.id, span.sentence, span.start, span.end, sentences)

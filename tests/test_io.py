@@ -473,6 +473,38 @@ SINGLE_DEFECT_LINES = [
 ]
 
 
+# (case, line, doc_id, kind, message) for lines with several defects: a
+# rejection names an annotation only by an id that is a non-empty string and
+# a sentence only by an integer index, never by another raw JSON value.
+UNNAMED_RECORD_LINES = [
+    ("annotation_id_object_and_start_float", _ann(id={}, start=0.0), "d1", MALFORMED,
+     "annotation: start must be an integer"),
+    ("annotation_id_missing_and_tag_number", _ann(id=_DROP, tag=5), "d1", MALFORMED,
+     "annotation: tag must be a string"),
+    ("annotation_id_empty_and_tag_unknown", _ann(id="", tag="nope"), "d1", "unknown_tag",
+     "annotation: unknown tag name: 'nope'"),
+    ("annotation_id_number_and_span_reversed", _ann(id=7, start=2, end=1), "d1", "bad_span",
+     "annotation: span [2, 1) in a 3-token sentence"),
+    ("sentence_index_array_and_tokens_bad", _sent(index=[1, [2, {}]], tokens=[1]), "d1",
+     MALFORMED, "sentence: tokens must be a non-empty list of non-empty strings"),
+    ("sentence_index_null_and_label_out_of_range", _sent(index=None, label=7), "d1", "bad_label",
+     "sentence: label must be 0, 1 or 2, got 7"),
+]
+
+
+@pytest.mark.parametrize(
+    "line,doc_id,kind,message",
+    [case[1:] for case in UNNAMED_RECORD_LINES],
+    ids=[case[0] for case in UNNAMED_RECORD_LINES],
+)
+def test_a_rejection_quotes_no_raw_value_as_a_name(line, doc_id, kind, message):
+    docs, errors = parse_corpus(json.dumps(line).encode() + b"\n")
+    assert docs == []
+    assert [(e.line, e.doc_id, e.kind.value, e.message) for e in errors] == [
+        (1, doc_id, kind, message)
+    ]
+
+
 @pytest.mark.parametrize("doc_id,shown", [("d1", "[d1]"), (None, "[?]")])
 def test_parse_error_names_its_document(doc_id, shown):
     error = ParseError(3, doc_id, ParseErrorKind.BAD_SPAN, "m")

@@ -564,6 +564,29 @@ def _parsed_annotation(**fields):
         ),
         (lambda: SentenceRecord(0, "Workers"), ParseErrorKind.MALFORMED_RECORD, TOKENS),
         (lambda: SentenceRecord(0, (t for t in ["a"])), ParseErrorKind.MALFORMED_RECORD, TOKENS),
+        # a field that holds another model value takes only that type
+        (
+            lambda: DocumentRecord("d", labels="protest"),
+            ParseErrorKind.MALFORMED_RECORD,
+            "labels must be a DocumentLabels",
+        ),
+        (
+            lambda: DocumentRecord("d", sentences=[(0, ("a",), None)]),
+            ParseErrorKind.MALFORMED_RECORD,
+            "sentence must be a SentenceRecord",
+        ),
+        (
+            lambda: DocumentRecord(
+                "d", sentences=[SentenceRecord(0, ("a",))], annotations=[("a", None, None)]
+            ),
+            ParseErrorKind.MALFORMED_RECORD,
+            "annotation must be an Annotation",
+        ),
+        (
+            lambda: Annotation("a", TagId.EVENT_TYPE, (0, 0, 1)),
+            ParseErrorKind.MALFORMED_RECORD,
+            "annotation a: span must be a TokenSpan",
+        ),
     ],
     ids=[
         "span", "span_in_document", "events", "duplicate_id", "labels", "tag", "tag_as_string",
@@ -571,6 +594,7 @@ def _parsed_annotation(**fields):
         "doc_id_not_string", "index_not_integer", "annotation_id_not_string",
         "comment_not_string", "confidence_as_string", "span_sentence_bool", "span_start_float",
         "parsed_span_end_bool", "tokens_as_string", "tokens_as_generator",
+        "labels_as_string", "sentence_as_tuple", "annotation_as_tuple", "span_as_tuple",
     ],
 )
 def test_invariant_errors_carry_their_parse_error_kind(build, kind, message):
