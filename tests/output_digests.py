@@ -7,8 +7,10 @@ seed-1 ``bulk``, ``dense`` and ``flat`` corpora of ``perfbench/gen.py``
 (annotator A and B), the three golden corpora and the worked examples:
 
 - every corpus but a generated B corpus: ``validate`` (text and json,
-  each with ``--fail-on error`` and ``warning``), ``assemble`` (csv and
-  jsonl), ``stats`` (text and json) and the load -> save round trip;
+  each with ``--fail-on error`` and ``warning``, and text with
+  ``golden/validate_config.json``), ``assemble`` (csv and jsonl, each to
+  stdout and with ``--out``, whose file's SHA-256 is kept too), ``stats``
+  (text and json) and the load -> save round trip;
 - every pair in ``PAIRS``: ``agree`` at doc and sentence level and at
   token level in strict and lenient mode, each as text and json.
 
@@ -44,6 +46,8 @@ from glocon import cli  # noqa: E402
 from glocon.io import load_corpus, save_corpus  # noqa: E402
 
 DIGESTS = ROOT / "tests" / "golden" / "output_digests.json"
+# overrides one rule's severity and disables another
+CONFIG = ROOT / "tests" / "golden" / "validate_config.json"
 WORKLOADS = ("bulk", "dense", "flat")
 FIXED = {
     "labels_a": ROOT / "tests" / "golden" / "labels_a.glocon.jsonl",
@@ -63,8 +67,11 @@ SINGLE = {
         for fmt in ("text", "json")
         for fail_on in ("error", "warning")
     },
+    "validate text --config": ["validate", "{0}", "--format", "text", "--config", str(CONFIG)],
     "assemble csv": ["assemble", "{0}", "--format", "csv"],
     "assemble jsonl": ["assemble", "{0}", "--format", "jsonl"],
+    "assemble csv --out": ["assemble", "{0}", "--format", "csv", "--out", "{out}"],
+    "assemble jsonl --out": ["assemble", "{0}", "--format", "jsonl", "--out", "{out}"],
     "stats text": ["stats", "{0}", "--format", "text"],
     "stats json": ["stats", "{0}", "--format", "json"],
 }
@@ -146,8 +153,11 @@ def group_digests(group: str, directory: Path, generate=gen.generate, skip=froze
         path = str(paths[name])
         for command, template in SINGLE.items():
             if f"{command} {name}" not in skip:
-                argv = [arg.format(path) for arg in template]
-                outputs[f"{command} {name}"] = run_command(argv, paths)
+                written = directory / f"{name}.written"
+                argv = [arg.format(path, out=written) for arg in template]
+                entry = outputs[f"{command} {name}"] = run_command(argv, paths)
+                if "{out}" in template:
+                    entry["written"] = sha256(written.read_bytes())
         if f"roundtrip {name}" not in skip:
             saved = directory / f"{name}.saved.glocon.jsonl"
             save_corpus(str(saved), load_corpus(path)[0])

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from collections import defaultdict, deque
 from pathlib import Path
 
 import pytest
@@ -19,7 +20,8 @@ from glocon.cli import (
     run,
     write_json_array,
 )
-from glocon.io import load_corpus, serialize_corpus
+from glocon.assemble import assemble_events, export_rows, rows_to_csv, rows_to_jsonl
+from glocon.io import load_corpus, parse_corpus, serialize_corpus
 from glocon.lint import Diagnostic, validate_document
 from glocon.model import DocumentLabels, DocumentRecord, TagId
 from golden_docs import ann, bjp_square_doc, karnataka_doc, sent
@@ -179,6 +181,35 @@ class TestAssembleCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"glocon: cannot write {out_path}: ")
+
+
+    @pytest.mark.parametrize("name", ["bulk", "flat"])
+    def test_output_does_not_depend_on_line_order(self, name, workload, tmp_path, capsys):
+        """A shuffled corpus assembles to the bytes of the unshuffled one, which
+        are ``export_rows``' order over every document's records.  The lines of
+        one doc_id keep their input order, since the first copy is the one read."""
+        lines = workload(name, 1)["a"].split(b"\n")
+        positions = defaultdict(deque)  # doc_id (or, if none, line position) -> positions
+        for position, line in enumerate(lines):
+            try:
+                doc_id = json.loads(line).get("doc_id", position)
+            except (ValueError, AttributeError, TypeError):  # not JSON, or not an object
+                doc_id = position
+            positions[doc_id if type(doc_id) is str else position].append(position)
+        keys = [key for key, taken in positions.items() for _ in taken]
+        random.Random(name).shuffle(keys)
+        shuffled = [lines[positions[key].popleft()] for key in keys]
+
+        docs, _ = parse_corpus(b"\n".join(lines))
+        rows = export_rows([record for doc in docs for record in assemble_events(doc)])
+        for fmt, expected in (("csv", rows_to_csv(rows)), ("jsonl", rows_to_jsonl(rows))):
+            printed = []
+            for order, content in (("input", lines), ("shuffled", shuffled)):
+                path = tmp_path / f"{order}.glocon.jsonl"
+                path.write_bytes(b"\n".join(content))
+                run(["assemble", str(path), "--format", fmt])
+                printed.append(capsys.readouterr().out.encode("utf-8"))
+            assert printed[0] == printed[1] == expected.encode("utf-8"), fmt
 
 
 class TestDiagnosticWriter:
