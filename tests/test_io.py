@@ -473,6 +473,26 @@ SINGLE_DEFECT_LINES = [
 ]
 
 
+@pytest.mark.parametrize("doc_id,shown", [("d1", "[d1]"), (None, "[?]")])
+def test_parse_error_names_its_document(doc_id, shown):
+    error = ParseError(3, doc_id, ParseErrorKind.BAD_SPAN, "m")
+    assert str(error) == f"line 3 {shown} bad_span: m"
+
+
+@pytest.mark.parametrize(
+    "line,doc_id,kind,message",
+    [case[1:] for case in SINGLE_DEFECT_LINES],
+    ids=[case[0] for case in SINGLE_DEFECT_LINES],
+)
+def test_single_defect_line_rejection(line, doc_id, kind, message):
+    data = line if isinstance(line, bytes) else json.dumps(line).encode()
+    docs, errors = parse_corpus(data + b"\n")
+    assert docs == []
+    assert [(e.line, e.doc_id, e.kind.value, e.message) for e in errors] == [
+        (1, doc_id, kind, message)
+    ]
+
+
 # (case, line, doc_id, kind, message) for lines with several defects: a
 # rejection names an annotation only by an id that is a non-empty string and
 # a sentence only by an integer index, never by another raw JSON value.
@@ -498,31 +518,7 @@ UNNAMED_RECORD_LINES = [
     ids=[case[0] for case in UNNAMED_RECORD_LINES],
 )
 def test_a_rejection_quotes_no_raw_value_as_a_name(line, doc_id, kind, message):
-    docs, errors = parse_corpus(json.dumps(line).encode() + b"\n")
-    assert docs == []
-    assert [(e.line, e.doc_id, e.kind.value, e.message) for e in errors] == [
-        (1, doc_id, kind, message)
-    ]
-
-
-@pytest.mark.parametrize("doc_id,shown", [("d1", "[d1]"), (None, "[?]")])
-def test_parse_error_names_its_document(doc_id, shown):
-    error = ParseError(3, doc_id, ParseErrorKind.BAD_SPAN, "m")
-    assert str(error) == f"line 3 {shown} bad_span: m"
-
-
-@pytest.mark.parametrize(
-    "line,doc_id,kind,message",
-    [case[1:] for case in SINGLE_DEFECT_LINES],
-    ids=[case[0] for case in SINGLE_DEFECT_LINES],
-)
-def test_single_defect_line_rejection(line, doc_id, kind, message):
-    data = line if isinstance(line, bytes) else json.dumps(line).encode()
-    docs, errors = parse_corpus(data + b"\n")
-    assert docs == []
-    assert [(e.line, e.doc_id, e.kind.value, e.message) for e in errors] == [
-        (1, doc_id, kind, message)
-    ]
+    test_single_defect_line_rejection(line, doc_id, kind, message)
 
 
 @pytest.mark.parametrize("name", ["dense", "flat"])
