@@ -150,10 +150,9 @@ def group_digests(group: str, directory: Path, generate=gen.generate, skip=froze
     outputs = result["outputs"] = {}
     singles = [name for name in paths if group == "fixed" or name.endswith("_a")]
     for name in singles:
-        path = str(paths[name])
+        path, written = str(paths[name]), directory / f"{name}.written"
         for command, template in SINGLE.items():
             if f"{command} {name}" not in skip:
-                written = directory / f"{name}.written"
                 argv = [arg.format(path, out=written) for arg in template]
                 entry = outputs[f"{command} {name}"] = run_command(argv, paths)
                 if "{out}" in template:
