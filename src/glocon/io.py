@@ -28,9 +28,12 @@ caller's stack.
 
 Serialization is canonical: keys in the order shown above, annotations
 sorted by (sentence, start, end, tag, event numbers, id), compact
-separators, LF line endings.  :func:`serialize_corpus` and
-:func:`save_corpus` share one line encoder; ``save_corpus`` writes each
-document's line as it is made.
+separators, LF line endings.  Each line's text is written directly, as
+``json.dumps`` with ``ensure_ascii=False`` would write it: strings through
+json's C string encoder, with no ASCII escaping, integers through ``str``
+and confidences through ``float.__repr__``.  :func:`serialize_corpus` and
+:func:`save_corpus` share that one line writer; ``save_corpus`` writes
+each document's line as it is made.
 ``parse_corpus(serialize_corpus(docs))`` reproduces ``docs`` exactly.
 """
 
@@ -41,6 +44,7 @@ from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from functools import lru_cache
 from itertools import accumulate, repeat
+from json.encoder import encode_basestring as _json_string
 
 from .model import (
     DOC_LABELS,
@@ -51,12 +55,12 @@ from .model import (
     DocumentRecord,
     InvariantError,
     ParseErrorKind,
+    SentenceLabel,
     SentenceRecord,
     TagId,
     TokenSpan,
     annotation_name,
     format_event_refs,
-    label_text,
     parse_event_refs,
     resolve_tag,
     span_error,
@@ -95,7 +99,6 @@ _ANNOTATION_KEYS = frozenset(
     {"id", "tag", "sentence", "start", "end", "events", "confidence", "comment"}
 )
 _LABEL_BY_TEXT = [{label.value: label for label in vocab} for vocab in DOC_LABELS.values()]
-_TAG_TEXT = {tag: tag.value for tag in TagId}  # a lookup is faster than .value
 # A corpus repeats a few label triples and event comments, so each parses to
 # one shared object.  Both caches are bounded, whatever the corpus: a label
 # triple is kept by its texts once DocumentLabels accepts it, and the
@@ -274,52 +277,50 @@ def parse_corpus(data: bytes) -> tuple[list[DocumentRecord], list[ParseError]]:
     return list(iter_corpus(data.split(b"\n"), errors)), errors
 
 
-def document_to_obj(doc: DocumentRecord) -> dict:
-    """Canonical JSON-compatible dict for one document."""
-    labels = {
-        key: label_text(label)
-        for key in DOC_LABELS
-        if (label := getattr(doc.labels, key)) is not None
-    }
+# Closed vocabularies are quoted once.  DocumentLabels holds its labels in DOC_LABELS order.
+_TAG_JSON = {tag: _json_string(tag.value) for tag in TagId}
+_LABEL_JSON = [
+    {label: f'"{key}":{_json_string(label.value)}' for label in vocab}
+    for key, vocab in DOC_LABELS.items()
+]
+_SENTENCE_LABEL_JSON = {None: "", **{label: f',"label":{int(label)}' for label in SentenceLabel}}
 
-    sentences = []
-    for sent in doc.sentences:
-        obj: dict = {"index": sent.index, "tokens": list(sent.tokens)}
-        if sent.label is not None:
-            obj["label"] = int(sent.label)
-        sentences.append(obj)
 
-    annotations = []
-    for ann in doc.annotations:  # kept in canonical order by DocumentRecord
-        obj = {
-            "id": ann.id,
-            "tag": _TAG_TEXT[ann.tag],
-            "sentence": ann.span.sentence,
-            "start": ann.span.start,
-            "end": ann.span.end,
-        }
-        if ann.events_from_comment:
-            obj["events"] = format_event_refs(ann.events)
-        else:
-            obj["events"] = sorted(ann.events)
-        if ann.confidence is not None:
-            obj["confidence"] = ann.confidence
-        if ann.comment is not None:
-            obj["comment"] = ann.comment
-        annotations.append(obj)
+# A corpus repeats a few event sets, so their texts are cached like _comment_events.
+@lru_cache(maxsize=256)
+def _events_json(events: frozenset[int], from_comment: bool) -> str:
+    if from_comment:
+        return _json_string(format_event_refs(events))
+    return f"[{','.join(map(str, sorted(events)))}]"
 
-    return {
-        "doc_id": doc.doc_id,
-        "labels": labels,
-        "sentences": sentences,
-        "annotations": annotations,
-    }
+
+def _annotation_json(ann: Annotation) -> str:
+    ann_id, tag, (sentence, start, end), events, confidence, comment, from_comment = ann
+    events_json = _events_json(events, from_comment)
+    confidence_json = "" if confidence is None else f',"confidence":{confidence!r}'
+    comment_json = "" if comment is None else f',"comment":{_json_string(comment)}'
+    return (
+        f'{{"id":{_json_string(ann_id)},"tag":{_TAG_JSON[tag]},"sentence":{sentence},'
+        f'"start":{start},"end":{end},"events":{events_json}{confidence_json}{comment_json}}}'
+    )
 
 
 def _document_line(doc: DocumentRecord) -> bytes:
     """One document as a canonical UTF-8 JSON line, ending in LF."""
-    text = json.dumps(document_to_obj(doc), ensure_ascii=False, separators=(",", ":"))
-    return (text + "\n").encode("utf-8")
+    doc_id, labels, sentences, annotations = doc
+    labels_json = ",".join([
+        texts[label] for texts, label in zip(_LABEL_JSON, labels) if label is not None
+    ])
+    sentences_json = ",".join([
+        f'{{"index":{index},"tokens":[{",".join(map(_json_string, tokens))}]'
+        f"{_SENTENCE_LABEL_JSON[label]}}}"
+        for index, tokens, label in sentences
+    ])
+    annotations_json = ",".join(map(_annotation_json, annotations))
+    return (
+        f'{{"doc_id":{_json_string(doc_id)},"labels":{{{labels_json}}},'
+        f'"sentences":[{sentences_json}],"annotations":[{annotations_json}]}}\n'
+    ).encode("utf-8")
 
 
 def serialize_corpus(docs: Iterable[DocumentRecord]) -> bytes:

@@ -24,7 +24,6 @@ import enum
 import re
 from collections import namedtuple
 from collections.abc import Iterable
-from itertools import repeat
 
 
 class ParseErrorKind(str, enum.Enum):
@@ -484,15 +483,14 @@ class SentenceRecord(_Validated, namedtuple("SentenceRecord", "index tokens labe
     ) -> SentenceRecord:
         if type(tokens) is list:
             tokens = tuple(tokens)
-        if (
-            type(tokens) is not tuple
-            or not tokens
-            or "" in tokens
-            or not all(map(isinstance, tokens, repeat(str)))
-        ):
+        try:
+            if type(tokens) is not tuple or not tokens or "" in tokens:
+                raise TypeError
+            "".join(tokens)  # raises TypeError unless every token is a str
+        except TypeError:
             raise InvariantError(
                 f"{_sentence_name(index)}: tokens must be a non-empty list of non-empty strings"
-            )
+            ) from None
         if label is not None:
             member = _SENTENCE_LABELS.get(label) if type(label) in _LABEL_TYPES else None
             if member is None:

@@ -1,13 +1,14 @@
 """Independent brute-force checkers: overlap licensing (rule E030),
 greedy span matching (token-level agreement), document pairing by doc_id
-and event assembly, down to every field of every event record.
+and event assembly, down to every field of every event record, and the
+canonical JSON object of a document, which the corpus writer is held to.
 
 This module deliberately re-states the licensing clauses one by one,
 the matcher's two passes, pairing through a dict of the whole second
-corpus, the manual's semantic pairing and attribute attachment, and never
-calls into glocon.lint, glocon.agreement or glocon.assemble: it is the
-oracle those modules are compared against.  Only the shared data model
-is imported.
+corpus, the manual's semantic pairing and attribute attachment and the
+corpus format's keys, and never calls into glocon.lint, glocon.agreement,
+glocon.assemble or glocon.io: it is the oracle those modules are compared
+against.  Only the shared data model is imported.
 """
 
 from __future__ import annotations
@@ -365,3 +366,46 @@ def dict_pair_corpora(a: Sequence[DocumentRecord], b: Sequence[DocumentRecord]) 
         [doc.doc_id for doc in b if doc.doc_id not in a_ids],
         mismatched,
     )
+
+
+def canonical_obj(doc: DocumentRecord) -> dict:
+    """The canonical JSON object of a document, restated key by key: the
+    corpus format's key order, absent optional fields left out, comment
+    events as their "Event N, ..." string and event lists sorted.  Its
+    ``json.dumps`` with ``ensure_ascii=False`` and compact separators is the
+    document's corpus line."""
+    labels = {
+        key: label.value
+        for key, label in zip(("protest", "violent", "demand"), doc.labels)
+        if label is not None
+    }
+    sentences = []
+    for sent in doc.sentences:
+        sentence = {"index": sent.index, "tokens": list(sent.tokens)}
+        if sent.label is not None:
+            sentence["label"] = int(sent.label)
+        sentences.append(sentence)
+    annotations = []
+    for ann in doc.annotations:
+        numbers = sorted(ann.events)
+        annotation = {
+            "id": ann.id,
+            "tag": ann.tag.value,
+            "sentence": ann.span.sentence,
+            "start": ann.span.start,
+            "end": ann.span.end,
+            "events": (
+                ", ".join(f"Event {n}" for n in numbers) if ann.events_from_comment else numbers
+            ),
+        }
+        if ann.confidence is not None:
+            annotation["confidence"] = ann.confidence
+        if ann.comment is not None:
+            annotation["comment"] = ann.comment
+        annotations.append(annotation)
+    return {
+        "doc_id": doc.doc_id,
+        "labels": labels,
+        "sentences": sentences,
+        "annotations": annotations,
+    }

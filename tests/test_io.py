@@ -32,6 +32,7 @@ from glocon.model import (
     TokenSpan,
     ViolenceLabel,
 )
+from oracle import canonical_obj
 from randdocs import random_corpus
 
 
@@ -395,6 +396,9 @@ SINGLE_DEFECT_LINES = [
     ("tokens_empty", _sent(tokens=[]), "d1", MALFORMED, TOKENS),
     ("token_empty_string", _sent(tokens=["Workers", ""]), "d1", MALFORMED, TOKENS),
     ("token_not_string", _sent(tokens=["Workers", 3]), "d1", MALFORMED, TOKENS),
+    ("token_array", _sent(tokens=[["a"]]), "d1", MALFORMED, TOKENS),
+    ("token_null", _sent(tokens=[None]), "d1", MALFORMED, TOKENS),
+    ("token_bool", _sent(tokens=[True]), "d1", MALFORMED, TOKENS),
     ("sentence_label_string", _sent(label="1"), "d1", "bad_label",
      "sentence 0: label must be 0, 1 or 2"),
     ("sentence_label_bool", _sent(label=True), "d1", "bad_label",
@@ -822,3 +826,102 @@ def test_whatever_the_constructors_accept_reads_back_equal(f):
     parsed = parse_corpus(data)
     assert parsed == ([doc], [])
     assert serialize_corpus(parsed[0]) == data
+
+
+# --------------------------------------------------------------------------
+# the writer, byte for byte against json.dumps of the oracle's canonical object
+
+
+def _dumped(docs) -> bytes:
+    return b"".join(
+        (json.dumps(canonical_obj(doc), ensure_ascii=False, separators=(",", ":")) + "\n").encode()
+        for doc in docs
+    )
+
+
+def test_writer_matches_json_dumps_on_random_documents():
+    docs = random_corpus(2000, 26)
+    assert serialize_corpus(docs) == _dumped(docs)
+
+
+@pytest.mark.parametrize("side", ["a", "b"])
+@pytest.mark.parametrize("name", ["bulk", "dense", "flat"])
+def test_writer_matches_json_dumps_on_the_bench_corpora(workload, name, side):
+    docs, _ = parse_corpus(workload(name, 1)[side])
+    assert serialize_corpus(docs) == _dumped(docs)
+
+
+# Characters JSON escapes or a writer might: the quote, the backslash, every
+# control character, DEL, the two line separators JavaScript rejects in a
+# string, and non-ASCII text in and beyond the Basic Multilingual Plane.
+_HOSTILE = st.text(
+    st.sampled_from(['"', "\\", *map(chr, range(0x20)), "\x7f", "\u2028", "\u2029",
+                     "é", "示", "\U0001F600", "a"])
+    | st.characters(codec="utf-8"),
+    max_size=5,
+)
+# A set of small ints iterates in hash order, which is not sorted once a
+# number passes the set's table size: {1, 8}, {3, 64} and {2, 9, 16} iterate
+# unsorted, so a writer that does not sort writes them wrong.
+_WRITTEN_EVENTS = [frozenset(s) for s in ({1}, {2, 3}, {1, 8}, {3, 64}, {2, 9, 16})]
+_CONFIDENCES = [None, 0, 1, 0.0, 1.0, 1e-06, 0.5, 0.123456]
+_LABEL_TRIPLES = [
+    DocumentLabels(),
+    DocumentLabels(ProtestLabel.NO_PROTEST),
+    *[DocumentLabels(ProtestLabel.PROTEST, violent, demand)
+      for violent in [None, *ViolenceLabel] for demand in [None, *DemandLabel]],
+]
+
+
+@st.composite
+def _hostile_documents(draw):
+    sentences = [
+        SentenceRecord(
+            index,
+            draw(st.lists(_HOSTILE.filter(bool), min_size=2, max_size=4)),
+            draw(st.sampled_from([None, *SentenceLabel])),
+        )
+        for index in range(draw(st.integers(1, 2)))
+    ]
+    annotations = [
+        Annotation(
+            ann_id,
+            draw(st.sampled_from(list(TagId))),
+            TokenSpan(0, draw(st.integers(0, 1)), 2),
+            draw(st.sampled_from(_WRITTEN_EVENTS)),
+            draw(st.sampled_from(_CONFIDENCES)),
+            draw(st.none() | _HOSTILE),
+            draw(st.booleans()),
+        )
+        for ann_id in draw(st.lists(_HOSTILE.filter(bool), max_size=4, unique=True))
+    ]
+    labels = draw(st.sampled_from(_LABEL_TRIPLES))
+    return DocumentRecord(draw(_HOSTILE.filter(bool)), labels, sentences, annotations)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_hostile_documents())
+def test_writer_matches_json_dumps_on_hostile_strings(doc):
+    assert any(list(events) != sorted(events) for events in _WRITTEN_EVENTS)
+    assert serialize_corpus([doc]) == _dumped([doc])
+
+
+@pytest.mark.parametrize("field", ["doc_id", "token", "annotation_id", "comment"])
+def test_a_lone_surrogate_is_not_written(tmp_path, field):
+    values = {"doc_id": "d", "token": "b", "annotation_id": "a1", "comment": None}
+    values[field] = "x\ud800"
+    bad = DocumentRecord(
+        values["doc_id"],
+        sentences=[SentenceRecord(0, ["a", values["token"]])],
+        annotations=[
+            Annotation(values["annotation_id"], TagId.EVENT_TYPE, TokenSpan(0, 0, 1),
+                       comment=values["comment"])
+        ],
+    )
+    with pytest.raises(UnicodeEncodeError):
+        serialize_corpus([bad])
+    good = random_corpus(2, 26)
+    path = tmp_path / "corpus.glocon.jsonl"
+    with pytest.raises(UnicodeEncodeError):
+        save_corpus(str(path), [good[0], bad, good[1]])
+    assert path.read_bytes() == serialize_corpus(good[:1])

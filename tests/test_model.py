@@ -333,6 +333,14 @@ def test_sentence_record_rejects_a_label_outside_the_vocabulary(label):
     assert raised.value.kind is ParseErrorKind.BAD_LABEL
 
 
+def test_sentence_record_accepts_a_str_subclass_token():
+    class Token(str):
+        pass
+
+    sentence = SentenceRecord(0, ["a", Token("b")])
+    assert sentence.tokens == ("a", "b") and type(sentence.tokens[1]) is Token
+
+
 def test_direct_construction_coerces_sequences_and_labels():
     sentence = SentenceRecord(0, ["a"], 1)
     assert type(sentence.tokens) is tuple and sentence.tokens == ("a",)
