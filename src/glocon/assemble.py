@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import csv
 import io as _stdio
-import json
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Sequence
+from json.encoder import encode_basestring as _json_string
 from operator import attrgetter, itemgetter
 
 from .model import (
@@ -271,11 +271,12 @@ EXPORT_COLUMNS = (
     "targets",
     *(f"doc_{key}" for key in DOC_LABELS),
 )
+# One event as exported: a str cell per column.
+ExportRow = namedtuple("ExportRow", EXPORT_COLUMNS)
 _text = attrgetter("text")
-_cells = itemgetter(*EXPORT_COLUMNS)  # a row's fields in column order
 
 
-def export_rows(records: Iterable[EventRecord]) -> list[dict[str, str]]:
+def export_rows(records: Iterable[EventRecord]) -> list[ExportRow]:
     """Flatten event records into export rows, ordered by (doc_id, event_number).
 
     List-valued fields are joined with ``|``; optional fields render as
@@ -288,41 +289,42 @@ def export_rows(records: Iterable[EventRecord]) -> list[dict[str, str]]:
          participants, organizers, _, record_labels) = record
         if record_labels is not labels:  # a document's records share one DocumentLabels
             labels = record_labels
-            label_cells = {}
-            for key in DOC_LABELS:
-                label = getattr(labels, key)
-                label_cells[f"doc_{key}"] = "" if label is None else label_text(label)
-        rows.append({
-            "doc_id": doc_id,
-            "event_number": str(number),
-            "semantic_category": category or "",
-            "triggers": "|".join(map(_text, triggers)),
-            "times": "|".join(map(_text, times)),
-            "places": "|".join(map(_text, places)),
-            "facilities": "|".join(map(_text, facilities)),
-            "urban_rural": "|".join(map(_text, markers)),
-            "participants": "|".join(map(_text, participants)),
-            "participant_semantics": "|".join([p.semantic or "" for p in participants]),
-            "organizers": "|".join(map(_text, organizers)),
-            "organizer_semantics": "|".join([o.semantic or "" for o in organizers]),
-            "targets": "|".join(map(_text, targets)),
-            **label_cells,
-        })
+            # a DocumentLabels holds its labels in DOC_LABELS order, as the columns
+            label_cells = tuple(["" if label is None else label_text(label) for label in labels])
+        rows.append(ExportRow(
+            doc_id,
+            str(number),
+            category or "",
+            "|".join(map(_text, triggers)),
+            "|".join(map(_text, times)),
+            "|".join(map(_text, places)),
+            "|".join(map(_text, facilities)),
+            "|".join(map(_text, markers)),
+            "|".join(map(_text, participants)),
+            "|".join([p.semantic or "" for p in participants]),
+            "|".join(map(_text, organizers)),
+            "|".join([o.semantic or "" for o in organizers]),
+            "|".join(map(_text, targets)),
+            *label_cells,
+        ))
     return rows
 
 
 def assemble_rendered(
-    docs: Iterable[DocumentRecord], render: Callable[[list[dict[str, str]]], str]
+    docs: Iterable[DocumentRecord], render: Callable[[list[ExportRow]], str]
 ) -> tuple[dict[str, str], int, int]:
     """The one assemble loop: each document's export rows passed through
     ``render``, by doc_id (none for a document without events), the number
-    of rows, and the number of documents."""
+    of rows, and the number of documents.  A doc_id that repeats with rows
+    raises ValueError."""
     held: dict[str, str] = {}
     events = documents = 0
     for doc in docs:
         documents += 1
         rows = export_rows(assemble_events(doc))
         if rows:
+            if doc.doc_id in held:
+                raise ValueError(f"doc_id {doc.doc_id!r} repeats")
             events += len(rows)
             held[doc.doc_id] = render(rows)
     return held, events, documents
@@ -340,33 +342,26 @@ def write_assembled(held: dict[str, str], header: str, out: TextIO) -> None:
 CSV_HEADER = ",".join(EXPORT_COLUMNS) + "\n"
 
 
-def csv_rows(rows: Iterable[dict[str, str]]) -> str:
-    """RFC 4180 CSV lines of export rows, without the header.
-
-    A row is read as ``csv.DictWriter`` reads it: a missing column renders
-    as an empty field and a key outside ``EXPORT_COLUMNS`` raises ValueError.
-    """
-    rows = list(rows)
+def csv_rows(rows: Iterable[ExportRow]) -> str:
+    """RFC 4180 CSV lines of export rows, without the header."""
     buf = _stdio.StringIO()
-    # a row with every column and no more keys is written as its column tuple
-    if sum(map(len, rows)) == len(rows) * len(EXPORT_COLUMNS):
-        try:
-            csv.writer(buf, lineterminator="\n").writerows(map(_cells, rows))
-            return buf.getvalue()
-        except KeyError:  # a row lacks a column, so another has extra keys
-            buf = _stdio.StringIO()
-    csv.DictWriter(buf, fieldnames=EXPORT_COLUMNS, lineterminator="\n").writerows(rows)
+    csv.writer(buf, lineterminator="\n").writerows(rows)
     return buf.getvalue()
 
 
-def rows_to_csv(rows: Iterable[dict[str, str]]) -> str:
+def rows_to_csv(rows: Iterable[ExportRow]) -> str:
     """RFC 4180 CSV with a header row (header-only for an empty export)."""
     return CSV_HEADER + csv_rows(rows)
 
 
-# json.dumps builds an encoder on every call that passes options
-_encode_json = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
+# Each cell's '"column":' prefix, in column order: the names need no escaping.
+_JSON_KEYS = [f'"{column}":' for column in EXPORT_COLUMNS]
 
 
-def rows_to_jsonl(rows: Iterable[dict[str, str]]) -> str:
-    return "".join([_encode_json(row) + "\n" for row in rows])
+def rows_to_jsonl(rows: Iterable[ExportRow]) -> str:
+    """One JSON object per row, as ``json.dumps(row._asdict(), ensure_ascii=False,
+    separators=(",", ":"))`` writes it, each cell through json's C string encoder."""
+    return "".join([
+        "{" + ",".join(map(str.__add__, _JSON_KEYS, map(_json_string, row))) + "}\n"
+        for row in rows
+    ])

@@ -73,11 +73,13 @@ class Stats:
 
 
 def corpus_stats(docs: Iterable[DocumentRecord]) -> Stats:
-    """Deterministic counts over a corpus."""
+    """Deterministic counts over a corpus; a repeated doc_id raises ValueError."""
     stats = Stats()
     # counted by member, then named once per member: enum .value is slow
     sentence_labels, tags = Counter(), Counter()
     for doc in docs:
+        if doc.doc_id in stats.events_per_doc:
+            raise ValueError(f"doc_id {doc.doc_id!r} repeats")
         stats.documents += 1
         stats.sentences += len(doc.sentences)
         stats.annotations += len(doc.annotations)

@@ -177,12 +177,10 @@ class Lexicons:
         self.estimation_qualifiers = tuple(estimation_qualifiers)
         self.token_event_words = frozenset(w.casefold() for w in token_event_words)
         self.countries = frozenset(c.casefold() for c in countries)
+        # the qualifiers as W131 matches them: casefolded token sequences
         self._qualifier_seqs = tuple(
             tuple(q.casefold().split()) for q in self.estimation_qualifiers
         )
-
-    def qualifier_token_sequences(self) -> tuple[tuple[str, ...], ...]:
-        return self._qualifier_seqs
 
 
 class ConfigError(ValueError):
@@ -634,7 +632,7 @@ def _country_as_place(idx: _DocIndex) -> Iterator[Finding]:
 
 @rule("W131", Severity.WARNING, "participant_count span begins with an estimation qualifier")
 def _estimated_count(idx: _DocIndex) -> Iterator[Finding]:
-    qualifier_seqs = idx.lexicons.qualifier_token_sequences()
+    qualifier_seqs = idx.lexicons._qualifier_seqs
     count = TagId.PARTICIPANT_COUNT  # bound once: enum member access is slow
     for ann in idx.anns:
         if ann.tag is not count:

@@ -4,12 +4,15 @@ The generator is adversarial rather than realistic: it mixes uniformly
 random spans with deliberately patterned constructs (coterminous
 semantic pairs, contained attributes, facility/target twins, a document
 title overlay) so that every licensing clause of the overlap rules gets
-exercised on both the licensed and the unlicensed side.
+exercised on both the licensed and the unlicensed side.  ``HOSTILE_TEXT``
+draws the strings a writer must escape, for the writers' hypothesis tests.
 """
 
 from __future__ import annotations
 
 import random
+
+from hypothesis import strategies as st
 
 from glocon.model import (
     Annotation,
@@ -22,6 +25,16 @@ from glocon.model import (
     TagId,
     TokenSpan,
     ViolenceLabel,
+)
+
+# Characters JSON escapes or a writer might: the quote, the backslash, every
+# control character, DEL, the two line separators JavaScript rejects in a
+# string, and non-ASCII text in and beyond the Basic Multilingual Plane.
+HOSTILE_TEXT = st.text(
+    st.sampled_from(['"', "\\", *map(chr, range(0x20)), "\x7f", "\u2028", "\u2029",
+                     "é", "示", "\U0001F600", "a"])
+    | st.characters(codec="utf-8"),
+    max_size=5,
 )
 
 _VOCAB = (

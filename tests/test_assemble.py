@@ -4,15 +4,19 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from glocon.assemble import (
     assemble_events,
+    assemble_rendered,
     check_separation,
     csv_rows,
     export_rows,
     rows_to_csv,
     rows_to_jsonl,
     EXPORT_COLUMNS,
+    ExportRow,
 )
 from glocon.io import parse_corpus, serialize_corpus
 from glocon.lint import validate_document
@@ -32,7 +36,7 @@ from oracle import (
     brute_force_records,
     brute_force_semantic,
 )
-from randdocs import random_document
+from randdocs import HOSTILE_TEXT, random_document
 
 
 def _doc(doc_id, sentences, annotations, labels=DocumentLabels()):
@@ -344,19 +348,19 @@ class TestExport:
         rows = export_rows(assemble_events(bjp_doc))
         assert len(rows) == 2
         first, second = rows
-        assert first["triggers"] == "gathered|shouted slogans"
-        assert first["times"] == "At noon"
-        assert first["organizers"] == "BJP"
-        assert first["organizer_semantics"] == "political_party"
-        assert first["participants"] == "workers"
-        assert first["participant_semantics"] == "people"
-        assert first["targets"] == "Union Government"
-        assert first["doc_protest"] == "protest"
-        assert first["doc_violent"] == "violent"
-        assert first["doc_demand"] == ""
-        assert second["times"] == "last year's"
-        assert second["facilities"] == "at the train station"
-        assert second["semantic_category"] == "armed_militancy"
+        assert first.triggers == "gathered|shouted slogans"
+        assert first.times == "At noon"
+        assert first.organizers == "BJP"
+        assert first.organizer_semantics == "political_party"
+        assert first.participants == "workers"
+        assert first.participant_semantics == "people"
+        assert first.targets == "Union Government"
+        assert first.doc_protest == "protest"
+        assert first.doc_violent == "violent"
+        assert first.doc_demand == ""
+        assert second.times == "last year's"
+        assert second.facilities == "at the train station"
+        assert second.semantic_category == "armed_militancy"
 
     def test_empty_export_is_header_only(self):
         assert rows_to_csv([]) == ",".join(EXPORT_COLUMNS) + "\n"
@@ -374,12 +378,12 @@ class TestExport:
             ],
         )
         rows = export_rows(assemble_events(doc))
-        assert [row["triggers"] for row in rows] == ["marched", "marched"]
+        assert [row.triggers for row in rows] == ["marched", "marched"]
 
     def test_rows_sorted_by_doc_and_event(self, bjp_doc, karnataka):
         records = assemble_events(karnataka) + assemble_events(bjp_doc)
         rows = export_rows(records)
-        keys = [(row["doc_id"], int(row["event_number"])) for row in rows]
+        keys = [(row.doc_id, int(row.event_number)) for row in rows]
         assert keys == sorted(keys)
 
     def test_csv_quoting_round_trip(self):
@@ -397,26 +401,35 @@ class TestExport:
         parsed = list(csv.DictReader(io.StringIO(text)))
         assert parsed[0]["triggers"] == 'marched|shouting " enough "'
 
-    def test_csv_rows_takes_missing_keys_as_empty_and_rejects_unknown_ones(self):
-        assert csv_rows([{"doc_id": "d"}]) == "d" + "," * (len(EXPORT_COLUMNS) - 1) + "\n"
-        assert csv_rows([{"event_number": "2", "doc_demand": "x"}]) == ",2" + "," * 14 + "x\n"
-        assert csv_rows([]) == ""
-        row = {**dict.fromkeys(EXPORT_COLUMNS, ""), "extra": ""}
-        for rows in ([row], [{"doc_id": "d"}, row], [dict.fromkeys(EXPORT_COLUMNS[1:], ""), row]):
-            with pytest.raises(ValueError, match="dict contains fields not in fieldnames: 'extra'"):
-                csv_rows(rows)
+    def test_rows_are_export_rows_of_the_columns(self, bjp_doc):
+        rows = export_rows(assemble_events(bjp_doc))
+        assert rows and all(type(row) is ExportRow for row in rows)
+        assert ExportRow._fields == EXPORT_COLUMNS
+        assert all(type(cell) is str for row in rows for cell in row)
+
+    def test_a_repeated_doc_id_with_rows_raises(self, bjp_doc):
+        held, events, documents = assemble_rendered([bjp_doc], csv_rows)
+        assert (list(held), events, documents) == (["bjp-square"], 2, 1)
+        with pytest.raises(ValueError, match="doc_id 'bjp-square' repeats"):
+            assemble_rendered([bjp_doc, bjp_doc], csv_rows)
+        # a document without rows adds nothing, so its repeat changes nothing
+        empty = _doc("empty", [sent(0, "Nothing happened .")], [])
+        assert assemble_rendered([empty, empty], csv_rows) == ({}, 0, 2)
 
 
 def _reference_csv(rows):
-    """CSV lines of export rows as ``csv.DictWriter`` writes them."""
+    """CSV lines of export rows as ``csv.DictWriter`` writes their dicts."""
     buf = io.StringIO()
-    csv.DictWriter(buf, fieldnames=EXPORT_COLUMNS, lineterminator="\n").writerows(rows)
+    csv.DictWriter(buf, fieldnames=EXPORT_COLUMNS, lineterminator="\n").writerows(
+        row._asdict() for row in rows
+    )
     return buf.getvalue()
 
 
 def _reference_jsonl(rows):
     return "".join(
-        json.dumps(row, ensure_ascii=False, separators=(",", ":")) + "\n" for row in rows
+        json.dumps(row._asdict(), ensure_ascii=False, separators=(",", ":")) + "\n"
+        for row in rows
     )
 
 
@@ -427,7 +440,8 @@ def _assert_reference_bytes(rows):
 
 
 class TestExportBytes:
-    """The writers print exactly what ``csv.DictWriter`` and ``json.dumps`` print."""
+    """The writers print exactly what ``csv.DictWriter`` and ``json.dumps`` print
+    for the rows' ``_asdict()``."""
 
     @pytest.mark.parametrize("name", ["bulk", "dense", "flat"])
     def test_bench_rows(self, workload, name):
@@ -449,6 +463,19 @@ class TestExportBytes:
             )
             rows = export_rows(assemble_events(doc._replace(sentences=sentences)))
             _assert_reference_bytes(rows)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.lists(HOSTILE_TEXT.filter(bool), min_size=1, max_size=6),
+           HOSTILE_TEXT.filter(bool))
+    def test_hostile_strings(self, seed, hostile, doc_id):
+        rng = random.Random(seed)
+        doc = random_document(rng)
+        sentences = tuple(
+            s._replace(tokens=[rng.choice(hostile + [token]) for token in s.tokens])
+            for s in doc.sentences
+        )
+        rows = export_rows(assemble_events(doc._replace(doc_id=doc_id, sentences=sentences)))
+        _assert_reference_bytes(rows)
 
 
 class TestAssemblyProperties:

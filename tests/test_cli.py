@@ -44,6 +44,10 @@ class TestStats:
         assert stats.tag_counts["event_mention"] == 2
         assert stats.doc_labels["protest"] == {"protest": 1}
 
+    def test_a_repeated_doc_id_raises(self, bjp_doc, karnataka):
+        with pytest.raises(ValueError, match="doc_id 'bjp-square' repeats"):
+            corpus_stats([bjp_doc, karnataka, bjp_doc])
+
     def test_counts_match_recount(self):
         from randdocs import random_corpus
 

@@ -33,7 +33,7 @@ from glocon.model import (
     ViolenceLabel,
 )
 from oracle import canonical_obj
-from randdocs import random_corpus
+from randdocs import HOSTILE_TEXT, random_corpus
 
 
 class TestEventRefs:
@@ -851,15 +851,6 @@ def test_writer_matches_json_dumps_on_the_bench_corpora(workload, name, side):
     assert serialize_corpus(docs) == _dumped(docs)
 
 
-# Characters JSON escapes or a writer might: the quote, the backslash, every
-# control character, DEL, the two line separators JavaScript rejects in a
-# string, and non-ASCII text in and beyond the Basic Multilingual Plane.
-_HOSTILE = st.text(
-    st.sampled_from(['"', "\\", *map(chr, range(0x20)), "\x7f", "\u2028", "\u2029",
-                     "é", "示", "\U0001F600", "a"])
-    | st.characters(codec="utf-8"),
-    max_size=5,
-)
 # A set of small ints iterates in hash order, which is not sorted once a
 # number passes the set's table size: {1, 8}, {3, 64} and {2, 9, 16} iterate
 # unsorted, so a writer that does not sort writes them wrong.
@@ -878,7 +869,7 @@ def _hostile_documents(draw):
     sentences = [
         SentenceRecord(
             index,
-            draw(st.lists(_HOSTILE.filter(bool), min_size=2, max_size=4)),
+            draw(st.lists(HOSTILE_TEXT.filter(bool), min_size=2, max_size=4)),
             draw(st.sampled_from([None, *SentenceLabel])),
         )
         for index in range(draw(st.integers(1, 2)))
@@ -890,13 +881,13 @@ def _hostile_documents(draw):
             TokenSpan(0, draw(st.integers(0, 1)), 2),
             draw(st.sampled_from(_WRITTEN_EVENTS)),
             draw(st.sampled_from(_CONFIDENCES)),
-            draw(st.none() | _HOSTILE),
+            draw(st.none() | HOSTILE_TEXT),
             draw(st.booleans()),
         )
-        for ann_id in draw(st.lists(_HOSTILE.filter(bool), max_size=4, unique=True))
+        for ann_id in draw(st.lists(HOSTILE_TEXT.filter(bool), max_size=4, unique=True))
     ]
     labels = draw(st.sampled_from(_LABEL_TRIPLES))
-    return DocumentRecord(draw(_HOSTILE.filter(bool)), labels, sentences, annotations)
+    return DocumentRecord(draw(HOSTILE_TEXT.filter(bool)), labels, sentences, annotations)
 
 
 @settings(max_examples=300, deadline=None)
