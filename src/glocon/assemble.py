@@ -22,7 +22,6 @@ records (trigger-less events are flagged by :func:`check_separation`).
 from __future__ import annotations
 
 import csv
-import io as _stdio
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Sequence
 from json.encoder import encode_basestring as _json_string
@@ -342,11 +341,22 @@ def write_assembled(held: dict[str, str], header: str, out: TextIO) -> None:
 CSV_HEADER = ",".join(EXPORT_COLUMNS) + "\n"
 
 
+class _LineOf:
+    """A file whose ``write`` returns the text it is given, so that a csv
+    writer's ``writerow`` returns the row's line."""
+
+    write = staticmethod(str)
+
+
+# csv quotes a cell only for the characters of its line terminator, so a
+# "\n" writer would leave a lone "\r" bare; this writer quotes for both.
+_CRLF_LINE = csv.writer(_LineOf(), lineterminator="\r\n")
+
+
 def csv_rows(rows: Iterable[ExportRow]) -> str:
-    """RFC 4180 CSV lines of export rows, without the header."""
-    buf = _stdio.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
-    return buf.getvalue()
+    """RFC 4180 CSV lines of export rows, without the header, each ending in
+    "\n".  A cell is quoted if it holds a ``,``, a ``"``, a "\n" or a "\r"."""
+    return "".join([_CRLF_LINE.writerow(row)[:-2] + "\n" for row in rows])
 
 
 def rows_to_csv(rows: Iterable[ExportRow]) -> str:

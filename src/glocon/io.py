@@ -29,17 +29,20 @@ caller's stack.
 Serialization is canonical: keys in the order shown above, annotations
 sorted by (sentence, start, end, tag, event numbers, id), compact
 separators, LF line endings.  Each line's text is written directly, as
-``json.dumps`` with ``ensure_ascii=False`` would write it: strings through
+json's encoder with ``ensure_ascii=False`` would write it: strings through
 json's C string encoder, with no ASCII escaping, integers through ``str``
 and confidences through ``float.__repr__``.  :func:`serialize_corpus` and
 :func:`save_corpus` share that one line writer; ``save_corpus`` writes
-each document's line as it is made.
+each document's line as it is made, to a file that replaces ``path`` once
+the last is written.
 ``parse_corpus(serialize_corpus(docs))`` reproduces ``docs`` exactly.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import stat
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from functools import lru_cache
@@ -64,6 +67,7 @@ from .model import (
     parse_event_refs,
     resolve_tag,
     span_error,
+    utf8_encodable,
 )
 
 
@@ -85,10 +89,10 @@ class CorpusDecodeError(Exception):
         self.line = line
 
 
-# The parser only decodes: valid JSON whose strings encode as UTF-8, the
-# allowed keys, objects and arrays where the format has them, the tag names
-# and label texts, and the events comment form.  It passes every field value
-# to the model constructors, which check its type and value.  Both raise
+# The parser only decodes: valid JSON, the allowed keys, objects and arrays
+# where the format has them, the tag names and label texts, and the events
+# comment form.  It passes every field value to the model constructors, which
+# check its type and value, UTF-8 encodability of a string included.  Both raise
 # InvariantError with the line's ParseErrorKind; the parser prefixes an
 # annotation's tag, span type and events errors with its annotation_name.
 
@@ -192,21 +196,14 @@ def _parse_document(obj: object) -> DocumentRecord:
 
 
 def _decode(line: str) -> object:
-    """The JSON value of one line; a string that UTF-8 cannot encode (a lone
-    surrogate) rejects the line, since the document could not be written back.
-    Strict UTF-8 decoding yields no surrogates, so only a ``\\u`` escape can
-    put one into a line, and only such lines are re-encoded."""
+    """The JSON value of one line.  A ``\\u`` escape may make a string that
+    UTF-8 cannot encode; the constructor of the field that keeps it rejects it."""
     try:
-        obj = json.loads(line)
-        if "\\u" in line:
-            json.dumps(obj, ensure_ascii=False).encode("utf-8")
+        return json.loads(line)
     except json.JSONDecodeError as exc:
         raise InvariantError(f"invalid JSON: {exc.msg}") from None
-    except UnicodeEncodeError:
-        raise InvariantError("string with a lone surrogate, not encodable as UTF-8") from None
     except ValueError:  # an integer literal past the interpreter's digit limit
         raise InvariantError("invalid JSON: integer literal too long") from None
-    return obj
 
 
 # A well-formed record nests 4 deep and a lint config 3.  json.loads raises
@@ -231,7 +228,9 @@ def _rejection(lineno: int, line: str, obj: object, exc: Exception) -> ParseErro
     if isinstance(exc, RecursionError) or nests_too_deep(line):
         return ParseError(lineno, None, ParseErrorKind.MALFORMED_RECORD, TOO_DEEP)
     doc_id = obj.get("doc_id") if type(obj) is dict else None
-    return ParseError(lineno, doc_id if type(doc_id) is str else None, exc.kind, str(exc))
+    if type(doc_id) is not str or not utf8_encodable(doc_id):
+        doc_id = None  # no raw JSON value names a document, nor a string UTF-8 cannot encode
+    return ParseError(lineno, doc_id, exc.kind, str(exc))
 
 
 def iter_corpus(lines: Iterable[bytes], errors: list[ParseError]) -> Iterator[DocumentRecord]:
@@ -336,6 +335,33 @@ def load_corpus(path: str) -> tuple[list[DocumentRecord], list[ParseError]]:
 
 
 def save_corpus(path: str, docs: Iterable[DocumentRecord]) -> None:
-    """Write documents as :func:`serialize_corpus` does, one line at a time."""
-    with open(path, "wb") as handle:
-        handle.writelines(map(_document_line, docs))
+    """Write documents as :func:`serialize_corpus` does, one line at a time.
+
+    The lines go to a new file beside ``path`` that is synced and then
+    replaces it, with the mode ``open(path, "wb")`` would leave; a symbolic
+    link is written through, as that would.  So ``docs`` may stream from
+    ``path`` itself, and an exception leaves ``path`` as it was and no new
+    file.  ``path`` must be a regular file or not exist: anything else (a
+    directory, a device, a pipe) raises ``ValueError`` before a file is made.
+    """
+    path = os.path.realpath(path)
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        mode = None  # a new file takes the umask's mode, as the temp file does
+    else:
+        if not stat.S_ISREG(mode):
+            raise ValueError(f"not a regular file: {path!r}")
+    temp = f"{path}.{os.urandom(6).hex()}.tmp"
+    handle = open(temp, "xb")
+    try:
+        with handle:
+            handle.writelines(map(_document_line, docs))
+            handle.flush()
+            os.fsync(handle.fileno())
+        if mode is not None:  # writing over an existing file keeps its mode
+            os.chmod(temp, mode & 0o7777)
+        os.replace(temp, path)
+    except BaseException:
+        os.remove(temp)
+        raise

@@ -13,9 +13,7 @@ being repaired; the error's ``kind`` says which :class:`ParseErrorKind`
 a corpus line that holds such a value is rejected as, and its message
 is the one such a line gets.  So a document built with these
 constructors, whatever values they accept, is written by
-``save_corpus`` and read back equal by ``load_corpus``, provided its
-strings encode as UTF-8 (a lone surrogate is rejected only by the
-parser).
+``save_corpus`` and read back equal by ``load_corpus``.
 """
 
 from __future__ import annotations
@@ -343,10 +341,28 @@ class TokenSpan(_Validated, namedtuple("TokenSpan", "sentence start end")):
         return tuple.__new__(cls, (sentence, start, end))
 
 
+_NOT_UTF8 = "string with a lone surrogate, not encodable as UTF-8"
+
+
+def utf8_encodable(text: str) -> bool:
+    """Whether UTF-8 encodes ``text``, as a corpus line needs; a lone
+    surrogate, which a ``\\ud800``-style JSON escape makes, it cannot."""
+    if text.isascii():
+        return True
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def annotation_name(ann_id: object) -> str:
     """How a rejection names an annotation: by its id if that is a non-empty
-    string, else not at all, so that no raw JSON value is quoted as a name."""
-    return f"annotation {ann_id}" if type(ann_id) is str and ann_id else "annotation"
+    string that UTF-8 encodes, else not at all, so that no raw JSON value is
+    quoted as a name."""
+    if type(ann_id) is str and ann_id and utf8_encodable(ann_id):
+        return f"annotation {ann_id}"
+    return "annotation"
 
 
 def span_error(
@@ -420,6 +436,8 @@ class Annotation(
     ) -> Annotation:
         if type(id) is not str or not id:
             raise InvariantError("annotation id must be a non-empty string")
+        if not utf8_encodable(id):
+            raise InvariantError(_NOT_UTF8)
         if not isinstance(tag, TagId):
             raise InvariantError(f"tag must be a TagId, got {tag!r}")
         if not isinstance(span, TokenSpan):
@@ -455,8 +473,11 @@ class Annotation(
                 raise InvariantError(
                     f"annotation {id}: confidence {confidence!r} has more than 6 fractional digits"
                 )
-        if comment is not None and type(comment) is not str:
-            raise InvariantError(f"annotation {id}: comment must be a string")
+        if comment is not None:
+            if type(comment) is not str:
+                raise InvariantError(f"annotation {id}: comment must be a string")
+            if not utf8_encodable(comment):
+                raise InvariantError(_NOT_UTF8)
         if events_from_comment is not True and events_from_comment is not False:
             raise InvariantError(f"annotation {id}: events_from_comment must be a bool")
         return tuple.__new__(cls, (id, tag, span, events, confidence, comment, events_from_comment))
@@ -486,11 +507,13 @@ class SentenceRecord(_Validated, namedtuple("SentenceRecord", "index tokens labe
         try:
             if type(tokens) is not tuple or not tokens or "" in tokens:
                 raise TypeError
-            "".join(tokens)  # raises TypeError unless every token is a str
+            text = "".join(tokens)  # raises TypeError unless every token is a str
         except TypeError:
             raise InvariantError(
                 f"{_sentence_name(index)}: tokens must be a non-empty list of non-empty strings"
             ) from None
+        if not utf8_encodable(text):
+            raise InvariantError(_NOT_UTF8)
         if label is not None:
             member = _SENTENCE_LABELS.get(label) if type(label) in _LABEL_TYPES else None
             if member is None:
@@ -564,6 +587,8 @@ class DocumentRecord(
     ) -> DocumentRecord:
         if type(doc_id) is not str or not doc_id:
             raise InvariantError("doc_id must be a non-empty string")
+        if not utf8_encodable(doc_id):
+            raise InvariantError(_NOT_UTF8)
         if not isinstance(labels, DocumentLabels):
             raise InvariantError("labels must be a DocumentLabels")
         if type(sentences) is not tuple:

@@ -418,12 +418,17 @@ class TestExport:
 
 
 def _reference_csv(rows):
-    """CSV lines of export rows as ``csv.DictWriter`` writes their dicts."""
-    buf = io.StringIO()
-    csv.DictWriter(buf, fieldnames=EXPORT_COLUMNS, lineterminator="\n").writerows(
-        row._asdict() for row in rows
-    )
-    return buf.getvalue()
+    """CSV lines of export rows as ``csv.DictWriter`` writes their dicts with
+    the line terminator "\r\n", which has it quote a cell holding a "\r" as
+    well as one holding a "\n", each line then ending in "\n"."""
+    lines = []
+    for row in rows:
+        buf = io.StringIO()
+        csv.DictWriter(buf, fieldnames=EXPORT_COLUMNS, lineterminator="\r\n").writerow(
+            row._asdict()
+        )
+        lines.append(buf.getvalue().removesuffix("\r\n") + "\n")
+    return "".join(lines)
 
 
 def _reference_jsonl(rows):
@@ -442,6 +447,18 @@ def _assert_reference_bytes(rows):
 class TestExportBytes:
     """The writers print exactly what ``csv.DictWriter`` and ``json.dumps`` print
     for the rows' ``_asdict()``."""
+
+    @pytest.mark.parametrize("token", ["mar\rched", "mar\nched", "mar\r\nched", "\r", "a,\rb"])
+    def test_csv_reads_back_the_jsonl_cells_when_a_token_breaks_a_line(self, bjp_doc, token):
+        sentences = tuple(
+            s._replace(tokens=[token if t == "gathered" else t for t in s.tokens])
+            for s in bjp_doc.sentences
+        )
+        rows = export_rows(assemble_events(bjp_doc._replace(sentences=sentences)))
+        assert any(token in cell for row in rows for cell in row)
+        with_csv = list(csv.reader(io.StringIO(rows_to_csv(rows), newline="")))
+        with_jsonl = [list(json.loads(line).values()) for line in rows_to_jsonl(rows).splitlines()]
+        assert with_csv == [list(EXPORT_COLUMNS), *with_jsonl]
 
     @pytest.mark.parametrize("name", ["bulk", "dense", "flat"])
     def test_bench_rows(self, workload, name):
