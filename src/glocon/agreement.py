@@ -214,14 +214,16 @@ def _kappa(level: AgreementLevel, counts: Counter, skipped: int) -> KappaResult:
 
 
 def label_kappas(
-    pairs: Iterable[tuple[DocumentRecord, DocumentRecord]], levels: Sequence[AgreementLevel]
+    pairs: Iterable[tuple[DocumentRecord, DocumentRecord]],
+    levels: Sequence[AgreementLevel | str],
 ) -> list[KappaResult]:
-    """Cohen's kappa over paired documents at each of ``levels``, reading
-    ``pairs`` once.
+    """Cohen's kappa over paired documents at each of ``levels`` (members or
+    their values; any other value raises ValueError), reading ``pairs`` once.
 
     Items where either annotator left the label unset are skipped (and
     counted in the result).
     """
+    levels = [AgreementLevel(level) for level in levels]
     counts = {level: Counter() for level in levels}
     skipped = dict.fromkeys(levels, 0)
     for doc_a, doc_b in pairs:
@@ -235,7 +237,7 @@ def label_kappas(
 
 
 def label_kappa(
-    pairs: Iterable[tuple[DocumentRecord, DocumentRecord]], level: AgreementLevel
+    pairs: Iterable[tuple[DocumentRecord, DocumentRecord]], level: AgreementLevel | str
 ) -> KappaResult:
     """Cohen's kappa over paired documents at the given level."""
     return label_kappas(pairs, (level,))[0]
@@ -319,10 +321,12 @@ def _match_document(
 
 def span_prf(
     pairs: Iterable[tuple[DocumentRecord, DocumentRecord]],
-    mode: MatchMode = MatchMode.STRICT,
+    mode: MatchMode | str = MatchMode.STRICT,
 ) -> PRFReport:
     """Span-level precision/recall/F1 of each pair's second document (the
-    hypothesis) against its first (the reference), reading ``pairs`` once."""
+    hypothesis) against its first (the reference), reading ``pairs`` once.
+    ``mode`` may be given by value; any other value raises ValueError."""
+    mode = MatchMode(mode)
     tp: dict[TagId, int] = {}
     fp: dict[TagId, int] = {}
     fn: dict[TagId, int] = {}

@@ -227,13 +227,17 @@ def check_separation(records: Sequence[EventRecord]) -> list[Diagnostic]:
     separation axes (time, place, facility, actors, semantic category),
     and E020 + W141 for events realized without any trigger.
     """
-    from .lint import Diagnostic, diagnostic  # here, so `glocon assemble` never loads lint
+    from .lint import CATALOG, Diagnostic  # here, so `glocon assemble` never loads lint
 
     diagnostics: list[Diagnostic] = []
 
     def emit(rule_id: str, record: EventRecord, message: str) -> None:
         span = _location(record)
-        diagnostics.append(diagnostic(rule_id, record.doc_id, (span.sentence, span, (), message)))
+        diagnostics.append(
+            Diagnostic(
+                rule_id, CATALOG[rule_id].severity, record.doc_id, span.sentence, span, (), message
+            )
+        )
 
     for record in records:
         if not record.triggers:

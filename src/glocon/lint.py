@@ -15,7 +15,9 @@ title test that assembly uses.
 Severities can be overridden and rules disabled per run through
 :class:`LintConfig`.  The lexicons (articles, estimation qualifiers,
 token event words, country gazetteer) default to the English lists and
-can be replaced for other corpus languages.
+can be replaced for other corpus languages.  The ``LintConfig`` and
+``Lexicons`` constructors check every field, and a config resolves its
+``rules`` once.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import enum
 import json
 import unicodedata
 from collections import Counter, defaultdict, namedtuple
-from collections.abc import Callable, Iterable, Iterator, Mapping
+from collections.abc import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _json_string
 
@@ -154,8 +156,17 @@ DEFAULT_TOKEN_EVENT_WORDS = frozenset({"incident", "event", "protest", "agitatio
 DEFAULT_COUNTRIES = frozenset({"india", "china", "south africa", "argentina", "brazil"})
 
 
+class ConfigError(ValueError):
+    """A lint configuration references unknown rules or keys, or has ill-typed values."""
+
+
+# What a word list or the disabled rules may come as: never a single str.
+_COLLECTIONS = (list, tuple, set, frozenset)
+_SEQUENCES = (list, tuple)  # for the estimation qualifiers, which W131 tries in order
+
+
 class Lexicons:
-    """Per-language word lists used by the span-shape rules."""
+    """Per-language word lists used by the span-shape rules; read-only once built."""
 
     # the word lists, which are also the keyword names and a config's lexicon keys
     _fields = (
@@ -166,12 +177,18 @@ class Lexicons:
 
     def __init__(
         self,
-        articles_indefinite: Iterable[str] = DEFAULT_INDEFINITE_ARTICLES,
-        articles_definite: Iterable[str] = DEFAULT_DEFINITE_ARTICLES,
-        estimation_qualifiers: Iterable[str] = DEFAULT_ESTIMATION_QUALIFIERS,
-        token_event_words: Iterable[str] = DEFAULT_TOKEN_EVENT_WORDS,
-        countries: Iterable[str] = DEFAULT_COUNTRIES,
+        articles_indefinite: Collection[str] = DEFAULT_INDEFINITE_ARTICLES,
+        articles_definite: Collection[str] = DEFAULT_DEFINITE_ARTICLES,
+        estimation_qualifiers: Sequence[str] = DEFAULT_ESTIMATION_QUALIFIERS,
+        token_event_words: Collection[str] = DEFAULT_TOKEN_EVENT_WORDS,
+        countries: Collection[str] = DEFAULT_COUNTRIES,
     ) -> None:
+        given = (articles_indefinite, articles_definite, estimation_qualifiers,
+                 token_event_words, countries)
+        for key, words in zip(self._fields, given):
+            kinds = _SEQUENCES if key == "estimation_qualifiers" else _COLLECTIONS
+            if not isinstance(words, kinds) or not all(type(w) is str and w.strip() for w in words):
+                raise ConfigError(f"lexicon {key} must be a list of non-blank strings")
         self.articles_indefinite = frozenset(w.casefold() for w in articles_indefinite)
         self.articles_definite = frozenset(articles_definite)
         self.estimation_qualifiers = tuple(estimation_qualifiers)
@@ -183,84 +200,67 @@ class Lexicons:
         )
 
 
-class ConfigError(ValueError):
-    """A lint configuration references unknown rules or keys, or has ill-typed values."""
-
-
 _LEXICON_KEYS = frozenset(Lexicons._fields)
 
 
-def _config_value(obj: dict, key: str, kind: type):
-    """``obj[key]`` checked to be a ``kind``; an empty ``kind`` when missing or null."""
-    value = obj.get(key)
-    if value is None:
-        return kind()
-    if type(value) is not kind:
-        raise ConfigError(f"{key} must be a JSON {'object' if kind is dict else 'list'}")
-    return value
-
-
-def _word_list(key: str, value) -> list[str]:
-    if type(value) is not list or not all(type(w) is str and w.strip() for w in value):
-        raise ConfigError(f"lexicon {key} must be a list of non-blank strings")
-    return value
-
-
 class LintConfig:
-    """Severity overrides, disabled rules and lexicons for one run."""
+    """Severity overrides, disabled rules and lexicons for one run; read-only once
+    built.  ``rules`` holds the (rule id, severity, check) of each rule it runs, in
+    catalog order."""
 
-    __slots__ = ("severity_overrides", "disabled_rules", "lexicons")
+    __slots__ = ("lexicons", "rules")
 
     def __init__(
         self,
         severity_overrides: Mapping[str, Severity | str] = {},  # read, never kept
-        disabled_rules: Iterable[str] = frozenset(),
+        disabled_rules: Collection[str] = frozenset(),
         lexicons: Lexicons = Lexicons(),
     ) -> None:
+        if not isinstance(severity_overrides, Mapping):
+            raise ConfigError("severity_overrides must be a JSON object")
         overrides = {}
         for rule_id, sev in severity_overrides.items():
             try:
                 overrides[rule_id] = Severity(sev)
             except ValueError:
                 raise ConfigError(f"bad severity {sev!r} for rule {rule_id!r}") from None
-        self.severity_overrides = overrides
         for rule_id in overrides:
             if rule_id not in CATALOG:
                 raise ConfigError(f"severity override for unknown rule {rule_id!r}")
-        self.disabled_rules = frozenset(disabled_rules)
-        self.lexicons = lexicons
-        for rule_id in self.disabled_rules:
+        if not isinstance(disabled_rules, _COLLECTIONS):
+            raise ConfigError("disabled_rules must be a JSON list")
+        if not all(type(rule_id) is str for rule_id in disabled_rules):
+            raise ConfigError("disabled_rules must be a list of rule ids")
+        for rule_id in disabled_rules:
             if rule_id not in CATALOG:
                 raise ConfigError(f"cannot disable unknown rule {rule_id!r}")
-
-    def enabled(self, rule_id: str) -> bool:
-        return rule_id not in self.disabled_rules
-
-    def severity_of(self, rule_id: str) -> Severity:
-        return self.severity_overrides.get(rule_id, CATALOG[rule_id].severity)
+        if not isinstance(lexicons, Lexicons):
+            raise ConfigError("lexicons must be a Lexicons")
+        self.lexicons = lexicons
+        self.rules = tuple(
+            (rule_id, overrides.get(rule_id, CATALOG[rule_id].severity), check)
+            for rule_id, check in _CHECKS
+            if rule_id not in disabled_rules
+        )
 
     @classmethod
     def from_obj(cls, obj: dict) -> "LintConfig":
+        """Decode a config's JSON object, where null counts as absent; the
+        constructors check the values."""
         if not isinstance(obj, dict):
             raise ConfigError("config must be a JSON object")
         unknown = set(obj) - {"severity_overrides", "disabled_rules", "lexicons"}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        disabled = _config_value(obj, "disabled_rules", list)
-        if not all(type(rule_id) is str for rule_id in disabled):
-            raise ConfigError("disabled_rules must be a list of rule ids")
-        lex_obj = _config_value(obj, "lexicons", dict)
+        given = {key: value for key, value in obj.items() if value is not None}
+        lex_obj = given.get("lexicons", {})
+        if type(lex_obj) is not dict:
+            raise ConfigError("lexicons must be a JSON object")
         unknown = set(lex_obj) - _LEXICON_KEYS
         if unknown:
             raise ConfigError(f"unknown lexicon keys: {sorted(unknown)}")
-        return cls(
-            severity_overrides=_config_value(obj, "severity_overrides", dict),
-            disabled_rules=frozenset(disabled),
-            lexicons=Lexicons(**{key: _word_list(key, v) for key, v in lex_obj.items()}),
-        )
-
-
-DEFAULT_CONFIG = LintConfig()
+        given["lexicons"] = Lexicons(**lex_obj)
+        return cls(**given)
 
 
 def load_config(path: str) -> LintConfig:
@@ -277,23 +277,6 @@ def load_config(path: str) -> LintConfig:
         # invalid JSON, an integer past int()'s digit limit, or nesting past the recursion limit
         raise ConfigError(str(exc)) from None
     return LintConfig.from_obj(obj)
-
-
-def diagnostic(
-    rule_id: str, doc_id: str, finding: Finding, cfg: LintConfig = DEFAULT_CONFIG
-) -> Diagnostic:
-    """The one place diagnostics are built: a finding of ``rule_id`` in
-    document ``doc_id``, at the severity ``cfg`` gives the rule."""
-    sentence, span, annotation_ids, message = finding
-    return Diagnostic(
-        rule=rule_id,
-        severity=cfg.severity_of(rule_id),
-        doc_id=doc_id,
-        sentence=sentence,
-        span=span,
-        annotation_ids=annotation_ids,
-        message=message,
-    )
 
 
 @lru_cache(maxsize=65536)
@@ -693,19 +676,22 @@ def _participant_surface_variants(idx: _DocIndex) -> Iterator[Finding]:
             )
 
 
+# after the last @rule, so that it runs every registered check
+DEFAULT_CONFIG = LintConfig()
+
+
 def validate_document(
     doc: DocumentRecord, cfg: LintConfig = DEFAULT_CONFIG
 ) -> list[Diagnostic]:
-    """Run every enabled rule against one document.
+    """Run each rule of ``cfg.rules`` against one document.
 
     Pure function: identical inputs yield identical diagnostics, ordered
     by (sentence, span start, rule id).
     """
     idx = _DocIndex(doc, cfg.lexicons)
     found = [
-        diagnostic(rule_id, doc.doc_id, finding, cfg)
-        for rule_id, check in _CHECKS
-        if cfg.enabled(rule_id)
+        Diagnostic(rule_id, severity, doc.doc_id, *finding)
+        for rule_id, severity, check in cfg.rules
         for finding in check(idx)
     ]
     found.sort(key=Diagnostic.sort_key)

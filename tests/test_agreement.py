@@ -181,6 +181,22 @@ class TestPairing:
 
 
 class TestKappa:
+    def test_level_given_as_its_value(self):
+        docs = [_labeled_doc(str(i), protest=list(ProtestLabel)[i % 2]) for i in range(4)]
+        pairs = pair_corpora(docs, docs).pairs
+        for level in AgreementLevel:
+            result = label_kappa(pairs, level.value)
+            assert result.level is level
+            assert result.to_obj() == label_kappa(pairs, level).to_obj()
+        [doc, sentence] = label_kappas(pairs, ["doc_protest", "sentence"])
+        assert (doc.level, sentence.level) == (AgreementLevel.DOC_PROTEST, AgreementLevel.SENTENCE)
+
+    def test_unknown_level_raises(self):
+        with pytest.raises(ValueError, match="'doc_mood' is not a valid AgreementLevel"):
+            label_kappa((), "doc_mood")
+        with pytest.raises(ValueError, match="'protest' is not a valid AgreementLevel"):
+            label_kappas((), [AgreementLevel.SENTENCE, "protest"])
+
     def test_identical_labelings(self):
         docs = [
             _labeled_doc(str(i), protest=ProtestLabel.PROTEST if i < 6 else ProtestLabel.NO_PROTEST)
@@ -368,6 +384,20 @@ class TestSpanPRF:
         assert (strict.tp, strict.fp, strict.fn) == (0, 1, 1)
         lenient = span_prf(pairs, MatchMode.LENIENT).per_tag["event_type"]
         assert (lenient.tp, lenient.fp, lenient.fn) == (1, 0, 0)
+
+    def test_mode_given_as_its_value(self):
+        refs = _span_doc("d", [ann("r1", TagId.EVENT_TYPE, 0, 3, 6)])
+        hyp = _span_doc("d", [ann("h1", TagId.EVENT_TYPE, 0, 2, 5)])
+        pairs = pair_corpora([refs], [hyp]).pairs
+        for mode in MatchMode:
+            assert span_prf(pairs, mode.value) == span_prf(pairs, mode)
+        report = span_prf(pairs, "lenient")
+        assert report.mode is MatchMode.LENIENT
+        assert report.micro.tp == 1
+
+    def test_unknown_mode_raises(self):
+        with pytest.raises(ValueError, match="'bogus' is not a valid MatchMode"):
+            span_prf((), "bogus")
 
     def test_tag_must_match_even_when_spans_align(self):
         refs = _span_doc("d", [ann("r1", TagId.EVENT_TYPE, 0, 3, 6)])

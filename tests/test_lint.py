@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from glocon.lint import (
+    _CHECKS,
     CATALOG,
+    DEFAULT_CONFIG,
     ConfigError,
     LintConfig,
     Lexicons,
@@ -370,10 +372,30 @@ class TestConfig:
             )
         )
         cfg = load_config(str(path))
-        assert cfg.severity_of("W101") is Severity.ERROR
-        assert not cfg.enabled("W103")
+        severity = {rule_id: sev for rule_id, sev, _ in cfg.rules}
+        assert severity["W101"] is Severity.ERROR
+        assert "W103" not in severity
         assert cfg.lexicons.articles_indefinite == {"un", "una"}
         assert "india" not in cfg.lexicons.countries
+
+    @pytest.mark.parametrize(
+        "build,message",
+        [
+            (lambda: Lexicons(countries="brazil"), "lexicon countries must be a list"),
+            (lambda: Lexicons(estimation_qualifiers={"more", "more than"}),
+             "lexicon estimation_qualifiers must be a list"),
+            (lambda: LintConfig(severity_overrides=["W103"]),
+             "severity_overrides must be a JSON object"),
+            (lambda: Lexicons(countries=[1]), "lexicon countries must be a list"),
+            (lambda: LintConfig(disabled_rules="W103"), "disabled_rules must be a JSON list"),
+            (lambda: LintConfig(lexicons={}), "lexicons must be a Lexicons"),
+        ],
+        ids=["str-word-list", "qualifier-set", "overrides-list", "non-string-word",
+             "str-disabled-rules", "dict-lexicons"],
+    )
+    def test_constructors_check_what_from_obj_checks(self, build, message):
+        with pytest.raises(ConfigError, match=message):
+            build()
 
     def test_unknown_config_key_rejected(self, tmp_path):
         path = tmp_path / "lint.json"
@@ -410,6 +432,112 @@ class TestConfig:
         assert validate_document(doc) == []
         cfg = LintConfig(lexicons=Lexicons(countries=frozenset({"Wakanda"})))
         assert {d.rule for d in validate_document(doc, cfg)} == {"W130"}
+
+
+_rule_id = st.sampled_from([*CATALOG, "Z999"])
+_word = st.sampled_from(["the", "a", "more than", "India", " ", ""]) | st.text(max_size=4)
+_json_leaf = (
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5)
+    | _rule_id | st.sampled_from(list(Severity))
+)
+_json_value = st.recursive(
+    _json_leaf,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner,
+                                                                max_size=3),
+    max_leaves=8,
+)
+
+
+def _or_any(valid):
+    """Mostly a well-formed value, sometimes any JSON value."""
+    return st.one_of(valid, valid, _json_value)
+
+
+def _collection(elements):
+    """A list, tuple, set or frozenset of ``elements``."""
+    items = st.lists(elements, max_size=3)
+    return st.one_of(items, items.map(tuple), items.map(set), items.map(frozenset))
+
+
+_severities = st.sampled_from(["error", "warning", "info", "bogus", *Severity])
+_lexicons_obj = st.fixed_dictionaries(
+    {}, optional={key: _or_any(st.lists(_word, max_size=3)) for key in Lexicons._fields}
+)
+_config_obj = st.fixed_dictionaries(
+    {},
+    optional={
+        "severity_overrides": _or_any(st.dictionaries(_rule_id, _severities, max_size=3)),
+        "disabled_rules": _or_any(st.lists(_rule_id, max_size=4)),
+        "lexicons": _or_any(_lexicons_obj),
+    },
+)
+# keyword arguments of Lexicons and of LintConfig, as a library caller may pass them
+_lexicons_kwargs = st.fixed_dictionaries(
+    {}, optional={key: _or_any(_collection(_word)) for key in Lexicons._fields}
+)
+_config_kwargs = st.fixed_dictionaries(
+    {},
+    optional={
+        "severity_overrides": _or_any(st.dictionaries(_rule_id, _severities, max_size=3)),
+        "disabled_rules": _or_any(_collection(_rule_id)),
+        "lexicons": _json_value,
+    },
+)
+
+
+def _check_fixtures(cfg):
+    """Validate every rule fixture under ``cfg``; no exception may come out."""
+    for bad, fixed in RULE_FIXTURES.values():
+        for diag in [*validate_document(bad, cfg), *validate_document(fixed, cfg)]:
+            assert diag.severity in Severity
+
+
+class TestConfigProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(_config_obj | _json_value)
+    def test_from_obj_builds_a_config_or_raises_config_error(self, obj):
+        try:
+            cfg = LintConfig.from_obj(obj)
+        except ConfigError:
+            return
+        _check_fixtures(cfg)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_config_kwargs, st.none() | _lexicons_kwargs)
+    def test_the_constructors_build_a_config_or_raise_config_error(self, kwargs, lexicons):
+        try:
+            if lexicons is not None:
+                kwargs["lexicons"] = Lexicons(**lexicons)
+            cfg = LintConfig(**kwargs)
+        except ConfigError:
+            return
+        _check_fixtures(cfg)
+
+    def test_default_config_runs_every_check_in_catalog_order(self):
+        assert [(rule_id, check) for rule_id, _, check in DEFAULT_CONFIG.rules] == _CHECKS
+        assert [rule_id for rule_id, _, _ in DEFAULT_CONFIG.rules] == [
+            rule_id for rule_id in CATALOG if rule_id not in ("W140", "W141")
+        ]
+        assert all(sev is CATALOG[rule_id].severity for rule_id, sev, _ in DEFAULT_CONFIG.rules)
+
+    @pytest.mark.parametrize("rule_id", [rule_id for rule_id, _ in _CHECKS])
+    def test_a_config_with_one_rule_left_runs_exactly_that_rule(self, rule_id):
+        # built as the traced benchmark builds its single-rule configs
+        cfg = LintConfig(disabled_rules=frozenset(CATALOG) - {rule_id})
+        assert [r for r, _, _ in cfg.rules] == [rule_id]
+        for seed in range(20):
+            doc = random_document(random.Random(seed))
+            assert validate_document(doc, cfg) == [
+                d for d in validate_document(doc) if d.rule == rule_id
+            ]
+
+    @pytest.mark.parametrize("rule_id", sorted(RULE_FIXTURES))
+    def test_a_severity_override_reaches_the_diagnostic(self, rule_id):
+        bad, _ = RULE_FIXTURES[rule_id]
+        for sev in Severity:
+            cfg = LintConfig(severity_overrides={rule_id: sev.value})
+            diags = validate_document(bad, cfg)
+            assert diags and all(d.severity is sev for d in diags)
 
 
 class TestEngineProperties:
