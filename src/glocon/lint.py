@@ -15,9 +15,9 @@ title test that assembly uses.
 Severities can be overridden and rules disabled per run through
 :class:`LintConfig`.  The lexicons (articles, estimation qualifiers,
 token event words, country gazetteer) default to the English lists and
-can be replaced for other corpus languages.  The ``LintConfig`` and
-``Lexicons`` constructors check every field, and a config resolves its
-``rules`` once.
+can be replaced for other corpus languages.  ``LintConfig`` and
+``Lexicons`` are namedtuples whose constructor, ``_make`` and ``_replace``
+check every field; a config resolves its ``rules`` once.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from .model import (
     TagId,
     TARGET_TAGS,
     TokenSpan,
+    _Validated,
     coterminous,
     holds_attribute,
     overlaps,
@@ -165,57 +166,52 @@ _COLLECTIONS = (list, tuple, set, frozenset)
 _SEQUENCES = (list, tuple)  # for the estimation qualifiers, which W131 tries in order
 
 
-class Lexicons:
-    """Per-language word lists used by the span-shape rules; read-only once built."""
+class Lexicons(
+    _Validated,
+    namedtuple("Lexicons", "articles_indefinite articles_definite estimation_qualifiers "
+               "token_event_words countries"),
+):
+    """Per-language word lists used by the span-shape rules; the field names
+    are the keyword names and a config's lexicon keys."""
 
-    # the word lists, which are also the keyword names and a config's lexicon keys
-    _fields = (
-        "articles_indefinite", "articles_definite", "estimation_qualifiers",
-        "token_event_words", "countries",
-    )
-    __slots__ = (*_fields, "_qualifier_seqs")
+    __slots__ = ()
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         articles_indefinite: Collection[str] = DEFAULT_INDEFINITE_ARTICLES,
         articles_definite: Collection[str] = DEFAULT_DEFINITE_ARTICLES,
         estimation_qualifiers: Sequence[str] = DEFAULT_ESTIMATION_QUALIFIERS,
         token_event_words: Collection[str] = DEFAULT_TOKEN_EVENT_WORDS,
         countries: Collection[str] = DEFAULT_COUNTRIES,
-    ) -> None:
+    ) -> Lexicons:
         given = (articles_indefinite, articles_definite, estimation_qualifiers,
                  token_event_words, countries)
-        for key, words in zip(self._fields, given):
+        for key, words in zip(cls._fields, given):
             kinds = _SEQUENCES if key == "estimation_qualifiers" else _COLLECTIONS
             if not isinstance(words, kinds) or not all(type(w) is str and w.strip() for w in words):
                 raise ConfigError(f"lexicon {key} must be a list of non-blank strings")
-        self.articles_indefinite = frozenset(w.casefold() for w in articles_indefinite)
-        self.articles_definite = frozenset(articles_definite)
-        self.estimation_qualifiers = tuple(estimation_qualifiers)
-        self.token_event_words = frozenset(w.casefold() for w in token_event_words)
-        self.countries = frozenset(c.casefold() for c in countries)
-        # the qualifiers as W131 matches them: casefolded token sequences
-        self._qualifier_seqs = tuple(
-            tuple(q.casefold().split()) for q in self.estimation_qualifiers
-        )
+        return tuple.__new__(cls, (
+            frozenset(w.casefold() for w in articles_indefinite),
+            frozenset(articles_definite),
+            tuple(estimation_qualifiers),
+            frozenset(w.casefold() for w in token_event_words),
+            frozenset(c.casefold() for c in countries),
+        ))
 
 
-_LEXICON_KEYS = frozenset(Lexicons._fields)
+class LintConfig(_Validated, namedtuple("LintConfig", "lexicons rules")):
+    """Severity overrides, disabled rules and lexicons for one run.  ``rules``
+    holds the (rule id, severity, check) of each rule it runs, in catalog
+    order."""
 
+    __slots__ = ()
 
-class LintConfig:
-    """Severity overrides, disabled rules and lexicons for one run; read-only once
-    built.  ``rules`` holds the (rule id, severity, check) of each rule it runs, in
-    catalog order."""
-
-    __slots__ = ("lexicons", "rules")
-
-    def __init__(
-        self,
+    def __new__(
+        cls,
         severity_overrides: Mapping[str, Severity | str] = {},  # read, never kept
         disabled_rules: Collection[str] = frozenset(),
         lexicons: Lexicons = Lexicons(),
-    ) -> None:
+    ) -> LintConfig:
         if not isinstance(severity_overrides, Mapping):
             raise ConfigError("severity_overrides must be a JSON object")
         overrides = {}
@@ -236,12 +232,27 @@ class LintConfig:
                 raise ConfigError(f"cannot disable unknown rule {rule_id!r}")
         if not isinstance(lexicons, Lexicons):
             raise ConfigError("lexicons must be a Lexicons")
-        self.lexicons = lexicons
-        self.rules = tuple(
+        rules = tuple(
             (rule_id, overrides.get(rule_id, CATALOG[rule_id].severity), check)
             for rule_id, check in _CHECKS
             if rule_id not in disabled_rules
         )
+        return tuple.__new__(cls, (lexicons, rules))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> LintConfig:
+        """Build through the constructor from the lexicons and the severities the rules name."""
+        lexicons, rules = iterable
+        if type(rules) is not tuple or not all(type(r) is tuple and len(r) == 3 for r in rules):
+            raise ConfigError("rules must be a tuple of (rule id, severity, check) triples")
+        overrides = {rule_id: sev for rule_id, sev, _ in rules if type(rule_id) is str}
+        built = cls(overrides, CATALOG.keys() - overrides, lexicons)
+        if built.rules != rules:  # the rules must come out as given
+            raise ConfigError("rules must be the rules of a config, in catalog order")
+        return built
+
+    def __reduce__(self) -> tuple:
+        return self._make, (tuple(self),)  # pickle and copy: __new__ does not take the fields
 
     @classmethod
     def from_obj(cls, obj: dict) -> "LintConfig":
@@ -256,7 +267,7 @@ class LintConfig:
         lex_obj = given.get("lexicons", {})
         if type(lex_obj) is not dict:
             raise ConfigError("lexicons must be a JSON object")
-        unknown = set(lex_obj) - _LEXICON_KEYS
+        unknown = set(lex_obj).difference(Lexicons._fields)
         if unknown:
             raise ConfigError(f"unknown lexicon keys: {sorted(unknown)}")
         given["lexicons"] = Lexicons(**lex_obj)
@@ -615,7 +626,7 @@ def _country_as_place(idx: _DocIndex) -> Iterator[Finding]:
 
 @rule("W131", Severity.WARNING, "participant_count span begins with an estimation qualifier")
 def _estimated_count(idx: _DocIndex) -> Iterator[Finding]:
-    qualifier_seqs = idx.lexicons._qualifier_seqs
+    qualifier_seqs = [tuple(q.casefold().split()) for q in idx.lexicons.estimation_qualifiers]
     count = TagId.PARTICIPANT_COUNT  # bound once: enum member access is slow
     for ann in idx.anns:
         if ann.tag is not count:

@@ -679,8 +679,6 @@ class DocumentView:
                 self.partners[host.id] = [s for s in found if not s.events.isdisjoint(host.events)]
 
     def in_title(self, ann: Annotation) -> bool:
-        """Does a document_title span contain ``ann``?  A title is never in the title."""
-        if ann.tag is TagId.DOCUMENT_TITLE:
-            return False
+        """Does a document_title span contain ``ann``?"""
         span = ann.span
         return any(span_contains(title, span) for title in self.title_spans)

@@ -349,6 +349,33 @@ def test_a_stale_temporary_file_does_not_block_a_save(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted([path.name, stale.name])
 
 
+def test_save_corpus_syncs_the_temporary_file_once_before_the_replace(tmp_path, monkeypatch):
+    calls = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        synced = os.fstat(fd)
+        calls.append(("fsync", synced.st_ino, synced.st_size))
+        real_fsync(fd)
+
+    def replace(src, dst):
+        calls.append(("replace", os.stat(src).st_ino, dst))
+        real_replace(src, dst)
+
+    monkeypatch.setattr("glocon.io.os.fsync", fsync)
+    monkeypatch.setattr("glocon.io.os.replace", replace)
+    path = tmp_path / "corpus.glocon.jsonl"
+    docs = random_corpus(5, 2)
+    save_corpus(str(path), docs)
+    # the synced file holds every byte, and it is the one renamed onto the path
+    written = path.stat()
+    assert written.st_size == len(serialize_corpus(docs))
+    assert calls == [
+        ("fsync", written.st_ino, written.st_size),
+        ("replace", written.st_ino, os.path.realpath(path)),
+    ]
+
+
 @pytest.mark.parametrize("kind", ["directory", "fifo"])
 def test_save_corpus_refuses_what_is_not_a_regular_file(tmp_path, kind):
     # A pipe stands for any file that is not regular, a device such as

@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 import random
 
 import pytest
@@ -418,6 +420,15 @@ class TestConfig:
         assert [d.message for d in w131] == [
             "participant_count begins with estimation qualifier 'more'"
         ]
+        # the first qualifier in each config's own order wins, whichever config ran last
+        longest_first = LintConfig(lexicons=Lexicons(estimation_qualifiers=("more than", "more")))
+        replaced = cfg._replace(lexicons=cfg.lexicons._replace(
+            estimation_qualifiers=("more than", "more")))
+        for config, qualifier in [(longest_first, "more than"), (cfg, "more"),
+                                  (replaced, "more than"), (cfg, "more")]:
+            assert [d.message for d in validate_document(doc, config) if d.rule == "W131"] == [
+                f"participant_count begins with estimation qualifier {qualifier!r}"
+            ]
 
     def test_custom_lexicon_drives_w130(self):
         doc = _doc(
@@ -432,6 +443,74 @@ class TestConfig:
         assert validate_document(doc) == []
         cfg = LintConfig(lexicons=Lexicons(countries=frozenset({"Wakanda"})))
         assert {d.rule for d in validate_document(doc, cfg)} == {"W130"}
+
+
+def _check_of(rule_id):
+    return next(check for r, check in _CHECKS if r == rule_id)
+
+
+_EXAMPLE_CONFIG = LintConfig(
+    severity_overrides={"W101": "error"},
+    disabled_rules=["W103"],
+    lexicons=Lexicons(countries=["Wakanda"], estimation_qualifiers=["more", "more than"]),
+)
+
+
+class TestFrozenConfig:
+    @pytest.mark.parametrize(
+        "assign",
+        [
+            lambda: setattr(LintConfig(), "lexicons", {}),
+            lambda: setattr(LintConfig(), "rules", 5),
+            lambda: setattr(Lexicons(), "estimation_qualifiers", ("more",)),
+        ],
+        ids=["lexicons", "rules", "estimation_qualifiers"],
+    )
+    def test_a_field_cannot_be_assigned(self, assign):
+        with pytest.raises(AttributeError):
+            assign()
+
+    @pytest.mark.parametrize(
+        "fields,message",
+        [
+            ({"lexicons": {}}, "lexicons must be a Lexicons"),
+            ({"rules": list(_EXAMPLE_CONFIG.rules)}, "rules must be"),
+            ({"rules": (5,)}, "rules must be"),
+            ({"rules": ((),)}, "rules must be"),
+            ({"rules": (([], Severity.ERROR, _check_of("W101")),)}, "rules must be"),
+            ({"rules": (("Z999", Severity.ERROR, _check_of("W101")),)},
+             "severity override for unknown rule 'Z999'"),
+            ({"rules": (("W101", Severity.WARNING, _check_of("W103")),)}, "rules must be"),
+            ({"rules": _EXAMPLE_CONFIG.rules[::-1]}, "rules must be"),
+            ({"rules": (("W101", "bogus", _check_of("W101")),)}, "bad severity 'bogus'"),
+        ],
+        ids=["dict-lexicons", "list-rules", "int-rule", "empty-rule", "unhashable-id",
+             "unknown-id", "wrong-check", "reversed-rules", "bad-severity"],
+    )
+    def test_replace_checks_what_the_constructor_checks(self, fields, message):
+        with pytest.raises(ConfigError, match=message):
+            _EXAMPLE_CONFIG._replace(**fields)
+
+    def test_replace_builds_what_the_constructor_builds(self):
+        lexicons = Lexicons(articles_definite=["la"])
+        replaced = _EXAMPLE_CONFIG._replace(lexicons=lexicons)
+        assert replaced == LintConfig({"W101": "error"}, ["W103"], lexicons)
+        assert replaced._replace(rules=DEFAULT_CONFIG.rules) == LintConfig(lexicons=lexicons)
+        assert _EXAMPLE_CONFIG.lexicons._replace(countries=["Wakanda"]) == _EXAMPLE_CONFIG.lexicons
+        with pytest.raises(ConfigError, match="lexicon countries must be a list"):
+            _EXAMPLE_CONFIG.lexicons._replace(countries="Wakanda")
+
+    @pytest.mark.parametrize(
+        "copier",
+        [lambda cfg: pickle.loads(pickle.dumps(cfg)), copy.copy, copy.deepcopy],
+        ids=["pickle", "copy", "deepcopy"],
+    )
+    def test_a_copy_equals_and_hashes_as_the_original(self, copier):
+        for cfg in (_EXAMPLE_CONFIG, DEFAULT_CONFIG):
+            again = copier(cfg)
+            assert again == cfg and hash(again) == hash(cfg)
+            bad, _ = RULE_FIXTURES["W101"]
+            assert validate_document(bad, again) == validate_document(bad, cfg)
 
 
 _rule_id = st.sampled_from([*CATALOG, "Z999"])
@@ -512,6 +591,18 @@ class TestConfigProperties:
         except ConfigError:
             return
         _check_fixtures(cfg)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_config_obj)
+    def test_an_accepted_config_is_a_fixed_point_of_make_and_pickle(self, obj):
+        try:
+            cfg = LintConfig.from_obj(obj)
+        except ConfigError:
+            return
+        assert Lexicons._make(cfg.lexicons) == cfg.lexicons
+        built_again = LintConfig.from_obj(json.loads(json.dumps(obj)))
+        for again in (LintConfig._make(cfg), pickle.loads(pickle.dumps(cfg)), built_again):
+            assert again == cfg and hash(again) == hash(cfg)
 
     def test_default_config_runs_every_check_in_catalog_order(self):
         assert [(rule_id, check) for rule_id, _, check in DEFAULT_CONFIG.rules] == _CHECKS

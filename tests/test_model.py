@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracle import brute_force_in_title
 from randdocs import random_document
 
 from glocon.io import _parse_annotation
@@ -14,6 +15,7 @@ from glocon.model import (
     DemandLabel,
     DocumentLabels,
     DocumentRecord,
+    DocumentView,
     Focus,
     InvariantError,
     ParseErrorKind,
@@ -269,6 +271,14 @@ def test_annotation_sort_key_orders_as_the_sorted_events_tuple(seed):
     for group in (anns, stacked):
         random.Random(seed).shuffle(group)
         assert sorted(group, key=annotation_sort_key) == sorted(group, key=_reference_sort_key)
+
+
+@given(st.integers(min_value=0, max_value=2**32))
+def test_in_title_matches_the_oracle_titles_included(seed):
+    doc = random_document(random.Random(seed), max_annotations=30)
+    view = DocumentView(doc)
+    for ann in doc.annotations:
+        assert view.in_title(ann) == brute_force_in_title(doc, ann), ann
 
 
 def test_annotation_rejects_bad_events():
