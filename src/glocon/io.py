@@ -21,10 +21,12 @@ as ``[1]``.  Absent optional fields (``labels`` sub-keys, sentence
 open binary file will do) and yields only documents, one at a time; each
 rejected line's ParseError goes to a list the caller passes in.
 :func:`parse_corpus` (the corpus as bytes) and :func:`load_corpus` (a
-path) collect it into lists, and so hold the whole corpus.  A rejected
-line nested more than 100 arrays or objects deep is "nesting too deep",
-whatever else is wrong with it, so the result does not depend on the
-caller's stack.
+path) collect it into lists, and so hold the whole corpus.  They keep one
+``str`` per distinct token text, from a table that dies with the call;
+``iter_corpus`` shares none, so compare tokens with ``==``, never ``is``.
+A rejected line nested more than 100 arrays or objects deep is "nesting
+too deep", whatever else is wrong with it, so the result does not depend
+on the caller's stack.
 
 Serialization is canonical: keys in the order shown above, annotations
 sorted by (sentence, start, end, tag, event numbers, id), compact
@@ -118,7 +120,7 @@ def _parse_labels(obj: object) -> DocumentLabels:
         return EMPTY_LABELS
     if type(obj) is not dict:
         raise InvariantError("labels must be an object")
-    if not obj.keys() <= _LABEL_KEYS:
+    if not _LABEL_KEYS.issuperset(obj):
         raise InvariantError(f"unknown label keys: {sorted(obj.keys() - _LABEL_KEYS)}")
     texts = tuple([obj.get(key) for key in DOC_LABELS])
     try:
@@ -134,20 +136,26 @@ def _parse_labels(obj: object) -> DocumentLabels:
     return labels
 
 
-def _parse_sentence(obj: object, position: int) -> SentenceRecord:
+def _parse_sentence(obj: object, position: int, texts: dict | None) -> SentenceRecord:
     if type(obj) is not dict:
         raise InvariantError("sentence must be an object")
-    if not obj.keys() <= _SENTENCE_KEYS:
+    if not _SENTENCE_KEYS.issuperset(obj):
         raise InvariantError(
             f"sentence {position}: unknown keys {sorted(obj.keys() - _SENTENCE_KEYS)}"
         )
-    return SentenceRecord(obj.get("index"), obj.get("tokens"), obj.get("label"))
+    tokens = obj.get("tokens")
+    if texts is not None and type(tokens) is list:  # a held corpus: one str per token text
+        try:  # a list, not tuple(map()), which over-allocates; SentenceRecord makes the tuple
+            tokens = [*map(texts.setdefault, tokens, tokens)]
+        except TypeError:  # an unhashable token: SentenceRecord rejects the list as it is
+            pass
+    return SentenceRecord.__new__(SentenceRecord, obj.get("index"), tokens, obj.get("label"))
 
 
 def _parse_annotation(obj: object, sentences: tuple[SentenceRecord, ...]) -> Annotation:
     if type(obj) is not dict:
         raise InvariantError("annotation must be an object")
-    if not obj.keys() <= _ANNOTATION_KEYS:
+    if not _ANNOTATION_KEYS.issuperset(obj):
         raise InvariantError(
             f"annotation: unknown keys {sorted(obj.keys() - _ANNOTATION_KEYS)}"
         )
@@ -159,7 +167,7 @@ def _parse_annotation(obj: object, sentences: tuple[SentenceRecord, ...]) -> Ann
         if type(name) is not str:
             raise InvariantError("tag must be a string")
         tag = TAG_BY_NAME.get(name) or resolve_tag(name)  # raises outside the tagset
-        span = TokenSpan(sentence, start, end)
+        span = TokenSpan.__new__(TokenSpan, sentence, start, end)
         if type(events) is not list:
             if type(events) is str and events.strip():
                 from_comment = True
@@ -175,19 +183,21 @@ def _parse_annotation(obj: object, sentences: tuple[SentenceRecord, ...]) -> Ann
         if exc.kind is ParseErrorKind.BAD_SPAN:  # named against the sentence's length
             raise span_error(ann_id, sentence, start, end, sentences) from None
         raise InvariantError(f"{annotation_name(ann_id)}: {exc}", exc.kind) from None
-    return Annotation(ann_id, tag, span, events, get("confidence"), get("comment"), from_comment)
+    return Annotation.__new__(
+        Annotation, ann_id, tag, span, events, get("confidence"), get("comment"), from_comment
+    )
 
 
-def _parse_document(obj: object) -> DocumentRecord:
+def _parse_document(obj: object, texts: dict | None) -> DocumentRecord:
     if type(obj) is not dict:
         raise InvariantError("record must be a JSON object")
-    if not obj.keys() <= _DOC_KEYS:
+    if not _DOC_KEYS.issuperset(obj):
         raise InvariantError(f"unknown record keys: {sorted(obj.keys() - _DOC_KEYS)}")
     labels = _parse_labels(obj.get("labels"))
     sentences_raw = obj.get("sentences", [])
     if type(sentences_raw) is not list:
         raise InvariantError("sentences must be an array")
-    sentences = tuple([_parse_sentence(s, pos) for pos, s in enumerate(sentences_raw)])
+    sentences = tuple([_parse_sentence(s, pos, texts) for pos, s in enumerate(sentences_raw)])
     annotations_raw = obj.get("annotations", [])
     if type(annotations_raw) is not list:
         raise InvariantError("annotations must be an array")
@@ -242,8 +252,15 @@ def iter_corpus(lines: Iterable[bytes], errors: list[ParseError]) -> Iterator[Do
     per malformed line to ``errors`` before it reads the next line; errors
     carry 1-based line numbers.  Blank lines are skipped, and a repeated
     ``doc_id`` is a DUPLICATE_ID error.  Undecodable bytes raise
-    CorpusDecodeError.
+    CorpusDecodeError.  Equal token texts are not shared between documents.
     """
+    return _documents(lines, errors, None)
+
+
+def _documents(
+    lines: Iterable[bytes], errors: list[ParseError], texts: dict | None
+) -> Iterator[DocumentRecord]:
+    """:func:`iter_corpus`, taking each token text from ``texts`` if given."""
     seen_doc_ids: set[str] = set()
     for lineno, raw in enumerate(lines, start=1):
         if raw.endswith(b"\n"):  # as bytes.split drops it, so JSON errors read alike
@@ -257,7 +274,7 @@ def iter_corpus(lines: Iterable[bytes], errors: list[ParseError]) -> Iterator[Do
         obj = None
         try:
             obj = _decode(line)
-            doc = _parse_document(obj)
+            doc = _parse_document(obj, texts)
         except (InvariantError, RecursionError) as exc:
             errors.append(_rejection(lineno, line, obj, exc))
             continue
@@ -271,9 +288,9 @@ def iter_corpus(lines: Iterable[bytes], errors: list[ParseError]) -> Iterator[Do
 
 def parse_corpus(data: bytes) -> tuple[list[DocumentRecord], list[ParseError]]:
     """Parse a whole corpus from its UTF-8 bytes: :func:`iter_corpus` over
-    its lines, as ``(documents, parse errors)``."""
+    its lines, as ``(documents, parse errors)``, with one string per token text."""
     errors: list[ParseError] = []
-    return list(iter_corpus(data.split(b"\n"), errors)), errors
+    return list(_documents(data.split(b"\n"), errors, {})), errors
 
 
 # Closed vocabularies are quoted once.  DocumentLabels holds its labels in DOC_LABELS order.
@@ -328,10 +345,10 @@ def serialize_corpus(docs: Iterable[DocumentRecord]) -> bytes:
 
 
 def load_corpus(path: str) -> tuple[list[DocumentRecord], list[ParseError]]:
-    """Parse a whole corpus file, reading it line by line."""
+    """Parse a whole corpus file, reading it line by line, as :func:`parse_corpus` does."""
     errors: list[ParseError] = []
     with open(path, "rb") as handle:
-        return list(iter_corpus(handle, errors)), errors
+        return list(_documents(handle, errors, {})), errors
 
 
 def save_corpus(path: str, docs: Iterable[DocumentRecord]) -> None:

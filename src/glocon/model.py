@@ -22,6 +22,8 @@ import enum
 import re
 from collections import namedtuple
 from collections.abc import Iterable
+from itertools import compress
+from operator import eq, itemgetter, le, lt
 
 
 class ParseErrorKind(str, enum.Enum):
@@ -436,9 +438,9 @@ class Annotation(
     ) -> Annotation:
         if type(id) is not str or not id:
             raise InvariantError("annotation id must be a non-empty string")
-        if not utf8_encodable(id):
+        if not id.isascii() and not utf8_encodable(id):
             raise InvariantError(_NOT_UTF8)
-        if not isinstance(tag, TagId):
+        if type(tag) is not TagId:  # an enum with members has no subclass
             raise InvariantError(f"tag must be a TagId, got {tag!r}")
         if not isinstance(span, TokenSpan):
             raise InvariantError(f"annotation {id}: span must be a TokenSpan")
@@ -476,7 +478,7 @@ class Annotation(
         if comment is not None:
             if type(comment) is not str:
                 raise InvariantError(f"annotation {id}: comment must be a string")
-            if not utf8_encodable(comment):
+            if not comment.isascii() and not utf8_encodable(comment):
                 raise InvariantError(_NOT_UTF8)
         if events_from_comment is not True and events_from_comment is not False:
             raise InvariantError(f"annotation {id}: events_from_comment must be a bool")
@@ -512,7 +514,7 @@ class SentenceRecord(_Validated, namedtuple("SentenceRecord", "index tokens labe
             raise InvariantError(
                 f"{_sentence_name(index)}: tokens must be a non-empty list of non-empty strings"
             ) from None
-        if not utf8_encodable(text):
+        if not text.isascii() and not utf8_encodable(text):
             raise InvariantError(_NOT_UTF8)
         if label is not None:
             member = _SENTENCE_LABELS.get(label) if type(label) in _LABEL_TYPES else None
@@ -619,7 +621,8 @@ class DocumentRecord(
             seen.add(ann.id)
         # annotations are kept in canonical order so that documents have a
         # single representation and serialization round-trips exactly
-        annotations = tuple(sorted(annotations, key=annotation_sort_key))
+        if not _in_canonical_order(annotations):
+            annotations = tuple(sorted(annotations, key=annotation_sort_key))
         return tuple.__new__(cls, (doc_id, labels, sentences, annotations))
 
     def span_text(self, span: TokenSpan) -> str:
@@ -633,6 +636,27 @@ def annotation_sort_key(ann: Annotation) -> tuple:
     events = ann.events  # a set of one, as nearly every annotation's is, needs no sort
     numbers = tuple(events) if len(events) == 1 else tuple(sorted(events))
     return (ann.span, ann.tag, numbers, ann.id)
+
+
+_span_and_tag = itemgetter(2, 1)
+
+
+def _in_canonical_order(annotations: tuple[Annotation, ...]) -> bool:
+    """Whether ``annotations`` are sorted by :func:`annotation_sort_key`, as a
+    parsed or rebuilt document's nearly always are.  Their ``(span, tag)``
+    prefixes are compared in C; only neighbours that tie on it, which differ
+    in events or id, are compared by the whole key."""
+    keys = [*map(_span_and_tag, annotations)]
+    later = keys[1:]
+    if all(map(lt, keys, later)):
+        return True
+    if not all(map(le, keys, later)):
+        return False
+    ties = compress(range(len(later)), map(eq, keys, later))
+    return all(
+        annotation_sort_key(annotations[i]) < annotation_sort_key(annotations[i + 1])
+        for i in ties
+    )
 
 
 class DocumentView:

@@ -21,7 +21,7 @@ from glocon.cli import (
     write_json_array,
 )
 from glocon.assemble import assemble_events, export_rows, rows_to_csv, rows_to_jsonl
-from glocon.io import load_corpus, parse_corpus, serialize_corpus
+from glocon.io import iter_corpus, load_corpus, parse_corpus, serialize_corpus
 from glocon.lint import Diagnostic, validate_document
 from glocon.model import DocumentLabels, DocumentRecord, TagId
 from golden_docs import ann, bjp_square_doc, karnataka_doc, sent
@@ -415,7 +415,14 @@ class TestCorpusReading:
                 run(argv)
                 return len(buf.getvalue().encode("utf-8"))
 
-        whole = peak(lambda: load_corpus(path))
+        def unshared():
+            with open(path, "rb") as handle:
+                return list(iter_corpus(handle, []))
+
+        # the reference is the corpus held as iter_corpus builds it, one string per
+        # token occurrence; load_corpus holds one per token text, and much less
+        whole = peak(unshared)
+        assert peak(lambda: load_corpus(path)) < 0.6 * whole
         assert peak(lambda: command("stats", path)) < whole / 4
         # validate and assemble hold their rendered output until the stream is used up
         for argv in (

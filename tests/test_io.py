@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -509,6 +510,13 @@ SINGLE_DEFECT_LINES = [
     ("token_array", _sent(tokens=[["a"]]), "d1", MALFORMED, TOKENS),
     ("token_null", _sent(tokens=[None]), "d1", MALFORMED, TOKENS),
     ("token_bool", _sent(tokens=[True]), "d1", MALFORMED, TOKENS),
+    # a held corpus looks each token up in its table of texts: an unhashable token
+    # leaves the list as it is, and True finds the 1 before it
+    ("token_array_after_text", _sent(tokens=["a", ["b"]]), "d1", MALFORMED, TOKENS),
+    ("token_object", _sent(tokens=[{}]), "d1", MALFORMED, TOKENS),
+    ("token_number_then_bool", _sent(tokens=[1, True]), "d1", MALFORMED, TOKENS),
+    ("token_lone_surrogate", _sent(tokens=["\ud800"]), "d1", MALFORMED,
+     "string with a lone surrogate, not encodable as UTF-8"),
     ("sentence_label_string", _sent(label="1"), "d1", "bad_label",
      "sentence 0: label must be 0, 1 or 2"),
     ("sentence_label_bool", _sent(label=True), "d1", "bad_label",
@@ -605,6 +613,9 @@ def test_single_defect_line_rejection(line, doc_id, kind, message):
     assert [(e.line, e.doc_id, e.kind.value, e.message) for e in errors] == [
         (1, doc_id, kind, message)
     ]
+    # iter_corpus, which shares no token texts, rejects the line alike
+    streamed = []
+    assert list(iter_corpus([data], streamed)) == [] and streamed == errors
 
 
 # (case, line, doc_id, kind, message) for lines with several defects: a
@@ -633,6 +644,24 @@ UNNAMED_RECORD_LINES = [
 )
 def test_a_rejection_quotes_no_raw_value_as_a_name(line, doc_id, kind, message):
     test_single_defect_line_rejection(line, doc_id, kind, message)
+
+
+def _string_objects(docs):
+    tokens = [token for doc in docs for sentence in doc.sentences for token in sentence.tokens]
+    return len(set(map(id, tokens))), len(set(tokens))
+
+
+@pytest.mark.parametrize("name", ["bulk", "flat"])
+def test_a_held_corpus_keeps_one_string_per_token_text(workload, tmp_path, name):
+    data = workload(name, 1)["a"]
+    path = tmp_path / "corpus.glocon.jsonl"
+    path.write_bytes(data)
+    for docs, _ in (parse_corpus(data), load_corpus(str(path))):
+        objects, texts = _string_objects(docs)
+        assert objects == texts
+    # iter_corpus holds one document at a time, so it shares nothing between them
+    objects, texts = _string_objects(iter_corpus(data.split(b"\n"), []))
+    assert objects > 10 * texts
 
 
 @pytest.mark.parametrize("name", ["dense", "flat"])
@@ -904,10 +933,16 @@ _lines = st.one_of(
 @given(st.lists(_lines, min_size=1, max_size=4))
 def test_fuzz_parse_corpus_raises_only_documented_errors(lines):
     data = b"\n".join(lines)
+    streamed = []
     try:
         docs, errors = parse_corpus(data)
-    except CorpusDecodeError:
+    except CorpusDecodeError as exc:
+        with pytest.raises(CorpusDecodeError, match=f"^{re.escape(str(exc))}$"):
+            list(iter_corpus(data.split(b"\n"), streamed))
         return
+    # the held corpus shares token texts; the streamed one reads alike
+    assert repr(list(iter_corpus(data.split(b"\n"), streamed))) == repr(docs)
+    assert streamed == errors
     for error in errors:
         assert isinstance(error.kind, ParseErrorKind)
         str(error).encode("utf-8")  # printable: no lone surrogate escapes into a message

@@ -273,6 +273,28 @@ def test_annotation_sort_key_orders_as_the_sorted_events_tuple(seed):
         assert sorted(group, key=annotation_sort_key) == sorted(group, key=_reference_sort_key)
 
 
+@given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=1, max_value=6))
+def test_a_document_puts_its_annotations_in_canonical_order_ties_included(seed, ties):
+    rng = random.Random(seed)
+    doc = random_document(rng, max_annotations=30)
+    anns = list(doc.annotations) or [Annotation("a", TagId.EVENT_TYPE, TokenSpan(0, 0, 1))]
+    # planted (span, tag) ties: only the events, then the id, order them
+    for n in range(ties):
+        twin = rng.choice(anns)
+        events = twin.events
+        while events == twin.events:
+            events = frozenset(rng.sample(range(1, 6), rng.randint(1, 3)))
+        anns.append(twin._replace(id=f"tie{n}", events=events))
+    canonical = tuple(sorted(anns, key=_reference_sort_key))
+    rng.shuffle(anns)
+    by_span_and_tag = sorted(anns, key=lambda ann: (ann.span, ann.tag))  # ties left shuffled
+    for given_order in (anns, by_span_and_tag, canonical[::-1]):
+        built = DocumentRecord(doc.doc_id, doc.labels, doc.sentences, given_order)
+        assert built.annotations == canonical
+    kept = DocumentRecord(doc.doc_id, doc.labels, doc.sentences, canonical)
+    assert kept.annotations is canonical
+
+
 @given(st.integers(min_value=0, max_value=2**32))
 def test_in_title_matches_the_oracle_titles_included(seed):
     doc = random_document(random.Random(seed), max_annotations=30)
