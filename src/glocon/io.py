@@ -22,8 +22,12 @@ open binary file will do) and yields only documents, one at a time; each
 rejected line's ParseError goes to a list the caller passes in.
 :func:`parse_corpus` (the corpus as bytes) and :func:`load_corpus` (a
 path) collect it into lists, and so hold the whole corpus.  They keep one
-``str`` per distinct token text, from a table that dies with the call;
-``iter_corpus`` shares none, so compare tokens with ``==``, never ``is``.
+``str`` per distinct token text, annotation id and comment, and one
+TokenSpan per distinct span, from a table that dies with the call.  A
+span is looked up only once TokenSpan has accepted it, and no number is
+shared, so a bool equal to an accepted value is still rejected.
+``iter_corpus`` shares none, so compare these values with ``==``, never
+``is``.
 A rejected line nested more than 100 arrays or objects deep is "nesting
 too deep", whatever else is wrong with it, so the result does not depend
 on the caller's stack.
@@ -42,6 +46,7 @@ the last is written.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import stat
@@ -136,7 +141,7 @@ def _parse_labels(obj: object) -> DocumentLabels:
     return labels
 
 
-def _parse_sentence(obj: object, position: int, texts: dict | None) -> SentenceRecord:
+def _parse_sentence(obj: object, position: int, shared: dict | None) -> SentenceRecord:
     if type(obj) is not dict:
         raise InvariantError("sentence must be an object")
     if not _SENTENCE_KEYS.issuperset(obj):
@@ -144,15 +149,17 @@ def _parse_sentence(obj: object, position: int, texts: dict | None) -> SentenceR
             f"sentence {position}: unknown keys {sorted(obj.keys() - _SENTENCE_KEYS)}"
         )
     tokens = obj.get("tokens")
-    if texts is not None and type(tokens) is list:  # a held corpus: one str per token text
+    if shared is not None and type(tokens) is list:  # a held corpus: one str per token text
         try:  # a list, not tuple(map()), which over-allocates; SentenceRecord makes the tuple
-            tokens = [*map(texts.setdefault, tokens, tokens)]
+            tokens = [*map(shared.setdefault, tokens, tokens)]
         except TypeError:  # an unhashable token: SentenceRecord rejects the list as it is
             pass
     return SentenceRecord.__new__(SentenceRecord, obj.get("index"), tokens, obj.get("label"))
 
 
-def _parse_annotation(obj: object, sentences: tuple[SentenceRecord, ...]) -> Annotation:
+def _parse_annotation(
+    obj: object, sentences: tuple[SentenceRecord, ...], shared: dict | None = None
+) -> Annotation:
     if type(obj) is not dict:
         raise InvariantError("annotation must be an object")
     if not _ANNOTATION_KEYS.issuperset(obj):
@@ -160,14 +167,21 @@ def _parse_annotation(obj: object, sentences: tuple[SentenceRecord, ...]) -> Ann
             f"annotation: unknown keys {sorted(obj.keys() - _ANNOTATION_KEYS)}"
         )
     get = obj.get
-    ann_id, name, events = get("id"), get("tag"), get("events")
+    ann_id, name, events, comment = get("id"), get("tag"), get("events"), get("comment")
     sentence, start, end = get("sentence"), get("start"), get("end")
+    if shared is not None:  # a held corpus: one str per id and comment text, as for tokens
+        if type(ann_id) is str:
+            ann_id = shared.setdefault(ann_id, ann_id)
+        if type(comment) is str:
+            comment = shared.setdefault(comment, comment)
     from_comment = False
     try:
         if type(name) is not str:
             raise InvariantError("tag must be a string")
         tag = TAG_BY_NAME.get(name) or resolve_tag(name)  # raises outside the tagset
         span = TokenSpan.__new__(TokenSpan, sentence, start, end)
+        if shared is not None:  # only an accepted span: (True, 0, 1) == TokenSpan(1, 0, 1)
+            span = shared.setdefault(span, span)
         if type(events) is not list:
             if type(events) is str and events.strip():
                 from_comment = True
@@ -184,11 +198,11 @@ def _parse_annotation(obj: object, sentences: tuple[SentenceRecord, ...]) -> Ann
             raise span_error(ann_id, sentence, start, end, sentences) from None
         raise InvariantError(f"{annotation_name(ann_id)}: {exc}", exc.kind) from None
     return Annotation.__new__(
-        Annotation, ann_id, tag, span, events, get("confidence"), get("comment"), from_comment
+        Annotation, ann_id, tag, span, events, get("confidence"), comment, from_comment
     )
 
 
-def _parse_document(obj: object, texts: dict | None) -> DocumentRecord:
+def _parse_document(obj: object, shared: dict | None) -> DocumentRecord:
     if type(obj) is not dict:
         raise InvariantError("record must be a JSON object")
     if not _DOC_KEYS.issuperset(obj):
@@ -197,11 +211,11 @@ def _parse_document(obj: object, texts: dict | None) -> DocumentRecord:
     sentences_raw = obj.get("sentences", [])
     if type(sentences_raw) is not list:
         raise InvariantError("sentences must be an array")
-    sentences = tuple([_parse_sentence(s, pos, texts) for pos, s in enumerate(sentences_raw)])
+    sentences = tuple([_parse_sentence(s, pos, shared) for pos, s in enumerate(sentences_raw)])
     annotations_raw = obj.get("annotations", [])
     if type(annotations_raw) is not list:
         raise InvariantError("annotations must be an array")
-    annotations = tuple([_parse_annotation(a, sentences) for a in annotations_raw])
+    annotations = tuple([_parse_annotation(a, sentences, shared) for a in annotations_raw])
     return DocumentRecord(obj.get("doc_id"), labels, sentences, annotations)
 
 
@@ -252,18 +266,20 @@ def iter_corpus(lines: Iterable[bytes], errors: list[ParseError]) -> Iterator[Do
     per malformed line to ``errors`` before it reads the next line; errors
     carry 1-based line numbers.  Blank lines are skipped, and a repeated
     ``doc_id`` is a DUPLICATE_ID error.  Undecodable bytes raise
-    CorpusDecodeError.  Equal token texts are not shared between documents.
+    CorpusDecodeError.  Equal token texts, annotation ids, comments and
+    spans are not shared between documents.
     """
     return _documents(lines, errors, None)
 
 
 def _documents(
-    lines: Iterable[bytes], errors: list[ParseError], texts: dict | None
+    lines: Iterable[bytes], errors: list[ParseError], shared: dict | None
 ) -> Iterator[DocumentRecord]:
-    """:func:`iter_corpus`, taking each token text from ``texts`` if given."""
+    """:func:`iter_corpus`, taking each token text, annotation id, comment
+    and span from ``shared`` if given, and adding each one it has not seen."""
     seen_doc_ids: set[str] = set()
     for lineno, raw in enumerate(lines, start=1):
-        if raw.endswith(b"\n"):  # as bytes.split drops it, so JSON errors read alike
+        if raw.endswith(b"\n"):  # so a final line without one reads alike, JSON errors too
             raw = raw[:-1]
         try:
             line = raw.decode("utf-8")
@@ -274,7 +290,7 @@ def _documents(
         obj = None
         try:
             obj = _decode(line)
-            doc = _parse_document(obj, texts)
+            doc = _parse_document(obj, shared)
         except (InvariantError, RecursionError) as exc:
             errors.append(_rejection(lineno, line, obj, exc))
             continue
@@ -288,9 +304,10 @@ def _documents(
 
 def parse_corpus(data: bytes) -> tuple[list[DocumentRecord], list[ParseError]]:
     """Parse a whole corpus from its UTF-8 bytes: :func:`iter_corpus` over
-    its lines, as ``(documents, parse errors)``, with one string per token text."""
+    its lines, read one at a time, as ``(documents, parse errors)``, with
+    one object per distinct token text, annotation id, comment and span."""
     errors: list[ParseError] = []
-    return list(_documents(data.split(b"\n"), errors, {})), errors
+    return list(_documents(io.BytesIO(data), errors, {})), errors
 
 
 # Closed vocabularies are quoted once.  DocumentLabels holds its labels in DOC_LABELS order.
@@ -345,7 +362,8 @@ def serialize_corpus(docs: Iterable[DocumentRecord]) -> bytes:
 
 
 def load_corpus(path: str) -> tuple[list[DocumentRecord], list[ParseError]]:
-    """Parse a whole corpus file, reading it line by line, as :func:`parse_corpus` does."""
+    """Parse a whole corpus file, reading it line by line, as :func:`parse_corpus`
+    does, with one object per distinct token text, annotation id, comment and span."""
     errors: list[ParseError] = []
     with open(path, "rb") as handle:
         return list(_documents(handle, errors, {})), errors

@@ -664,6 +664,89 @@ def test_a_held_corpus_keeps_one_string_per_token_text(workload, tmp_path, name)
     assert objects > 10 * texts
 
 
+def _annotation_fields(docs):
+    anns = [ann for doc in docs for ann in doc.annotations]
+    comments = [ann.comment for ann in anns if ann.comment is not None]
+    return {"id": [ann.id for ann in anns], "comment": comments, "span": [a.span for a in anns]}
+
+
+@pytest.mark.parametrize("name", ["bulk", "dense", "flat"])
+def test_a_held_corpus_keeps_one_object_per_id_comment_and_span(workload, tmp_path, name):
+    data = workload(name, 1)["a"]
+    path = tmp_path / "corpus.glocon.jsonl"
+    path.write_bytes(data)
+    for docs, _ in (parse_corpus(data), load_corpus(str(path))):
+        fields = _annotation_fields(docs)
+        for values in fields.values():
+            assert len(set(map(id, values))) == len(set(values))
+        assert len(set(fields["span"])) < len(fields["span"]) / 5
+    # iter_corpus holds one document at a time, so no span is shared between documents
+    seen = set()
+    for doc in list(iter_corpus(data.split(b"\n"), [])):
+        spans = {id(ann.span) for ann in doc.annotations}
+        assert seen.isdisjoint(spans)
+        seen |= spans
+
+
+@pytest.mark.parametrize("name", ["bulk", "dense", "flat"])
+def test_parse_corpus_peaks_near_what_it_holds(workload, name):
+    data = workload(name, 1)["a"]
+    tracemalloc.start()
+    try:
+        parsed = parse_corpus(data)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert parsed[0] and peak < 1.25 * held
+
+
+def _ann_doc(doc_id, **fields):
+    sentences = [{"index": i, "tokens": ["Workers", "marched", "."]} for i in (0, 1)]
+    return _doc(doc_id=doc_id, sentences=sentences, annotations=[{**_ANN, **fields}])
+
+
+# (case, first line, second line, parse errors): a valid value first, then one
+# that compares equal to it but is rejected; or one rejected value on both lines
+SHARED_THEN_REJECTED = [
+    ("span_then_bool_sentence", _ann_doc("d1", sentence=1), _ann_doc("d2", sentence=True),
+     [(2, "d2", MALFORMED, "annotation a1: sentence must be an integer")]),
+    ("string_id_then_integer_id", _ann_doc("d1", id="1"), _ann_doc("d2", id=1),
+     [(2, "d2", MALFORMED, "annotation id must be a non-empty string")]),
+    ("integer_id_then_string_id", _ann_doc("d1", id=1), _ann_doc("d2", id="1"),
+     [(1, "d1", MALFORMED, "annotation id must be a non-empty string")]),
+    ("confidence_one_then_bool", _ann_doc("d1", confidence=1),
+     _ann_doc("d2", confidence=True),
+     [(2, "d2", MALFORMED, "annotation a1: confidence must be a number")]),
+    ("lone_surrogate_id_twice", _ann_doc("d1", id="\ud800"), _ann_doc("d2", id="\ud800"),
+     [(line, doc_id, MALFORMED, "string with a lone surrogate, not encodable as UTF-8")
+      for line, doc_id in ((1, "d1"), (2, "d2"))]),
+]
+
+
+@pytest.mark.parametrize(
+    "first,second,rejected",
+    [case[1:] for case in SHARED_THEN_REJECTED],
+    ids=[case[0] for case in SHARED_THEN_REJECTED],
+)
+def test_sharing_never_changes_a_rejection(tmp_path, first, second, rejected):
+    lines = [json.dumps(first).encode(), json.dumps(second).encode()]
+    data = b"\n".join(lines) + b"\n"
+    path = tmp_path / "corpus.glocon.jsonl"
+    path.write_bytes(data)
+    # each line parsed alone, with a table of its own
+    alone = [parse_corpus(line) for line in lines]
+    expected_docs = [doc for docs, _ in alone for doc in docs]
+    streamed = []
+    for docs, errors in (
+        parse_corpus(data),
+        load_corpus(str(path)),
+        (list(iter_corpus(lines, streamed)), streamed),
+    ):
+        assert repr(docs) == repr(expected_docs)  # repr tells True from 1
+        assert [(e.line, e.doc_id, e.kind.value, e.message) for e in errors] == rejected
+        assert [e.message for e in errors] == [e.message for _, errs in alone for e in errs]
+
+
 @pytest.mark.parametrize("name", ["dense", "flat"])
 def test_equal_events_and_labels_are_one_shared_object(workload, name):
     docs, _ = parse_corpus(workload(name, 1)["a"])
