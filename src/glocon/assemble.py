@@ -61,9 +61,7 @@ class ArgumentRef(namedtuple("ArgumentRef", "tag span text")):
 TriggerRef = namedtuple("TriggerRef", "span text is_type in_title")
 
 
-class ParticipantRecord(
-    namedtuple("ParticipantRecord", "tag span text semantic attributes", defaults=(None, ()))
-):
+class ParticipantRecord(namedtuple("ParticipantRecord", "tag span text semantic attributes")):
     """A participant or organizer head (type or name) with its semantic
     class and attributes."""
 

@@ -18,7 +18,7 @@ import argparse
 import json
 import os
 import sys
-from collections import Counter
+from collections import Counter, namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 
 from .io import CorpusDecodeError, ParseError, iter_corpus
@@ -40,21 +40,14 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 
-class Stats:
-    """Corpus-level counts: tags, labels, events."""
+class Stats(
+    namedtuple("Stats", "documents sentences annotations tag_counts doc_labels "
+               "sentence_labels events_total events_per_doc")
+):
+    """Corpus-level counts: tags, labels, events.  Each count dict is in key
+    order, and ``doc_labels`` maps each DOC_LABELS key to one."""
 
-    __slots__ = (
-        "documents", "sentences", "annotations", "tag_counts", "doc_labels",
-        "sentence_labels", "events_total", "events_per_doc",
-    )
-
-    def __init__(self) -> None:
-        self.documents = self.sentences = self.annotations = self.events_total = 0
-        self.tag_counts = Counter()
-        # DOC_LABELS key -> label text (or "unlabeled") -> documents
-        self.doc_labels = {key: Counter() for key in DOC_LABELS}
-        self.sentence_labels = Counter()
-        self.events_per_doc: dict[str, int] = {}
+    __slots__ = ()
 
     def to_obj(self) -> dict:
         return {
@@ -62,41 +55,49 @@ class Stats:
             "sentences": self.sentences,
             "annotations": self.annotations,
             "events_total": self.events_total,
-            "tag_counts": dict(sorted(self.tag_counts.items())),
-            **{
-                f"{key}_labels": dict(sorted(counts.items()))
-                for key, counts in self.doc_labels.items()
-            },
-            "sentence_labels": dict(sorted(self.sentence_labels.items())),
+            "tag_counts": self.tag_counts,
+            **{f"{key}_labels": counts for key, counts in self.doc_labels.items()},
+            "sentence_labels": self.sentence_labels,
             "events_per_doc": self.events_per_doc,
         }
 
 
+def _by_text(counts: Counter) -> dict[str, int]:
+    """Label counts keyed by label text ("unlabeled" for None), in key order."""
+    return dict(sorted(("unlabeled" if label is None else label_text(label), n)
+                       for label, n in counts.items()))
+
+
 def corpus_stats(docs: Iterable[DocumentRecord]) -> Stats:
     """Deterministic counts over a corpus; a repeated doc_id raises ValueError."""
-    stats = Stats()
+    sentences = annotations = 0
+    events_per_doc: dict[str, int] = {}
     # counted by member, then named once per member: enum .value is slow
     sentence_labels, tags = Counter(), Counter()
+    doc_labels = {key: Counter() for key in DOC_LABELS}
     for doc in docs:
-        if doc.doc_id in stats.events_per_doc:
+        if doc.doc_id in events_per_doc:
             raise ValueError(f"doc_id {doc.doc_id!r} repeats")
-        stats.documents += 1
-        stats.sentences += len(doc.sentences)
-        stats.annotations += len(doc.annotations)
+        sentences += len(doc.sentences)
+        annotations += len(doc.annotations)
         sentence_labels.update(sent.label for sent in doc.sentences)
-        for key, counts in stats.doc_labels.items():
-            label = getattr(doc.labels, key)
-            counts["unlabeled" if label is None else label_text(label)] += 1
+        for key, counts in doc_labels.items():
+            counts[getattr(doc.labels, key)] += 1
         events = set()
         for ann in doc.annotations:
             tags[ann.tag] += 1
             events |= ann.events
-        stats.events_per_doc[doc.doc_id] = len(events)
-        stats.events_total += len(events)
-    for label, n in sentence_labels.items():
-        stats.sentence_labels["unlabeled" if label is None else label_text(label)] = n
-    stats.tag_counts.update({tag.value: n for tag, n in tags.items()})
-    return stats
+        events_per_doc[doc.doc_id] = len(events)
+    return Stats(
+        documents=len(events_per_doc),
+        sentences=sentences,
+        annotations=annotations,
+        tag_counts=dict(sorted((tag.value, n) for tag, n in tags.items())),
+        doc_labels={key: _by_text(counts) for key, counts in doc_labels.items()},
+        sentence_labels=_by_text(sentence_labels),
+        events_total=sum(events_per_doc.values()),
+        events_per_doc=events_per_doc,
+    )
 
 
 class _CorpusStream:
@@ -292,15 +293,14 @@ def _format_stats_text(stats: Stats) -> str:
         f"sentences:   {stats.sentences}",
         f"annotations: {stats.annotations}",
         f"events:      {stats.events_total}",
-        "sentence labels: "
-        + ", ".join(f"{k}={v}" for k, v in sorted(stats.sentence_labels.items())),
+        "sentence labels: " + ", ".join(f"{k}={v}" for k, v in stats.sentence_labels.items()),
         *(
-            f"{key + ':':<8} " + ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))
+            f"{key + ':':<8} " + ", ".join(f"{k}={v}" for k, v in counts.items())
             for key, counts in stats.doc_labels.items()
         ),
         "tag counts:",
     ]
-    for tag, count in sorted(stats.tag_counts.items()):
+    for tag, count in stats.tag_counts.items():
         lines.append(f"  {tag:<28} {count}")
     return "\n".join(lines)
 

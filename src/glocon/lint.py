@@ -1,12 +1,14 @@
 """Rule engine that checks documents against the annotation manual's
 machine-checkable rules.
 
-Each rule is a function registered with ``@rule(id, severity, title)``;
-the registry fills CATALOG (stable id, default severity, short
-description).  A rule yields findings over a shared per-document index,
-and ``validate_document`` turns them into diagnostics in one loop.  It
-is a pure function of the document and the configuration; diagnostics
-come back in canonical order (sentence, span start, rule id).
+CATALOG is the one rule registry: ``@rule(id, severity, title)`` enters
+each check under its stable id, default severity and short description.
+W140 and W141, which ``check_separation`` emits over assembled events,
+are entries without a check.  A check yields findings over a shared
+per-document index, and ``validate_document`` turns them into
+diagnostics in one loop.  It is a pure function of the document and the
+configuration; diagnostics come back in canonical order (sentence, span
+start, rule id).
 
 The index extends :class:`~glocon.model.DocumentView`, which event
 assembly reads too, so the rules check the same semantic pairings and
@@ -68,7 +70,8 @@ def count_at_or_above(totals: Mapping[Severity, int], threshold: Severity) -> in
     return sum(n for sev, n in totals.items() if _SEVERITY_ORDER[sev] >= floor)
 
 
-Rule = namedtuple("Rule", "id severity title")
+# check is None for a rule that validate_document does not run.
+Rule = namedtuple("Rule", "id severity title check")
 
 
 # What a rule yields: (sentence, span or None, annotation ids, message).
@@ -78,19 +81,13 @@ Check = Callable[["_DocIndex"], Iterable[Finding]]
 # Filled by @rule in registration order; str-keyed so config files and
 # diagnostics stay plain text.
 CATALOG: dict[str, Rule] = {}
-# (rule id, check) of every rule validate_document runs, in catalog order.
-_CHECKS: list[tuple[str, Check]] = []
 
 
-def rule(rule_id: str, severity: Severity, title: str) -> Callable[[Check], Check]:
-    """Add a rule to CATALOG; the returned decorator registers its document check.
+def rule(rule_id: str, severity: Severity, title: str) -> Callable[[Check | None], Check | None]:
+    """The decorator that adds a document check to CATALOG as rule ``rule_id``."""
 
-    Called bare, it adds a catalog entry that validate_document does not run.
-    """
-    CATALOG[rule_id] = Rule(rule_id, severity, title)
-
-    def register(check: Check) -> Check:
-        _CHECKS.append((rule_id, check))
+    def register(check: Check | None) -> Check | None:
+        CATALOG[rule_id] = Rule(rule_id, severity, title, check)
         return check
 
     return register
@@ -233,9 +230,9 @@ class LintConfig(_Validated, namedtuple("LintConfig", "lexicons rules")):
         if not isinstance(lexicons, Lexicons):
             raise ConfigError("lexicons must be a Lexicons")
         rules = tuple(
-            (rule_id, overrides.get(rule_id, CATALOG[rule_id].severity), check)
-            for rule_id, check in _CHECKS
-            if rule_id not in disabled_rules
+            (rule_id, overrides.get(rule_id, severity), check)
+            for rule_id, severity, _, check in CATALOG.values()
+            if check is not None and rule_id not in disabled_rules
         )
         return tuple.__new__(cls, (lexicons, rules))
 
@@ -642,8 +639,8 @@ def _estimated_count(idx: _DocIndex) -> Iterator[Finding]:
 
 # check_separation (assemble.py) emits these over assembled events;
 # validate_document does not run them.
-rule("W140", Severity.WARNING, "two events indistinguishable on every separation axis")
-rule("W141", Severity.INFO, "event assembled without any trigger annotation")
+rule("W140", Severity.WARNING, "two events indistinguishable on every separation axis")(None)
+rule("W141", Severity.INFO, "event assembled without any trigger annotation")(None)
 
 
 @rule("W142", Severity.WARNING, "triggers of one event carry differing semantic categories")

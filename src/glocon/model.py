@@ -10,10 +10,12 @@ time, the type and the value of each field that a corpus line supplies;
 the parser in :mod:`glocon.io` only decodes a line and passes its
 values in.  Invalid values raise :class:`InvariantError` rather than
 being repaired; the error's ``kind`` says which :class:`ParseErrorKind`
-a corpus line that holds such a value is rejected as, and its message
-is the one such a line gets.  So a document built with these
-constructors, whatever values they accept, is written by
-``save_corpus`` and read back equal by ``load_corpus``.
+a corpus line that holds such a value is rejected as.  The line's
+message may differ: the parser prefixes an annotation field's message
+with ``annotation_name``, and gives a bad span ``span_error``'s message,
+which measures it against the document's sentences.  So a document
+built with these constructors, whatever values they accept, is written
+by ``save_corpus`` and read back equal by ``load_corpus``.
 """
 
 from __future__ import annotations

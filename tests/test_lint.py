@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from glocon.lint import (
-    _CHECKS,
     CATALOG,
     DEFAULT_CONFIG,
     ConfigError,
@@ -446,7 +445,7 @@ class TestConfig:
 
 
 def _check_of(rule_id):
-    return next(check for r, check in _CHECKS if r == rule_id)
+    return CATALOG[rule_id].check
 
 
 _EXAMPLE_CONFIG = LintConfig(
@@ -605,13 +604,11 @@ class TestConfigProperties:
             assert again == cfg and hash(again) == hash(cfg)
 
     def test_default_config_runs_every_check_in_catalog_order(self):
-        assert [(rule_id, check) for rule_id, _, check in DEFAULT_CONFIG.rules] == _CHECKS
-        assert [rule_id for rule_id, _, _ in DEFAULT_CONFIG.rules] == [
-            rule_id for rule_id in CATALOG if rule_id not in ("W140", "W141")
-        ]
-        assert all(sev is CATALOG[rule_id].severity for rule_id, sev, _ in DEFAULT_CONFIG.rules)
+        assert DEFAULT_CONFIG.rules == tuple(
+            (r.id, r.severity, r.check) for r in CATALOG.values() if r.check is not None
+        )
 
-    @pytest.mark.parametrize("rule_id", [rule_id for rule_id, _ in _CHECKS])
+    @pytest.mark.parametrize("rule_id", [r.id for r in CATALOG.values() if r.check is not None])
     def test_a_config_with_one_rule_left_runs_exactly_that_rule(self, rule_id):
         # built as the traced benchmark builds its single-rule configs
         cfg = LintConfig(disabled_rules=frozenset(CATALOG) - {rule_id})
