@@ -15,6 +15,7 @@ Stdout is UTF-8; in JSON mode it carries only the payload, summaries go to stder
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -365,6 +366,7 @@ def run(argv: Sequence[str] | None = None) -> int:
 
 
 def main() -> None:
+    gc.disable()  # no command builds a cycle, so a collection would only walk live documents
     sys.stdout.reconfigure(encoding="utf-8")  # the same bytes as --out writes
     try:
         code = run()

@@ -172,6 +172,7 @@ def test_agreement_calibration():
 def test_performance_budget(workload):
     with criterion("validate + assemble 10,500 documents in under 5 s"):
         docs, expected = [], {"lint": {}, "separation": {}}
+        enabled = gc.isenabled()
         gc.disable()  # no cycles to find while the corpus grows, only time to spend
         try:
             for seed in range(1, 16):
@@ -182,7 +183,8 @@ def test_performance_budget(workload):
                 for key in expected:
                     expected[key].update(bulk["expected"][key])
         finally:
-            gc.enable()
+            if enabled:
+                gc.enable()
         planted = sum(len(diags) for diags in expected["lint"].values())
         assert len(docs) >= 10_000 and planted >= 29_000
         timings = []

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import os
@@ -21,7 +22,7 @@ from glocon.cli import (
     write_json_array,
 )
 from glocon.assemble import assemble_events, export_rows, rows_to_csv, rows_to_jsonl
-from glocon.io import iter_corpus, load_corpus, parse_corpus, serialize_corpus
+from glocon.io import iter_corpus, load_corpus, parse_corpus, save_corpus, serialize_corpus
 from glocon.lint import Diagnostic, validate_document
 from glocon.model import DocumentLabels, DocumentRecord, TagId
 from golden_docs import ann, bjp_square_doc, karnataka_doc, sent
@@ -439,6 +440,56 @@ class TestCorpusReading:
         assert peak(lambda: command("agree", path, empty)) < whole / 4
 
 
+class TestNoCycles:
+    """No command builds a reference cycle, which is why ``main()`` runs with the
+    cyclic collector off: what a run leaves for ``gc.collect()`` (argparse's
+    parser) does not grow with the corpus."""
+
+    GOLDEN = Path(__file__).resolve().parent / "golden"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate", "A"],
+            ["validate", "A", "--format", "json"],
+            ["assemble", "A"],
+            ["assemble", "A", "--format", "jsonl"],
+            ["stats", "A"],
+            ["stats", "A", "--format", "json"],
+            ["agree", "A", "L", "--level", "doc"],
+            ["agree", "A", "L", "--level", "sentence", "--format", "json"],
+            ["agree", "A", "S", "--level", "token"],
+            ["agree", "A", "S", "--level", "token", "--mode", "lenient", "--format", "json"],
+        ],
+        ids=lambda argv: "-".join(arg.lstrip("-") for arg in argv),
+    )
+    def test_garbage_does_not_grow_with_the_corpus(self, argv, tmp_path):
+        def copies(name, times):
+            docs, errors = load_corpus(str(self.GOLDEN / f"{name}.glocon.jsonl"))
+            assert errors == []
+            path = tmp_path / f"{name}_{times}.glocon.jsonl"
+            save_corpus(str(path), [doc._replace(doc_id=f"{doc.doc_id}~{i}")
+                                    for i in range(times) for doc in docs])
+            return str(path)
+
+        def garbage(times):
+            files = {"A": copies("labels_a", times), "L": copies("labels_b", times),
+                     "S": copies("spans_b", times)}
+            enabled = gc.isenabled()
+            gc.collect()
+            gc.disable()
+            try:
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(io.StringIO()):
+                    assert run([files.get(arg, arg) for arg in argv]) in (EXIT_OK, EXIT_FINDINGS)
+                return gc.collect()
+            finally:
+                if enabled:
+                    gc.enable()
+
+        assert garbage(1) == garbage(3)
+
+
 class TestConsoleEntry:
     """``main()`` as the console script runs it, in a child interpreter."""
 
@@ -460,6 +511,30 @@ class TestConsoleEntry:
             proc.stdout.close()
             assert proc.wait(timeout=120) == EXIT_IO
         assert b"Traceback" not in (tmp_path / "stderr").read_bytes()
+
+    def test_main_turns_the_collector_off_and_run_leaves_it(self, corpus_file):
+        """A ``glocon`` process runs without the cyclic collector; ``run``, which
+        library callers and tests use, keeps the caller's setting."""
+        script = (
+            "import contextlib, gc, io, sys\n"
+            "from glocon import cli\n"
+            "states = [gc.isenabled()]\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = cli.run(sys.argv[1:])\n"
+            "states.append(gc.isenabled())\n"
+            "try:\n"
+            "    cli.main()\n"
+            "except SystemExit as exc:\n"
+            "    code = (code, exc.code)\n"
+            "states.append(gc.isenabled())\n"
+            "print(code, states, file=sys.stderr)\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        child = subprocess.run(
+            [sys.executable, "-c", script, "stats", corpus_file([bjp_square_doc()])],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+        )
+        assert child.stderr == "(0, 0) [True, True, False]\n"
 
     def test_stdout_is_utf8_under_an_ascii_locale(self, corpus_file, tmp_path):
         doc = DocumentRecord(
