@@ -1,4 +1,5 @@
 import functools
+import os
 import sys
 from pathlib import Path
 
@@ -20,6 +21,22 @@ def workload():
     corpus bytes ``a`` and ``b`` and the ``expected`` results the generator
     derives without glocon."""
     return functools.cache(gen.generate)
+
+
+@pytest.fixture
+def child_env():
+    """The environment of a child interpreter that imports glocon from this
+    checkout's ``src``, as ``sys.executable -m glocon.cli`` needs it."""
+    return {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+
+
+@pytest.fixture
+def qualifiers_config(tmp_path):
+    """The path of a lint config whose estimation qualifiers overlap ("more"
+    begins "more than"), so the one W131 names depends on the order it tries them."""
+    path = tmp_path / "qualifiers.json"
+    path.write_text('{"lexicons": {"estimation_qualifiers": ["more", "more than", "about"]}}')
+    return str(path)
 
 
 @pytest.fixture

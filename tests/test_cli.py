@@ -102,7 +102,10 @@ class TestValidateCommand:
 
     def test_missing_file_exits_three(self, capsys):
         assert run(["validate", "no-such-file.glocon.jsonl"]) == EXIT_IO
-        assert "cannot read" in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("glocon: cannot read no-such-file.glocon.jsonl: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
 
     def test_unreadable_config_exits_three(self, corpus_file, tmp_path, capsys):
         corpus = corpus_file([bjp_square_doc()])
@@ -142,6 +145,8 @@ class TestValidateCommand:
              "lexicon estimation_qualifiers must be a list"),
             (b'{"disabled_rules": ["W103\xff"]}', "not UTF-8"),
             (b"[" * 100_000 + b"]" * 100_000, "invalid JSON: nesting too deep"),
+            (b'{"disabled_rules": {"x": ' + b"[" * 198 + b"]" * 198 + b"}}",
+             "invalid JSON: nesting too deep"),
             # the message of this one depends on the Python version
             (b'{"disabled_rules": [' + b"1" * 5_000 + b"]}", ""),
             (b'["W103"]', "config must be a JSON object"),
@@ -149,7 +154,8 @@ class TestValidateCommand:
         ],
         ids=["overrides-list", "lexicons-list", "disabled-object", "nested-rule-list",
              "non-string-word", "string-lexicon", "blank-word", "not-utf8",
-             "nested-past-recursion-limit", "integer-past-digit-limit", "config-list",
+             "nested-past-recursion-limit", "nested-past-cap-in-object",
+             "integer-past-digit-limit", "config-list",
              "unknown-lexicon-key"],
     )
     def test_ill_typed_config_is_usage_error(self, corpus_file, tmp_path, capsys, content,
@@ -158,7 +164,9 @@ class TestValidateCommand:
         cfg = tmp_path / "cfg.json"
         cfg.write_bytes(content)
         assert run(["validate", corpus, "--config", str(cfg)]) == EXIT_USAGE
-        assert f"glocon: bad config {cfg}: {message}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"glocon: bad config {cfg}: {message}")
+        assert err.count("\n") == 1 and err.endswith("\n")
 
 
 class TestAssembleCommand:
@@ -494,25 +502,27 @@ class TestConsoleEntry:
     """``main()`` as the console script runs it, in a child interpreter."""
 
     @staticmethod
-    def _cli(args, env=(), **popen):
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        return subprocess.Popen(
-            [sys.executable, "-m", "glocon.cli", *args],
-            env={**os.environ, "PYTHONPATH": src, **dict(env)},
-            **popen,
-        )
+    def _cli(args, env, **popen):
+        return subprocess.Popen([sys.executable, "-m", "glocon.cli", *args], env=env, **popen)
 
-    def test_closed_pipe_exits_three_without_traceback(self, workload, tmp_path):
+    @classmethod
+    def _finished(cls, args, env):
+        """The exit code, stdout and stderr of a child run to its end."""
+        child = cls._cli(args, env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        out, err = child.communicate(timeout=60)
+        return child.returncode, out, err
+
+    def test_closed_pipe_exits_three_without_traceback(self, child_env, workload, tmp_path):
         path = tmp_path / "bulk.glocon.jsonl"
         path.write_bytes(workload("bulk", 1)["a"])  # far more output than a pipe buffers
         with open(tmp_path / "stderr", "wb") as err:
-            proc = self._cli(["validate", path], stdout=subprocess.PIPE, stderr=err)
+            proc = self._cli(["validate", path], child_env, stdout=subprocess.PIPE, stderr=err)
             assert proc.stdout.readline()
             proc.stdout.close()
             assert proc.wait(timeout=120) == EXIT_IO
         assert b"Traceback" not in (tmp_path / "stderr").read_bytes()
 
-    def test_main_turns_the_collector_off_and_run_leaves_it(self, corpus_file):
+    def test_main_turns_the_collector_off_and_run_leaves_it(self, child_env, corpus_file):
         """A ``glocon`` process runs without the cyclic collector; ``run``, which
         library callers and tests use, keeps the caller's setting."""
         script = (
@@ -529,14 +539,71 @@ class TestConsoleEntry:
             "states.append(gc.isenabled())\n"
             "print(code, states, file=sys.stderr)\n"
         )
-        src = str(Path(__file__).resolve().parent.parent / "src")
         child = subprocess.run(
             [sys.executable, "-c", script, "stats", corpus_file([bjp_square_doc()])],
-            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+            env=child_env, capture_output=True, text=True, timeout=60,
         )
         assert child.stderr == "(0, 0) [True, True, False]\n"
 
-    def test_stdout_is_utf8_under_an_ascii_locale(self, corpus_file, tmp_path):
+    @pytest.mark.parametrize(
+        "argv",
+        [["agree", "A", "B", "--level", "token", "--mode", "strict"], ["validate", "A"],
+         ["stats", "A"]],
+        ids=["agree", "validate", "stats"],
+    )
+    def test_the_collector_changes_no_output(self, argv, child_env, workload, tmp_path):
+        """``main()`` runs without the cyclic collector and ``run`` with it, on the
+        seed-1 ``dense`` corpora, whose long articles are where it ran most."""
+        generated, files = workload("dense", 1), {}
+        for side in ("a", "b"):
+            path = files[side.upper()] = tmp_path / f"dense_{side}.glocon.jsonl"
+            path.write_bytes(generated[side])
+        argv = [str(files.get(arg, arg)) for arg in argv] + ["--format", "json"]
+        enabled = gc.isenabled()
+        gc.enable()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()) as out, \
+                    contextlib.redirect_stderr(io.StringIO()) as err:
+                code = run(argv)
+        finally:
+            if not enabled:
+                gc.disable()
+        in_process = (code, out.getvalue().encode("utf-8"), err.getvalue().encode("utf-8"))
+        assert self._finished(argv, child_env) == in_process
+
+    def test_validate_does_not_depend_on_the_hash_seed(
+        self, child_env, qualifiers_config, workload, tmp_path
+    ):
+        """W131 tries the config's estimation qualifiers in its order, so the first
+        that matches names the finding under every string hash seed."""
+        path = tmp_path / "bulk.glocon.jsonl"
+        path.write_bytes(workload("bulk", 1)["a"])
+        argv = ["validate", str(path), "--config", qualifiers_config]
+        # CPython 3.11 iterates a set of these qualifiers with "more" first under seed 0
+        # and "more than" first under seed 2, so the qualifiers held as a set would show
+        seed_0, seed_2 = (
+            self._finished(argv, {**child_env, "PYTHONHASHSEED": seed}) for seed in ("0", "2")
+        )
+        assert seed_0 == seed_2
+        code, out, _ = seed_0
+        assert code == EXIT_FINDINGS
+        named = b" W131 warning participant_count begins with estimation qualifier 'more'\n"
+        assert out.count(named) == 30
+
+    def test_an_unencodable_doc_id_is_reported_in_one_utf8_line(self, child_env, tmp_path):
+        """A ``doc_id`` that UTF-8 cannot encode (a lone surrogate escape) is
+        rejected, and the one stderr line that reports it is UTF-8."""
+        path = tmp_path / "surrogate.glocon.jsonl"
+        path.write_text('{"doc_id": "\\ud800", "sentences": '
+                        '[{"index": 0, "tokens": ["Workers", "marched", "."]}]}\n')
+        code, _, err = self._finished(["stats", str(path)], child_env)
+        assert code == EXIT_IO
+        assert err.decode("utf-8") == (
+            f"glocon: {path}: line 1 [?] malformed_record: string with a lone surrogate, "
+            "not encodable as UTF-8\n"
+        )
+
+    def test_stdout_is_utf8_under_an_ascii_locale(self, child_env, corpus_file, tmp_path):
         doc = DocumentRecord(
             "d1",
             DocumentLabels(),
@@ -548,7 +615,7 @@ class TestConsoleEntry:
             ),
         )
         path, out = corpus_file([doc]), tmp_path / "events.csv"
-        ascii_env = {"PYTHONIOENCODING": "ascii"}
+        ascii_env = {**child_env, "PYTHONIOENCODING": "ascii"}
         to_file = self._cli(["assemble", path, "--out", str(out)], ascii_env)
         assert to_file.wait(timeout=60) == EXIT_OK
         to_stdout = self._cli(["assemble", path], ascii_env, stdout=subprocess.PIPE)

@@ -70,3 +70,16 @@ def test_stdout_matches_golden(case, capsys):
     assert run(CASES[case]) == (EXIT_FINDINGS if case.startswith("validate") else EXIT_OK)
     expected = (GOLDEN / f"{case}.out").read_text(encoding="utf-8")
     assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("case", sorted(case for case in CASES if case.startswith("agree")))
+def test_agree_does_not_depend_on_the_order_of_b(case, tmp_path, capsys):
+    """``agree`` holds each document of B until its partner in A is read, so B
+    read in reverse, the most it can hold, prints the recorded bytes."""
+    argv = CASES[case]
+    reversed_b = tmp_path / "reversed_b.glocon.jsonl"
+    with open(argv[2], "rb") as b:
+        reversed_b.write_bytes(b"".join(reversed(b.readlines())))
+    assert run([*argv[:2], str(reversed_b), *argv[3:]]) == EXIT_OK
+    expected = (GOLDEN / f"{case}.out").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == expected

@@ -1123,7 +1123,10 @@ def test_writer_matches_json_dumps_on_random_documents():
 @pytest.mark.parametrize("name", ["bulk", "dense", "flat"])
 def test_writer_matches_json_dumps_on_the_bench_corpora(workload, name, side):
     docs, _ = parse_corpus(workload(name, 1)[side])
-    assert serialize_corpus(docs) == _dumped(docs)
+    written = serialize_corpus(docs)
+    assert written == _dumped(docs)
+    # what the writer wrote reads back to documents that it writes the same way
+    assert serialize_corpus(parse_corpus(written)[0]) == written
 
 
 # A set of small ints iterates in hash order, which is not sorted once a

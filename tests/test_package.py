@@ -2,7 +2,6 @@
 
 import importlib
 import json
-import os
 import pickle
 import subprocess
 import sys
@@ -68,9 +67,9 @@ class TestSurface:
         assert glocon.__version__ == "0.1.0"
 
 
-def _loaded_after(code: str, *flags: str) -> list[str]:
-    """The modules a fresh interpreter, started with ``flags``, holds after
-    running ``code`` with its stdout discarded."""
+def _loaded_after(env: dict, code: str, *flags: str) -> list[str]:
+    """The modules a fresh interpreter, started with ``flags`` in ``env``,
+    holds after running ``code`` with its stdout discarded."""
     script = (
         "import contextlib, io, json, sys\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
@@ -79,7 +78,7 @@ def _loaded_after(code: str, *flags: str) -> list[str]:
     )
     proc = subprocess.run(
         [sys.executable, *flags, "-c", script],
-        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        env=env,
         capture_output=True,
         text=True,
         timeout=60,
@@ -121,16 +120,25 @@ COMMANDS = {
     ],
     ids=["package", "io", "name", "submodule", "stats", "agree", "assemble", "validate"],
 )
-def test_each_command_loads_only_what_it_runs(code, loaded):
-    assert [m for m in _loaded_after(code) if m.split(".")[0] == "glocon"] == loaded
+def test_each_command_loads_only_what_it_runs(code, loaded, child_env):
+    assert [m for m in _loaded_after(child_env, code) if m.split(".")[0] == "glocon"] == loaded
 
 
-@pytest.mark.parametrize(
-    "code", ["import glocon.io", *COMMANDS.values()], ids=["io", *COMMANDS]
-)
-def test_no_command_loads_dataclasses_inspect_or_typing(code):
+# no command loads them, whatever its config; QUALIFIERS stands for qualifiers_config's path
+LIGHT = {
+    "io": "import glocon.io",
+    **COMMANDS,
+    "validate-config": _command(
+        "validate", CORPUS, "--config", str(ROOT / "tests" / "golden" / "validate_config.json")
+    ),
+    "validate-qualifiers": _command("validate", CORPUS, "--config", "QUALIFIERS"),
+}
+
+
+@pytest.mark.parametrize("code", LIGHT.values(), ids=list(LIGHT))
+def test_no_command_loads_dataclasses_inspect_or_typing(code, child_env, qualifiers_config):
     # -S: without site, whose .pth files may import typing themselves
-    loaded = set(_loaded_after(code, "-S"))
+    loaded = set(_loaded_after(child_env, code.replace("QUALIFIERS", qualifiers_config), "-S"))
     assert "glocon.io" in loaded
     assert not {"dataclasses", "inspect", "typing"} & loaded
 
